@@ -108,8 +108,7 @@ def possibilities(p: TruncCondition, k: int) -> list[tuple]:
 
     k = -1 yields the single empty selection.
     """
-    if k >= p.horizon:
-        raise ValueError("level beyond the horizon")
+    _check_level(p, k)
     pools = [cell.sorted_members() for cell in p.cells[:k + 1]]
     if prod(len(pool) for pool in pools) > POSS_CAP:
         raise ValueError("possibility enumeration cap exceeded")
@@ -118,7 +117,13 @@ def possibilities(p: TruncCondition, k: int) -> list[tuple]:
 
 def poss_count(p: TruncCondition, k: int) -> int:
     """|possibilities(p, k)| without enumerating."""
+    _check_level(p, k)
     return prod(len(cell.members) for cell in p.cells[:k + 1])
+
+
+def _check_level(p: TruncCondition, k: int) -> None:
+    if not -1 <= k < p.horizon:
+        raise ValueError(f"k = {k} is not a level in [-1, {p.horizon - 1}]")
 
 
 def branches(p: TruncCondition) -> list[tuple]:
@@ -202,6 +207,8 @@ def thin(p: TruncCondition, gbound) -> TruncCondition:
     splits = p.split_levels()
     if not splits:
         return p
+    if splits[-1] >= len(gbound):
+        raise ValueError(f"gbound has no entry for split level {splits[-1]}")
     cells = list(p.cells)
     retained = []
     prev = -1
@@ -238,6 +245,8 @@ def catch_real(p: TruncCondition, x, n0: int = 0):
     for k in range(n0, p.horizon):
         covered = frozenset().union(*p.cells[k].members)
         if len(covered) == p.cells[k].arena:  # norm >= 1
+            if k >= len(x):
+                raise ValueError(f"x has no entry for level {k}")
             for t in p.cells[k].sorted_members():
                 if x[k] in t:
                     cells = list(p.cells)

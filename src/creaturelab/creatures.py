@@ -11,6 +11,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+
+from .numeric import _exact_pow
 
 ARENA_LIMIT = 20
 
@@ -59,24 +62,36 @@ def full_creature(arena: int, cap: int) -> Creature:
 
 def norm(M: Creature) -> int:
     """Largest k such that every subset of the arena of size <= k is
-    contained in some member.  Ascending exhaustive check."""
+    contained in some member.
+
+    For k = 1, 2, ... the k-subsets of the members (as bitmasks) are
+    collected until they number C(arena, k); the first k that falls short
+    gives k - 1.  The result is memoised on the (frozen) creature, outside
+    its fields.
+    """
+    cached = M.__dict__.get("_norm")
+    if cached is not None:
+        return cached
     if M.arena > ARENA_LIMIT:
         raise ValueError(f"arena {M.arena} exceeds the exhaustive-cost limit")
-    members = [_mask(m) for m in M.members]
-    top = min(M.arena, max(len(m) for m in M.members))
+    members = sorted(([1 << v for v in m] for m in M.members),
+                     key=len, reverse=True)
+    top = min(M.arena, len(members[0]))
+    result = top
     for k in range(1, top + 1):
-        for combo in itertools.combinations(range(M.arena), k):
-            y = _mask(combo)
-            if not any(y & mm == y for mm in members):
-                return k - 1
-    return top
-
-
-def _mask(s) -> int:
-    out = 0
-    for v in s:
-        out |= 1 << v
-    return out
+        need = comb(M.arena, k)
+        seen = set()
+        for bits in members:
+            if len(bits) < k:
+                break
+            seen.update(map(sum, itertools.combinations(bits, k)))
+            if len(seen) == need:
+                break
+        if len(seen) < need:
+            result = k - 1
+            break
+    object.__setattr__(M, "_norm", result)
+    return result
 
 
 def lognorm_cmp(M: Creature, d: int, t) -> str:
@@ -89,13 +104,25 @@ def lognorm_cmp(M: Creature, d: int, t) -> str:
 
 
 def lognorm_value_cmp(norm_value: int, d: int, t) -> str:
+    """(norm_value+1)**w >= d**(d*u) for t = u/w, decided by bit lengths
+    where they separate the sides and exactly otherwise.  Raises ValueError
+    when neither works within EXACT_BIT_LIMIT."""
     if d < 2:
         raise ValueError("d must be at least 2")
     t = Fraction(t)
     if t <= 0:
         return "AtLeast"
     u, w = t.numerator, t.denominator
-    return "AtLeast" if (norm_value + 1) ** w >= d ** (d * u) else "Below"
+    nb, db = (norm_value + 1).bit_length(), d.bit_length()
+    if w * nb <= d * u * (db - 1):
+        return "Below"
+    if w * (nb - 1) >= d * u * db:
+        return "AtLeast"
+    lhs, rhs = _exact_pow(norm_value + 1, w), _exact_pow(d, d * u)
+    if lhs is None or rhs is None:
+        raise ValueError(f"lognorm comparison at t = {t}, d = {d} is past "
+                         "the exact size limit")
+    return "AtLeast" if lhs >= rhs else "Below"
 
 
 def bigness_refine(M: Creature, coloring, d: int):

@@ -15,8 +15,8 @@ import itertools
 from dataclasses import dataclass
 
 from .numeric import (DEFAULT_PRECISION, EXACT_BIT_LIMIT, Cmp, LogTower,
-                      _double_slack, subset_count, tower, tower_cmp, tower_le,
-                      tower_mul, tower_pow, tower_sub, tower_to_json)
+                      _double_slack, _exact_pow, subset_count, tower, tower_cmp,
+                      tower_le, tower_mul, tower_pow, tower_sub, tower_to_json)
 
 FAMILY_HEIGHT_CAP = 24
 
@@ -52,9 +52,10 @@ def _mul(x, y, prec, cap):
 
 
 def _pow(x, y, prec, cap):
-    if isinstance(x, int) and isinstance(y, int) \
-            and y * _bits(x) <= EXACT_BIT_LIMIT:
-        return x ** y
+    if isinstance(x, int) and isinstance(y, int):
+        v = _exact_pow(x, y)
+        if v is not None:
+            return v
     return tower_pow(x, y, prec=prec, cap=cap)
 
 
@@ -203,9 +204,11 @@ def _stage_values(k: int, d, state, prec, cap, count_mode, tree: bool):
             "offset": _sub_offset(total_next, min_i, prec, cap)}
 
 
-def _add_one(x, prec, cap):
+def _add_one(x, prec, cap, n: int = 1):
+    """x + n for a small n <= x: exact on integers; on a tower the upper
+    bound widens by the slack that covers doubling."""
     if isinstance(x, int):
-        return x + 1
+        return x + n
     return LogTower(x.height, x.low,
                     x.high + _double_slack(x.height, x.high))
 
@@ -277,7 +280,7 @@ def build_tree(d0: int = 3, depth: int = 2, *,
                 else:
                     lo = nodes["0" * k]
                     hi = nodes["1" * k]
-                    d = _add_small(_mul(lo.d, hi.a, prec, cap), 3, prec, cap)
+                    d = _add_one(_mul(lo.d, hi.a, prec, cap), prec, cap, n=3)
                     d_from = "stage"
             else:
                 d = _mul(k + 1, nodes[prev_label].a, prec, cap)
@@ -297,13 +300,6 @@ def build_tree(d0: int = 3, depth: int = 2, *,
         nm.append(dk - 1 if isinstance(dk, int) else dk)
     bounding = BoundingSequences(tuple(nm), tuple(n_plus))
     return TreeFamily(depth, nodes, {}, {}, bounding)
-
-
-def _add_small(x, n: int, prec, cap):
-    if isinstance(x, int):
-        return x + n
-    return LogTower(x.height, x.low,
-                    x.high + _double_slack(x.height, x.high))
 
 
 # ---------------------------------------------------------------------------

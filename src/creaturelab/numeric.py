@@ -54,6 +54,23 @@ def subset_count(m: int, k: int, mode: str = "exact") -> int:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _is_pow2(n: int) -> bool:
+    """n > 0 is a power of two.  A set bit among the low 64 rejects most
+    huge n without scanning them."""
+    return (n < 1 << 64 or not n & 0xFFFFFFFFFFFFFFFF) and n.bit_count() == 1
+
+
+def _exact_pow(x: int, y: int):
+    """x ** y for integers x and y >= 0, or None when the result could pass
+    EXACT_BIT_LIMIT bits.  A power-of-two base is a shift."""
+    bits = max(1, x.bit_length())
+    if y * bits > EXACT_BIT_LIMIT:
+        return None
+    if x > 0 and _is_pow2(x):
+        return 1 << ((bits - 1) * y)
+    return x ** y
+
+
 # ---------------------------------------------------------------------------
 # directed rational log2 / pow2
 
@@ -91,21 +108,43 @@ def _sq_chain_floor(t: int, prec: int) -> int:
     return bits
 
 
+def _shifted_quotient(n: int, s: int, d: int, keep: int) -> int:
+    """floor(n * 2**s / d) for n, d > 0.
+
+    An operand longer than ``keep`` bits is cut to its top ``keep`` bits;
+    the cut operands bound the quotient from both sides, and when the two
+    floors agree that is the answer.  Otherwise the full division decides.
+    """
+    rn = max(0, n.bit_length() - keep)
+    rd = max(0, d.bit_length() - keep)
+    if rn or rd:
+        nt, dt = n >> rn, d >> rd
+        e = s + rn - rd
+        lo_n, hi_n = nt, nt + (1 if rn else 0)
+        lo_d, hi_d = dt + (1 if rd else 0), dt
+        if e >= 0:
+            lo, hi = (lo_n << e) // lo_d, (hi_n << e) // hi_d
+        else:
+            lo, hi = lo_n // (lo_d << -e), hi_n // (hi_d << -e)
+        if lo == hi:
+            return lo
+    return ((n << s) if s >= 0 else (n >> -s)) // d
+
+
 def _log2_bounds(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     n, d = x.numerator, x.denominator
     if n <= 0:
         raise TowerDomainError("log2 of a non-positive value")
-    if n & (n - 1) == 0 and d & (d - 1) == 0:
+    if _is_pow2(n) and _is_pow2(d):
         v = Fraction(n.bit_length() - d.bit_length())
         return v, v
     e = _floor_log2(x)
+    keep = 2 * prec + 64
     # mantissa m = x / 2**e lies in (1, 2); lower bound via floor squaring
-    s = prec - e
-    t = ((n << s) if s >= 0 else (n >> -s)) // d
+    t = _shifted_quotient(n, prec - e, d, keep)
     lo = e + Fraction(_sq_chain_floor(t, prec), 1 << prec)
     # upper bound: log2(m) = 1 - log2(2/m), bound 2/m = 2**(e+1) d / n from below
-    s2 = prec + e + 1
-    t2 = ((d << s2) if s2 >= 0 else (d >> -s2)) // n
+    t2 = _shifted_quotient(d, prec + e + 1, n, keep)
     hi = e + 1 - Fraction(_sq_chain_floor(t2, prec), 1 << prec)
     return Fraction(lo), Fraction(hi)
 
@@ -205,17 +244,23 @@ def _canonical(height: int, low: Fraction, high: Fraction,
     while low > PROMOTION_THRESHOLD:
         if height + 1 > cap:
             raise TowerOverflowError(f"height cap {cap} exceeded")
-        low = _log2_bounds(low, prec)[0]
-        high = _log2_bounds(high, prec)[1]
+        low, high = _log2_interval(low, high, prec)
         height += 1
     return LogTower(height, low, high)
+
+
+def _log2_interval(low: Fraction, high: Fraction, prec: int):
+    """(lower bound of log2(low), upper bound of log2(high)); a point
+    interval takes one log2."""
+    lb = _log2_bounds(low, prec)
+    hb = lb if high == low else _log2_bounds(high, prec)
+    return lb[0], hb[1]
 
 
 def _promote(t: LogTower, prec: int, cap: int) -> LogTower:
     if t.height + 1 > cap:
         raise TowerOverflowError(f"height cap {cap} exceeded")
-    lo = _log2_bounds(t.low, prec)[0]
-    hi = _log2_bounds(t.high, prec)[1]
+    lo, hi = _log2_interval(t.low, t.high, prec)
     return LogTower(t.height + 1, lo, hi)
 
 
@@ -256,8 +301,7 @@ def tower_log2(x, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP) -> Lo
     x = tower(x)
     if x.height >= 1:
         return _canonical(x.height - 1, x.low, x.high, prec, cap)
-    lo = _log2_bounds(x.low, prec)[0]
-    hi = _log2_bounds(x.high, prec)[1]
+    lo, hi = _log2_interval(x.low, x.high, prec)
     return _canonical(0, lo, hi, prec, cap)
 
 
@@ -352,9 +396,10 @@ def tower_pow(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP) -> 
         return tower(1)
     if x.height == 0 and y.height == 0 and x.is_point and y.is_point \
             and y.low.denominator == 1 and x.low.denominator == 1 and y.low >= 0:
-        est = int(y.low) * max(1, int(x.low).bit_length())
-        if est <= EXACT_BIT_LIMIT:
-            return _canonical(0, x.low ** int(y.low), x.high ** int(y.low), prec, cap)
+        v = _exact_pow(int(x.low), int(y.low))
+        if v is not None:
+            v = Fraction(v)
+            return _canonical(0, v, v, prec, cap)
     lx = tower_log2(x, prec=prec, cap=cap)
     return tower_exp2(tower_mul(y, lx, prec=prec, cap=cap), prec=prec, cap=cap)
 

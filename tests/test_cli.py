@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from creaturelab.cli import main
@@ -90,3 +91,54 @@ def test_family_verify_exits_0_on_full_pass(tmp_path):
 
 def test_unknown_subcommand_exits_2():
     assert main(["frobnicate"]) == 2
+
+
+_COND = {"c": [3, 3, 3], "h": [2, 2, 2], "d": [2, 2, 2],
+         "cells": [[[0, 1], [1, 2], [0, 2]]] * 3}
+
+
+def test_thin_with_short_gbound_exits_2(tmp_path, capsys):
+    code, _ = run(tmp_path, "thin", {"condition": _COND, "gbound": [5]})
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "gbound" in err and "level 2" in err
+
+
+def test_catch_with_short_x_exits_2(tmp_path, capsys):
+    code, _ = run(tmp_path, "catch", {"condition": _COND, "x": []})
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "x has no entry for level 0" in err
+
+
+def test_poss_with_negative_level_exits_2(tmp_path, capsys):
+    code, body = run(tmp_path, "poss", {"condition": _COND, "k": -5})
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert "Traceback" not in err and "k = -5" in err
+
+
+# SHA-256 of the CLI output, pinned before the exact-arithmetic fast paths
+# (power-of-two powers by shift, log2 quotients from the top bits) landed
+_GOLDEN = [
+    ("family", {"n0_minus": 3, "d0": 4}, ["--mode", "build"],
+     "557ae847c1c6d73802b8f395cc4cfbe45cbeba475715526fc7452801ab33a70c"),
+    ("family", {"n0_minus": 3, "d0": 5}, ["--mode", "build"],
+     "36fdd1e47e208471b704e56f632515d11c378c811a5d6dea9ac82971ac6e7095"),
+    ("family", {"d0": 3, "depth": 2}, ["--mode", "tree"],
+     "895ed4a9c928c4ae7bebffe622d9cea274afe578d8012533755b6c0c98019323"),
+    ("family", {"d0": 3, "depth": 3}, ["--mode", "tree", "--cap", "32"],
+     "c4dde07d77709ffe2dbda7cab1a2863b6615453b52bfcc1dcdbf6e4a34e64229"),
+    ("family", {"d0": 3, "depth": 2}, ["--mode", "verify"],
+     "1ed1f4a89d344cbd1031bc35310a0e4d6bd574bd991346ca6c22adcd44091862"),
+    ("suite", {}, ["--mode", "norm", "--seed", "7", "--cap", "200"],
+     "942a066f86806af78bd4a5be6258712aeb9c9c8685d6a67ea39d185b2929f3b7"),
+]
+
+
+def test_family_and_suite_output_is_byte_identical(tmp_path):
+    for sub, payload, flags, digest in _GOLDEN:
+        code, body = run(tmp_path, sub, payload, *flags)
+        assert code == 0
+        assert hashlib.sha256(body.encode()).hexdigest() == digest, \
+            (sub, payload, flags)

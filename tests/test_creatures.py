@@ -1,8 +1,10 @@
 import itertools
+import time
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from creaturelab.creatures import (
     Creature,
@@ -111,3 +113,70 @@ def test_range_refine_rejects_bad_window():
 def test_creature_json_roundtrip():
     M = Creature.of(5, 2, [[0, 1], [3], []])
     assert Creature.from_json(M.to_json()) == M
+
+
+@st.composite
+def shaped_creatures(draw):
+    """Creatures on arenas <= 8: all subsets up to the cap, nearly all of
+    them, a dense random share, or a few sparse members."""
+    arena = draw(st.integers(1, 8))
+    cap = draw(st.integers(0, arena))
+    pool = [c for sz in range(cap + 1)
+            for c in itertools.combinations(range(arena), sz)]
+    shape = draw(st.sampled_from(["full", "near-full", "dense", "sparse"]))
+    if shape == "full":
+        members = pool
+    elif shape == "near-full":
+        drop = draw(st.sets(st.integers(0, len(pool) - 1), max_size=3))
+        members = [m for i, m in enumerate(pool) if i not in drop]
+    elif shape == "dense":
+        keep = draw(st.lists(st.booleans(), min_size=len(pool),
+                             max_size=len(pool)))
+        members = [m for m, k in zip(pool, keep) if k]
+    else:
+        members = draw(st.lists(st.sampled_from(pool), min_size=1,
+                                max_size=5))
+    return Creature.of(arena, cap, members or pool[:1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_creatures())
+def test_norm_matches_direct_definition_on_shaped_creatures(M):
+    twin = Creature.of(M.arena, M.cap, M.members)
+    before = (hash(M), repr(M), M.to_json())
+    value = norm(M)
+    assert value == norm_direct(M.arena, M.members)
+    # the memo answers a repeat call and stays out of equality and output
+    assert norm(M) == value
+    assert (hash(M), repr(M), M.to_json()) == before
+    assert M == twin and hash(M) == hash(twin)
+    assert Creature.from_json(M.to_json()) == M
+
+
+def test_norm_on_large_full_creatures():
+    assert norm(full_creature(20, 4)) == 4
+    assert norm(full_creature(19, 3)) == 3
+    with pytest.raises(ValueError):
+        norm(full_creature(21, 1))
+
+
+def test_lognorm_value_cmp_matches_plain_formula():
+    ts = [Fraction(0), Fraction(-1, 2)] + [Fraction(u, w) for u in range(1, 7)
+                                           for w in range(1, 7)]
+    for n in range(41):
+        for d in range(2, 7):
+            for t in ts:
+                plain = "AtLeast" if t <= 0 or \
+                    (n + 1) ** t.denominator >= d ** (d * t.numerator) \
+                    else "Below"
+                assert lognorm_value_cmp(n, d, t) == plain, (n, d, t)
+
+
+def test_lognorm_value_cmp_decides_huge_thresholds_by_bit_length():
+    start = time.monotonic()
+    assert lognorm_value_cmp(5, 2, Fraction(10 ** 9 + 7, 3)) == "Below"
+    assert lognorm_value_cmp(5, 3, Fraction(1, 10 ** 9 + 7)) == "AtLeast"
+    assert time.monotonic() - start < 0.5
+    # between the bit-length bounds and past the exact size limit: refuse
+    with pytest.raises(ValueError):
+        lognorm_value_cmp(2, 3, Fraction(2 ** 25, 2 ** 26 + 1))

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
+from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from creaturelab.numeric import (
+    EXACT_BIT_LIMIT,
     Cmp,
     TowerDomainError,
     subset_count,
@@ -21,6 +23,11 @@ from creaturelab.numeric import (
     tower_pow,
     tower_sub,
     tower_to_json,
+    _exact_pow,
+    _floor_log2,
+    _log2_bounds,
+    _shifted_quotient,
+    _sq_chain_floor,
 )
 
 from oracles import subset_count_direct
@@ -118,3 +125,58 @@ def test_tower_json_roundtrip():
         back = tower_from_json(tower_to_json(t))
         assert back.height == t.height
         assert back.low == t.low and back.high == t.high
+
+
+def _log2_bounds_full_division(x, prec):
+    """The log2 bounds with both quotients taken by full division."""
+    n, d = x.numerator, x.denominator
+    e = _floor_log2(x)
+    s = prec - e
+    t = ((n << s) if s >= 0 else (n >> -s)) // d
+    lo = e + Fraction(_sq_chain_floor(t, prec), 1 << prec)
+    s2 = prec + e + 1
+    t2 = ((d << s2) if s2 >= 0 else (d >> -s2)) // n
+    hi = e + 1 - Fraction(_sq_chain_floor(t2, prec), 1 << prec)
+    return lo, hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(10 ** 3, 10 ** 6), st.integers(1, 2 * 10 ** 4),
+       st.integers(0, 2 ** 32), st.sampled_from([32, 96]))
+def test_log2_bounds_match_full_division_on_huge_operands(nbits, dbits,
+                                                          seed, prec):
+    rng = Random(seed)
+    n = rng.getrandbits(nbits) | (1 << (nbits - 1))
+    d = rng.getrandbits(dbits) | 1
+    for x in (Fraction(n), Fraction(n, d), Fraction(d, n)):
+        if x.numerator & (x.numerator - 1) == 0 \
+                and x.denominator & (x.denominator - 1) == 0:
+            continue
+        assert _log2_bounds(x, prec) == _log2_bounds_full_division(x, prec)
+
+
+def test_log2_bounds_fall_back_when_the_top_bits_cannot_decide():
+    # 3 / 2**M: the quotient 3 * 2**(prec - 1) is an exact integer, and the
+    # bounds read from the top bits of 2**M straddle it, so the full
+    # division decides; 2**M + 1 and 2**M - 1 sit just off such a quotient
+    for M in (1000, 5000, 100_003):
+        for x in (Fraction(3, 2 ** M), Fraction(5, 2 ** M),
+                  Fraction(2 ** M + 1), Fraction(1, 2 ** M + 1),
+                  Fraction(2 ** M - 1), Fraction(3, 2 ** M + 1)):
+            assert _log2_bounds(x, 96) == _log2_bounds_full_division(x, 96)
+    assert _shifted_quotient(1, 5097, 2 ** 5000, 256) == 2 ** 97
+    n = 2 ** 5000 + 1
+    assert _shifted_quotient(1, 5097, n, 256) == (1 << 5097) // n
+    assert _shifted_quotient(n, 100, 3 ** 4000, 64) == (n << 100) // 3 ** 4000
+
+
+def test_exact_pow_shift_and_limit():
+    for x in (1, 2, 3, 4, 7, 8, 1024, -2, -3, 0):
+        for y in (0, 1, 2, 5, 33):
+            assert _exact_pow(x, y) == x ** y
+    assert _exact_pow(4, 256) == 2 ** 512
+    # the guard is y * bitlen(x), so base 2 stops at half the limit
+    half = EXACT_BIT_LIMIT // 2
+    assert _exact_pow(2, half) == 1 << half
+    assert _exact_pow(2, half + 1) is None
+    assert _exact_pow(3, EXACT_BIT_LIMIT // 2 + 1) is None
