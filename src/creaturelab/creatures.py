@@ -104,9 +104,9 @@ def lognorm_cmp(M: Creature, d: int, t) -> str:
 
 
 def lognorm_value_cmp(norm_value: int, d: int, t) -> str:
-    """(norm_value+1)**w >= d**(d*u) for t = u/w, decided by bit lengths
-    where they separate the sides and exactly otherwise.  Raises ValueError
-    when neither works within EXACT_BIT_LIMIT."""
+    """Decide (norm_value+1)**w >= d**(d*u) for t = u/w: by bit lengths
+    where they separate the sides, exactly otherwise.  Raises ValueError
+    when the exact powers would pass EXACT_BIT_LIMIT bits."""
     if d < 2:
         raise ValueError("d must be at least 2")
     t = Fraction(t)
