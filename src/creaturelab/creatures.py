@@ -9,6 +9,7 @@ thresholds, via exact integer inequalities.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -66,18 +67,13 @@ def norm(M: Creature) -> int:
 
     For k = 1, 2, ... the k-subsets of the members (as bitmasks) are
     collected until they number C(arena, k); the first k that falls short
-    gives k - 1.  The result is memoised on the (frozen) creature, outside
-    its fields.
+    gives k - 1.
     """
-    cached = M.__dict__.get("_norm")
-    if cached is not None:
-        return cached
     if M.arena > ARENA_LIMIT:
         raise ValueError(f"arena {M.arena} exceeds the exhaustive-cost limit")
     members = sorted(([1 << v for v in m] for m in M.members),
                      key=len, reverse=True)
     top = min(M.arena, len(members[0]))
-    result = top
     for k in range(1, top + 1):
         need = comb(M.arena, k)
         seen = set()
@@ -88,10 +84,8 @@ def norm(M: Creature) -> int:
             if len(seen) == need:
                 break
         if len(seen) < need:
-            result = k - 1
-            break
-    object.__setattr__(M, "_norm", result)
-    return result
+            return k - 1
+    return top
 
 
 def lognorm_cmp(M: Creature, d: int, t) -> str:
@@ -106,7 +100,9 @@ def lognorm_cmp(M: Creature, d: int, t) -> str:
 def lognorm_value_cmp(norm_value: int, d: int, t) -> str:
     """Decide (norm_value+1)**w >= d**(d*u) for t = u/w: by bit lengths
     where they separate the sides, exactly otherwise.  Raises ValueError
-    when the exact powers would pass EXACT_BIT_LIMIT bits."""
+    when the exact powers would pass EXACT_BIT_LIMIT bits, TypeError when
+    d is not an integer."""
+    d = operator.index(d)
     if d < 2:
         raise ValueError("d must be at least 2")
     t = Fraction(t)

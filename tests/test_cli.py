@@ -118,6 +118,23 @@ def test_poss_with_negative_level_exits_2(tmp_path, capsys):
     assert "Traceback" not in err and "k = -5" in err
 
 
+def test_lognorm_with_float_d_exits_2(tmp_path, capsys):
+    payload = {"creature": {"arena": 4, "cap": 2, "members": [[0, 1], [2, 3]]},
+               "d": 3.0, "t": "1/2"}
+    code, body = run(tmp_path, "lognorm", payload)
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert "Traceback" not in err and "integer" in err
+
+
+def test_thin_with_float_d_exits_2(tmp_path, capsys):
+    cond = dict(_COND, d=[2, 3.0, 2])
+    code, body = run(tmp_path, "thin", {"condition": cond, "gbound": [5] * 3})
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert "Traceback" not in err and "integer" in err
+
+
 # SHA-256 of the CLI output, pinned before the exact-arithmetic fast paths
 # (power-of-two powers by shift, log2 quotients from the top bits) landed
 _GOLDEN = [

@@ -142,15 +142,7 @@ def shaped_creatures(draw):
 @settings(max_examples=300, deadline=None)
 @given(shaped_creatures())
 def test_norm_matches_direct_definition_on_shaped_creatures(M):
-    twin = Creature.of(M.arena, M.cap, M.members)
-    before = (hash(M), repr(M), M.to_json())
-    value = norm(M)
-    assert value == norm_direct(M.arena, M.members)
-    # the memo answers a repeat call and stays out of equality and output
-    assert norm(M) == value
-    assert (hash(M), repr(M), M.to_json()) == before
-    assert M == twin and hash(M) == hash(twin)
-    assert Creature.from_json(M.to_json()) == M
+    assert norm(M) == norm_direct(M.arena, M.members)
 
 
 def test_norm_on_large_full_creatures():
@@ -180,3 +172,10 @@ def test_lognorm_value_cmp_decides_huge_thresholds_by_bit_length():
     # between the bit-length bounds and past the exact size limit: refuse
     with pytest.raises(ValueError):
         lognorm_value_cmp(2, 3, Fraction(2 ** 25, 2 ** 26 + 1))
+
+
+def test_lognorm_value_cmp_rejects_non_integer_d():
+    with pytest.raises(TypeError):
+        lognorm_value_cmp(3, 3.0, Fraction(1, 2))
+    with pytest.raises(TypeError):
+        lognorm_value_cmp(3, 2.5, Fraction(0))
