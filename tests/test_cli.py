@@ -1,7 +1,12 @@
 import hashlib
 import json
+from pathlib import Path
+from random import Random
 
+from creaturelab import toys
 from creaturelab.cli import main
+from creaturelab.conditions import branches
+from creaturelab.products import product_branches
 
 
 def run(tmp_path, sub, payload, *flags):
@@ -150,7 +155,42 @@ _GOLDEN = [
      "1ed1f4a89d344cbd1031bc35310a0e4d6bd574bd991346ca6c22adcd44091862"),
     ("suite", {}, ["--mode", "norm", "--seed", "7", "--cap", "200"],
      "942a066f86806af78bd4a5be6258712aeb9c9c8685d6a67ea39d185b2929f3b7"),
+    # pinned before single conditions and products shared one branch engine
+    ("suite", {}, ["--mode", "reading", "--seed", "3", "--cap", "30"],
+     "23f7293fb33ec363c7490325cb9a2c4be1f233cf3699cbb84e7144c09ea5a531"),
+    ("suite", {}, ["--mode", "localize", "--seed", "4", "--cap", "30"],
+     "b0f262b69b6db75ff67ba8e2304dae970530e5789f45313834fd671a6c80c48b"),
+    ("suite", {}, ["--mode", "product-catch", "--seed", "5", "--cap", "30"],
+     "bad3dba191020d5faedf700e82a3990c12a86363957517eeee6bd0dbad36c670"),
+    ("suite", {}, ["--mode", "restricted", "--seed", "6", "--cap", "30"],
+     "08b3e5836b85cc616aab2d6627e59be0d7c00aaf89a00e307a6009df7ef40288"),
 ]
+
+# one fixed input per condition/product subcommand (tests/golden_inputs.json,
+# keyed by subcommand; check-reading has a timely and an early input)
+_INPUTS = json.loads((Path(__file__).parent / "golden_inputs.json").read_text())
+_GOLDEN += [(name.removesuffix("-timely").removesuffix("-early"),
+             _INPUTS[name], [], digest) for name, digest in [
+    ("poss", "9ea57b43ecfa569299d008f9c02d1a8d67c32f598b64d9db1380436856596724"),
+    ("catch", "0963e4055fe0b9642570d88164627f64fcef50b43a49da5f6bf46893c7cddc08"),
+    ("fuse", "b89b2a5de48027c48c282ee8cad7ea52079e414e57ed40430be39335491ac29c"),
+    ("check-reading-timely",
+     "e1fe8fa8082fc3a98e6a74823b0b325da62330b125d0ab6ed91162c74d2d6d04"),
+    ("check-reading-early",
+     "e1fe8fa8082fc3a98e6a74823b0b325da62330b125d0ab6ed91162c74d2d6d04"),
+    ("early-read", "7deacdf26182a66fdeb32256bdf3008d4f3e76cee5f112d7927dca0191221d28"),
+    ("localize", "cfa474d379a97df04fcedc332640d0c44a85eb4431b85880a2d84aec5d575fcf"),
+    ("modest", "b2a7dca2d5d250b1bbe3b67264eea785a8a11a7daec57970212a67bb12b58204"),
+    ("product-fuse",
+     "d7cca182a16c6fa2b9f4a2319076f3d38554f221eeabd63e20a117e6b7c5c917"),
+    ("product-early-read",
+     "d7cca182a16c6fa2b9f4a2319076f3d38554f221eeabd63e20a117e6b7c5c917"),
+    ("bound", "24910a278e574e3b5ffa9abd70caf53724c95342f2f89ea19440d5b5f38b5bbc"),
+    ("product-catch",
+     "bcafeee5e067227af95d103abb98d6cb743700c56f0d4f80511d0394ac00c402"),
+    ("restricted-localize",
+     "f883da26b6d6e7708ab0f560af235084ff5c52817e2b125b4afd9adcc842165c"),
+]]
 
 
 def test_family_and_suite_output_is_byte_identical(tmp_path):
@@ -159,3 +199,34 @@ def test_family_and_suite_output_is_byte_identical(tmp_path):
         assert code == 0
         assert hashlib.sha256(body.encode()).hexdigest() == digest, \
             (sub, payload, flags)
+
+
+def _members(sel):
+    return [sorted(m) for m in sel]
+
+
+def test_toy_instances_are_pinned():
+    """The suites report only failures, so pin the toy generators' output
+    (and with it their use of the random stream) directly: every instance
+    and the oracle's value on every branch, for five seeds."""
+    out = []
+    for seed in range(5):
+        rng = Random(seed)
+        p, nu = toys.reading_instance(rng)
+        q, mu, a, e = toys.localize_instance(rng)
+        r, rho, a2, e2 = toys.antiloc_instance(rng)
+        for c, o in ((p, nu), (q, mu), (r, rho)):
+            out.append([c.to_json(), [[_members(b), list(o.eval(b))]
+                                      for b in branches(c)]])
+        out.append([a, e, a2, e2])
+        s, sig = toys.product_reading_instance(rng)
+        t, tau, B, xi = toys.product_catch_instance(rng)
+        u, ups, Cs, a3, e3 = toys.restricted_instance(rng)
+        for c, o in ((s, sig), (t, tau), (u, ups)):
+            out.append([c.to_json(), [[[_members(sel) for sel in b],
+                                       list(o.eval(b))]
+                                      for b in product_branches(c)]])
+        out.append([sorted(B), xi, sorted(Cs), a3, e3])
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+    assert digest == \
+        "fb62064a6458ce6d783a9ebac93234e59a1e2ab93c0c99b14704f2edb1977aad"
