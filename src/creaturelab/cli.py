@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import prod
 from random import Random
 
 from . import conditions as C
@@ -40,34 +41,19 @@ def _emit(ns, obj) -> None:
         sys.stdout.write(text)
 
 
-def _oracle(obj, p: C.TruncCondition) -> C.NameOracle:
-    table = {k: tuple(v) for k, v in obj["table"].items()}
-    return C.NameOracle.from_table(p, obj["profile"], table)
-
-
-def _product_oracle(obj, p: P.ProductCondition) -> P.ProductNameOracle:
-    table = {k: tuple(v) for k, v in obj["table"].items()}
-    return P.ProductNameOracle.from_table(p, obj["profile"], table)
-
-
-def _slalom_json(s: X.Slalom) -> dict:
-    return s.to_json()
+def _named(data, kind=C.TruncCondition):
+    """The condition (or product) under "condition" and its table oracle."""
+    p = kind.from_json(data["condition"])
+    oracle = C.NameOracle if kind is C.TruncCondition else P.ProductNameOracle
+    table = {k: tuple(v) for k, v in data["oracle"]["table"].items()}
+    return p, oracle.from_table(p, data["oracle"]["profile"], table)
 
 
 def _restricted_json(p: P.ProductCondition, name: P.RestrictedName) -> dict:
-    cidx = [i for i, xi in enumerate(p.support) if xi in name.coords]
-    csupp = [p.support[i] for i in cidx]
-
-    def key_of(cbranch):
-        parts = []
-        for j, xi in enumerate(csupp):
-            ordered = [cell.sorted_members() for cell in p.parts[xi].cells]
-            parts.append(",".join(str(ordered[k].index(cbranch[j][k]))
-                                  for k in range(len(cbranch[j]))))
-        return "|".join(parts)
+    space = C.BranchSpace([p.parts[xi] for xi in name.coords], p.horizon)
     return {"coords": list(name.coords),
             "widths": list(name.widths),
-            "cells": [{key_of(key): sorted(vals) for key, vals in cell.items()}
+            "cells": [{space.key(key): sorted(vals) for key, vals in cell.items()}
                       for cell in name.cells]}
 
 
@@ -144,24 +130,21 @@ def _h_catch(ns, data):
 
 
 def _h_check_reading(ns, data):
-    p = C.TruncCondition.from_json(data["condition"])
-    nu = _oracle(data["oracle"], p)
+    p, nu = _named(data)
     ok = C.check_reading(p, nu, data.get("mode", ns.mode or "timely"))
     return (0 if ok else 1), {"reads": ok}
 
 
 def _h_early_read(ns, data):
-    p = C.TruncCondition.from_json(data["condition"])
-    nu = _oracle(data["oracle"], p)
+    p, nu = _named(data)
     return 0, {"condition": C.early_read(p, nu).to_json()}
 
 
 def _h_localize(ns, data):
-    p = C.TruncCondition.from_json(data["condition"])
-    nu = _oracle(data["oracle"], p)
+    p, nu = _named(data)
     q, phi = C.localize(p, nu, tuple(data["a"]), tuple(data["e"]),
                         data.get("k0", 0))
-    return 0, {"condition": q.to_json(), "slalom": _slalom_json(phi)}
+    return 0, {"condition": q.to_json(), "slalom": phi.to_json()}
 
 
 def _h_modest(ns, data):
@@ -180,28 +163,24 @@ def _h_schedule(ns, data):
 
 
 def _h_product_early_read(ns, data):
-    p = P.ProductCondition.from_json(data["condition"])
-    nu = _product_oracle(data["oracle"], p)
+    p, nu = _named(data, P.ProductCondition)
     return 0, {"condition": P.product_early_read(p, nu).to_json()}
 
 
 def _h_bound(ns, data):
-    p = P.ProductCondition.from_json(data["condition"])
-    nu = _product_oracle(data["oracle"], p)
+    p, nu = _named(data, P.ProductCondition)
     return 0, {"f": list(P.bounding_extract(p, nu))}
 
 
 def _h_product_catch(ns, data):
-    p = P.ProductCondition.from_json(data["condition"])
-    nu = _product_oracle(data["oracle"], p)
+    p, nu = _named(data, P.ProductCondition)
     q, k = P.product_catch(p, nu, set(data["B"]), data["xi"],
                            data.get("n0", 0))
     return 0, {"condition": q.to_json(), "level": k}
 
 
 def _h_restricted_localize(ns, data):
-    p = P.ProductCondition.from_json(data["condition"])
-    nu = _product_oracle(data["oracle"], p)
+    p, nu = _named(data, P.ProductCondition)
     q, name = P.restricted_localize(p, nu, set(data["C"]),
                                     tuple(data["a"]), tuple(data["e"]))
     return 0, {"condition": q.to_json(), "phi": _restricted_json(q, name)}
@@ -279,26 +258,26 @@ def _h_family(ns, data):
     mode = ns.mode or data.get("mode", "build")
     prec = ns.precision or DEFAULT_PRECISION
     cap = ns.cap or F.FAMILY_HEIGHT_CAP
+
+    def single():
+        return F.build_single(data["n0_minus"], data["d0"], data.get("depth", 2),
+                              data.get("count_mode", "power-bound"),
+                              prec=prec, cap=cap)
+
+    def tree():
+        return F.build_tree(data.get("d0", 3), data.get("depth", 2),
+                            prec=prec, cap=cap)
     if mode == "build":
-        fam, bnd = F.build_single(data["n0_minus"], data["d0"],
-                                  data.get("depth", 2),
-                                  data.get("count_mode", "power-bound"),
-                                  prec=prec, cap=cap)
+        fam, bnd = single()
         return 0, {"family": fam.to_json(), "bounding": bnd.to_json()}
     if mode == "tree":
-        fam = F.build_tree(data.get("d0", 3), data.get("depth", 2),
-                           prec=prec, cap=cap)
-        return 0, fam.to_json()
+        return 0, tree().to_json()
     if mode == "verify":
         if data.get("kind", "tree") == "tree":
-            fam = F.build_tree(data.get("d0", 3), data.get("depth", 2),
-                               prec=prec, cap=cap)
+            fam = tree()
             bnd = fam.bounding
         else:
-            fam, bnd = F.build_single(data["n0_minus"], data["d0"],
-                                      data.get("depth", 2),
-                                      data.get("count_mode", "power-bound"),
-                                      prec=prec, cap=cap)
+            fam, bnd = single()
         if "corrupt" in data:
             which = data["corrupt"]
             fam.constructed = False
@@ -349,38 +328,29 @@ def _suite_bigness(rng, n):
     return fails
 
 
-def _suite_reading(rng, n):
-    fails = []
-    for i in range(n):
-        p, nu = toys.reading_instance(rng)
-        try:
-            q = C.early_read(p, nu)
-            ok = C.check_reading(q, nu, "early")
-        except Exception as ex:  # pragma: no cover - surfaced in the report
-            fails.append({"instance": i, "error": str(ex)})
-            continue
-        if not ok:
-            fails.append({"instance": i, "condition": p.to_json()})
-    return fails
+def _checked(make, check):
+    """A suite over instances from make(rng): an exception, or a false
+    result, of check(*instance) is a failure."""
+    def suite(rng, n):
+        fails = []
+        for i in range(n):
+            inst = make(rng)
+            try:
+                ok = check(*inst)
+            except Exception as ex:  # pragma: no cover - surfaced in the report
+                fails.append({"instance": i, "error": str(ex)})
+                continue
+            if not ok:
+                fails.append({"instance": i, "condition": inst[0].to_json()})
+        return fails
+    return suite
 
 
-def _suite_localize(rng, n):
-    fails = []
-    for i in range(n):
-        p, nu, a, e = toys.localize_instance(rng)
-        try:
-            q, phi = C.localize(p, nu, a, e)
-            ok = all(len(phi.cells[k]) <= e[k] for k in range(p.horizon))
-            for b in C.branches(q):
-                v = nu.eval(b)
-                ok = ok and all(v[k] in phi.cells[k]
-                                for k in range(p.horizon))
-        except Exception as ex:
-            fails.append({"instance": i, "error": str(ex)})
-            continue
-        if not ok:
-            fails.append({"instance": i, "condition": p.to_json()})
-    return fails
+def _localizes(p, nu, a, e):
+    q, phi = C.localize(p, nu, a, e)
+    vals = [nu.eval(b) for b in C.branches(q)]
+    return all(len(phi.cells[k]) <= e[k] and all(v[k] in phi.cells[k] for v in vals)
+               for k in range(p.horizon))
 
 
 def _suite_tukey(rng, n):
@@ -397,28 +367,6 @@ def _suite_tukey(rng, n):
     return fails
 
 
-def _suite_product_catch(rng, n):
-    fails = []
-    for i in range(n):
-        p, nu, B, xi = toys.product_catch_instance(rng)
-        try:
-            P.product_catch(p, nu, B, xi)
-        except Exception as ex:
-            fails.append({"instance": i, "error": str(ex)})
-    return fails
-
-
-def _suite_restricted(rng, n):
-    fails = []
-    for i in range(n):
-        p, nu, Cs, a, e = toys.restricted_instance(rng)
-        try:
-            P.restricted_localize(p, nu, Cs, a, e)
-        except Exception as ex:
-            fails.append({"instance": i, "error": str(ex)})
-    return fails
-
-
 def _suite_measure(rng, n):
     fails = []
     for i in range(n):
@@ -428,9 +376,8 @@ def _suite_measure(rng, n):
         cells = [rng.sample(range(c[k]), rng.randint(0, h[k]))
                  for k in range(N)]
         S = X.Slalom.of(c, h, cells)
-        direct = Fraction(1)
-        for k in range(N):
-            direct *= Fraction(c[k] - len(cells[k]), c[k])
+        direct = prod((Fraction(c[k] - len(cells[k]), c[k]) for k in range(N)),
+                      start=Fraction(1))
         mid = rng.randint(0, N)
         split = (X.escape_measure(S, (0, mid))
                  * X.escape_measure(S, (mid, N)))
@@ -439,10 +386,18 @@ def _suite_measure(rng, n):
     return fails
 
 
+# the library calls go through module attributes, so tracing wrappers see them
 _SUITES = {"norm": _suite_norm, "bigness": _suite_bigness,
-           "reading": _suite_reading, "localize": _suite_localize,
-           "tukey": _suite_tukey, "product-catch": _suite_product_catch,
-           "restricted": _suite_restricted, "measure": _suite_measure}
+           "reading": _checked(toys.reading_instance, lambda p, nu: C.check_reading(
+               C.early_read(p, nu), nu, "early")),
+           "localize": _checked(toys.localize_instance, _localizes),
+           "tukey": _suite_tukey,
+           # both return a (condition, ...) pair, which is true
+           "product-catch": _checked(toys.product_catch_instance,
+                                     lambda *inst: P.product_catch(*inst)),
+           "restricted": _checked(toys.restricted_instance,
+                                  lambda *inst: P.restricted_localize(*inst)),
+           "measure": _suite_measure}
 
 
 def _h_suite(ns, data):
@@ -496,9 +451,8 @@ def main(argv=None) -> int:
     except SystemExit:
         return 2
     handler = _HANDLERS[ns.subcommand]
-    needs_input = ns.subcommand not in {"suite"} or ns.input
     try:
-        data = _load(ns) if needs_input or ns.input else {}
+        data = _load(ns) if ns.subcommand != "suite" or ns.input else {}
     except (OSError, json.JSONDecodeError) as ex:
         sys.stderr.write(f"input error: {ex}\n")
         return 2

@@ -9,7 +9,8 @@ agreement predicate over branches, checkable exhaustively.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from math import prod
 
 from .connections import Slalom
@@ -87,20 +88,123 @@ class ValidationReport:
     valid: bool
     split_levels: list[int]
     star_rank: int
-    problems: list[str] = field(default_factory=list)
 
 
 def validate(p: TruncCondition) -> ValidationReport:
-    problems = []
     splits = p.split_levels()
     rank = 0
     for n, level in enumerate(splits):
-        ok = lognorm_value_cmp(norm(p.cells[level]), p.params.d[level], n + 1)
-        if ok == "AtLeast":
-            rank = n + 1
-        else:
+        if lognorm_value_cmp(norm(p.cells[level]), p.params.d[level], n + 1) != "AtLeast":
             break
-    return ValidationReport(not problems, splits, rank, problems)
+        rank = n + 1
+    return ValidationReport(True, splits, rank)
+
+
+# ---------------------------------------------------------------------------
+# the branch space
+
+
+class BranchSpace:
+    """The branches of one condition, or of a product's coordinates in
+    support order, over a common horizon N.
+
+    A branch is one flat tuple of members in coordinate-major order:
+    coordinate j's member at level k sits at position j*N + k, so a single
+    condition is the one-coordinate case and its branches are plain
+    per-level tuples.  Each position holds its cell, the cell's members in
+    canonical order (``pools``) and the member -> index map of that order
+    (``index``).  A ``nested`` space shows branches to callers as
+    per-coordinate tuples, as products do.
+    """
+
+    def __init__(self, parts, horizon: int, nested: bool = True):
+        self.parts = list(parts)
+        self.N = horizon
+        self.W = len(self.parts)
+        self.nested = nested
+        self.cells = [cell for part in self.parts for cell in part.cells]
+        self.pools = [cell.sorted_members() for cell in self.cells]
+        self.index = [{t: i for i, t in enumerate(pool)} for pool in self.pools]
+
+    @classmethod
+    def of(cls, p) -> "BranchSpace":
+        """A condition's space, or a product's over its support."""
+        if isinstance(p, TruncCondition):
+            return cls([p], p.horizon, nested=False)
+        return cls([p.parts[xi] for xi in p.support], p.horizon)
+
+    def set_cell(self, x: int, cell: Creature) -> None:
+        self.cells[x] = cell
+        self.pools[x] = cell.sorted_members()
+        self.index[x] = {t: i for i, t in enumerate(self.pools[x])}
+
+    def conditions(self) -> list[TruncCondition]:
+        """Each coordinate's condition over the current cells."""
+        N = self.N
+        return [TruncCondition(part.params, tuple(self.cells[j * N:(j + 1) * N]))
+                for j, part in enumerate(self.parts)]
+
+    def below(self, k: int, coords=None) -> list[int]:
+        """Positions of the levels < k of the given coordinates (default:
+        all), in branch order."""
+        coords = range(self.W) if coords is None else coords
+        return [j * self.N + i for j in coords for i in range(k)]
+
+    def splits(self) -> list[tuple[int, int]]:
+        """(level, coordinate) of every cell with several members, levels
+        ascending, coordinates in order within a level."""
+        return [(k, j) for k in range(self.N) for j in range(self.W)
+                if len(self.pools[j * self.N + k]) > 1]
+
+    def count(self, k: int) -> int:
+        return prod(len(self.pools[x]) for x in self.below(k + 1))
+
+    def poss(self, k: int) -> list[tuple]:
+        """Flat selections of one member per level <= k of every
+        coordinate, levels ascending within each coordinate."""
+        _check_level(k, self.N)
+        pools = [self.pools[x] for x in self.below(k + 1)]
+        if prod(len(pool) for pool in pools) > POSS_CAP:
+            raise ValueError("possibility enumeration cap exceeded")
+        return list(itertools.product(*pools))
+
+    def branches(self) -> list[tuple]:
+        if self.count(self.N - 1) > BRANCH_CAP:
+            raise ValueError("branch enumeration cap exceeded")
+        return self.poss(self.N - 1)
+
+    def decided(self, nu: "NameOracle", fixed, sel, n: int) -> tuple:
+        """The common first n values of the name over all branches taking
+        the members sel at the positions fixed; raises if they disagree
+        (the reading precondition was violated)."""
+        pools = list(self.pools)
+        for x, t in zip(fixed, sel):
+            pools[x] = (t,)
+        out = None
+        for branch in itertools.product(*pools):
+            pre = nu._values(branch)[:n]
+            if out is None:
+                out = pre
+            elif out != pre:
+                raise PreconditionError(f"branches disagree on the first {n} values")
+        return out
+
+    def nest(self, flat: tuple, width: int | None = None) -> tuple:
+        """Per-coordinate tuples of a flat selection of ``width`` levels
+        (default N) per coordinate."""
+        w = self.N if width is None else width
+        return tuple(flat[j * w:(j + 1) * w] for j in range(self.W))
+
+    def flat(self, branch: tuple) -> tuple:
+        return tuple(itertools.chain.from_iterable(branch)) if self.nested \
+            else branch
+
+    def key(self, branch: tuple) -> str:
+        """Canonical string key of a branch: per coordinate the comma-joined
+        member indices, coordinates joined by '|'."""
+        idx = list(map(str, map(operator.getitem, self.index, self.flat(branch))))
+        N = self.N
+        return "|".join([",".join(idx[j * N:(j + 1) * N]) for j in range(self.W)])
 
 
 def possibilities(p: TruncCondition, k: int) -> list[tuple]:
@@ -108,28 +212,22 @@ def possibilities(p: TruncCondition, k: int) -> list[tuple]:
 
     k = -1 yields the single empty selection.
     """
-    _check_level(p, k)
-    pools = [cell.sorted_members() for cell in p.cells[:k + 1]]
-    if prod(len(pool) for pool in pools) > POSS_CAP:
-        raise ValueError("possibility enumeration cap exceeded")
-    return [tuple(sel) for sel in itertools.product(*pools)]
+    return BranchSpace.of(p).poss(k)
 
 
 def poss_count(p: TruncCondition, k: int) -> int:
     """|possibilities(p, k)| without enumerating."""
-    _check_level(p, k)
+    _check_level(k, p.horizon)
     return prod(len(cell.members) for cell in p.cells[:k + 1])
 
 
-def _check_level(p: TruncCondition, k: int) -> None:
-    if not -1 <= k < p.horizon:
-        raise ValueError(f"k = {k} is not a level in [-1, {p.horizon - 1}]")
+def _check_level(k: int, horizon: int) -> None:
+    if not -1 <= k < horizon:
+        raise ValueError(f"k = {k} is not a level in [-1, {horizon - 1}]")
 
 
 def branches(p: TruncCondition) -> list[tuple]:
-    if poss_count(p, p.horizon - 1) > BRANCH_CAP:
-        raise ValueError("branch enumeration cap exceeded")
-    return possibilities(p, p.horizon - 1)
+    return BranchSpace.of(p).branches()
 
 
 def and_restrict(p: TruncCondition, eta: tuple) -> TruncCondition:
@@ -158,10 +256,15 @@ def order_check(q: TruncCondition, p: TruncCondition, mode="plain") -> bool:
     tag, n = mode
     if tag != "at_n":
         raise ValueError(f"unknown mode {mode!r}")
-    splits = q.split_levels()
-    frozen_top = splits[n] if n < len(splits) else q.horizon - 1
+    return _frozen_through(q.split_levels(), n, q.horizon, [(q, p)])
+
+
+def _frozen_through(splits, n: int, horizon: int, pairs) -> bool:
+    """Does each pair (q, p) of conditions agree on every level up to and
+    including q's n-th split (the whole horizon if there is none)?"""
+    top = splits[n] if n < len(splits) else horizon - 1
     return all(q.cells[i].members == p.cells[i].members
-               for i in range(frozen_top + 1))
+               for q, p in pairs for i in range(top + 1))
 
 
 def fuse(chain) -> TruncCondition:
@@ -169,28 +272,42 @@ def fuse(chain) -> TruncCondition:
     (f(n-1), f(n)] from the n-th element, f(n) = its n-th split level."""
     if not chain:
         raise ValueError("empty chain")
-    L = len(chain)
-    for n in range(L - 1):
+    for n in range(len(chain) - 1):
         if not order_check(chain[n + 1], chain[n], ("at_n", n)):
             raise PreconditionError(f"chain link {n + 1} does not extend link {n} "
                                     f"with the level-{n} freeze")
+    cells = _fuse([({0: p}, (0,), p.split_levels()) for p in chain],
+                  chain[0].horizon)
+    return TruncCondition(chain[0].params, cells[0])
+
+
+def _fuse(links, horizon: int) -> dict:
+    """Fusion of a chain of (parts, frozen coordinates, split levels), parts
+    mapping coordinates to conditions: levels in (f(n-1), f(n)] come from
+    link n, f(n) being its n-th split, and a coordinate first frozen at link
+    n takes nothing from earlier links.  Returns coordinate -> cells."""
+    L = len(links)
     f = [-1]
-    for n, p in enumerate(chain):
-        splits = p.split_levels()
+    for n, (_, _, splits) in enumerate(links):
         if len(splits) <= n:
             raise PreconditionError(f"chain element {n} has fewer than {n + 1} splits")
         f.append(splits[n])
-    N = chain[0].horizon
-    cells = []
-    for k in range(N):
-        for n in range(L):
-            if f[n] < k <= f[n + 1]:
-                src = chain[n]
-                break
-        else:
-            src = chain[-1]  # tail above the last block
-        cells.append(src.cells[k])
-    return TruncCondition(chain[0].params, tuple(cells))
+    # the link owning each level's block; the tail above the last block
+    # comes from the last link
+    block = [next((n for n in range(L) if f[n] < k <= f[n + 1]), L - 1)
+             for k in range(horizon)]
+    entry = {}
+    for n, (_, frozen, _) in enumerate(links):
+        for xi in frozen:
+            entry.setdefault(xi, n)
+
+    def cell(xi, k):
+        stage = max(block[k], entry.get(xi, L - 1))
+        while xi not in links[stage][0]:
+            stage += 1
+        return links[stage][0][xi].cells[k]
+    return {xi: tuple(cell(xi, k) for k in range(horizon))
+            for xi in sorted(set().union(*(parts for parts, _, _ in links)))}
 
 
 def _singleton(cell: Creature) -> Creature:
@@ -210,7 +327,6 @@ def thin(p: TruncCondition, gbound) -> TruncCondition:
     if splits[-1] >= len(gbound):
         raise ValueError(f"gbound has no entry for split level {splits[-1]}")
     cells = list(p.cells)
-    retained = []
     prev = -1
     count = 1
     rank = 0
@@ -218,24 +334,18 @@ def thin(p: TruncCondition, gbound) -> TruncCondition:
         cands = [l for l in splits if l > prev and count < gbound[l]]
         if not cands:
             break
-        chosen = None
-        for l in cands:
-            if lognorm_value_cmp(norm(p.cells[l]), p.params.d[l], rank + 1) == "AtLeast":
-                chosen = l
-                break
-        if chosen is None:
-            chosen = cands[0]
+        chosen = next((l for l in cands if lognorm_value_cmp(
+            norm(p.cells[l]), p.params.d[l], rank + 1) == "AtLeast"), cands[0])
         for l in splits:
             if prev < l < chosen:
                 cells[l] = _singleton(cells[l])
-        retained.append(chosen)
         count *= len(cells[chosen].members)
         prev = chosen
         rank += 1
     for l in splits:
         if l > prev:
             cells[l] = _singleton(cells[l])
-    if not retained:
+    if rank == 0:  # rank counts the retained splits
         raise PreconditionError("horizon exhausted before any split was retained")
     return TruncCondition(p.params, tuple(cells))
 
@@ -271,29 +381,31 @@ class NameOracle:
 
     def __post_init__(self):
         self._cache = {}
+        self._space = BranchSpace.of(self.base)
 
     def eval(self, branch: tuple) -> tuple:
-        if branch in self._cache:
-            return self._cache[branch]
-        out = tuple(self.fn(branch))
-        if len(out) != self.base.horizon:
-            raise ValueError("oracle must return one value per level")
-        for n, v in enumerate(out):
-            if v not in self.profile[n]:
-                raise ValueError(f"oracle value {v!r} outside profile at level {n}")
-        self._cache[branch] = out
+        return self._values(self._space.flat(branch))
+
+    def _values(self, flat: tuple) -> tuple:
+        """The values on a flat branch; ``fn`` sees the caller's shape."""
+        out = self._cache.get(flat)
+        if out is None:
+            space = self._space
+            out = tuple(self.fn(space.nest(flat) if space.nested else flat))
+            if len(out) != space.N:
+                raise ValueError("oracle must return one value per level")
+            if not all(map(operator.contains, self.profile, out)):
+                n = next(n for n, v in enumerate(out) if v not in self.profile[n])
+                raise ValueError(f"oracle value {out[n]!r} outside profile at level {n}")
+            self._cache[flat] = out
         return out
 
-    @staticmethod
-    def from_table(base: TruncCondition, profile, table: dict) -> "NameOracle":
-        """Table keyed by comma-joined member indices (canonical order)."""
-        ordered = [cell.sorted_members() for cell in base.cells]
-
-        def fn(branch):
-            key = ",".join(str(ordered[n].index(branch[n]))
-                           for n in range(len(branch)))
-            return table[key]
-        return NameOracle(base, tuple(tuple(a) for a in profile), fn)
+    @classmethod
+    def from_table(cls, base, profile, table: dict) -> "NameOracle":
+        """Table keyed by the canonical branch key (``BranchSpace.key``)."""
+        key = BranchSpace.of(base).key
+        return cls(base, tuple(tuple(a) for a in profile),
+                   lambda branch: table[key(branch)])
 
 
 def branch_slalom(p: TruncCondition, branch: tuple) -> Slalom:
@@ -317,47 +429,39 @@ def check_reading(p: TruncCondition, nu: NameOracle, mode: str) -> bool:
     early: selections strictly below every level n fix the first n values.
     """
     _check_compat(p, nu)
-    brs = branches(p)
-    vals = {b: nu.eval(b) for b in brs}
+    return _reads(BranchSpace.of(p), nu, mode)
+
+
+def _reads(space: BranchSpace, nu: NameOracle, mode: str) -> bool:
+    brs = space.branches()
+    vals = [nu._values(b) for b in brs]
     if mode == "timely":
-        cuts = [(n, n + 1) for n in p.split_levels()]
+        cuts = [(n, n + 1) for n, _ in space.splits()]
     elif mode == "early":
-        cuts = [(n, n) for n in range(1, p.horizon + 1)]
+        cuts = [(n, n) for n in range(1, space.N + 1)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    for n, cut in cuts:
-        seen = {}
-        for b in brs:
-            pre = vals[b][:n]
-            if seen.setdefault(b[:cut], pre) != pre:
-                return False
+    return all(_factors(zip(brs, vals), space.below(cut), n) for n, cut in cuts)
+
+
+def _factors(pairs, positions, n=None) -> bool:
+    """Are the first n values (all by default) of the (flat branch, values)
+    pairs a function of the branch's members at the positions?"""
+    key = operator.itemgetter(*positions) if positions else lambda b: ()
+    seen = {}
+    for b, v in pairs:
+        pre = v[:n]
+        if seen.setdefault(key(b), pre) != pre:
+            return False
     return True
-
-
-def _decided_prefix(p: TruncCondition, eta: tuple, n: int, nu: NameOracle) -> tuple:
-    """The common first-n values over all branches extending eta; raises if
-    the branches disagree (the reading precondition was violated)."""
-    pools = [[frozenset(sel)] for sel in eta]
-    pools += [cell.sorted_members() for cell in p.cells[len(eta):]]
-    out = None
-    for branch in itertools.product(*pools):
-        pre = nu.eval(tuple(branch))[:n]
-        if out is None:
-            out = pre
-        elif out != pre:
-            raise PreconditionError(f"branches disagree on the first {n} values")
-    return out
-
-
-def _decided_value(p: TruncCondition, eta: tuple, k: int, nu: NameOracle):
-    return _decided_prefix(p, eta, k + 1, nu)[k]
 
 
 def early_read(p: TruncCondition, nu: NameOracle) -> TruncCondition:
     """Shrink split cells so that the name's prefix is decided strictly
     below every level, one bigness application per prior possibility."""
     _check_compat(p, nu)
-    if not check_reading(p, nu, "timely"):
+    space = BranchSpace.of(p)
+    if not _reads(space, nu, "timely"):
         raise PreconditionError("condition does not read the name timely")
     d = p.params.d
     for n in p.split_levels():
@@ -366,22 +470,64 @@ def early_read(p: TruncCondition, nu: NameOracle) -> TruncCondition:
     for n in range(p.horizon):
         if prod(len(a) for a in nu.profile[:n]) > d[n]:
             raise PreconditionError(f"value-space product exceeds d at level {n}")
+    _refine_reading(space, nu)
+    return space.conditions()[0]
 
-    cells = list(p.cells)
-    for k in p.split_levels():
-        pk = TruncCondition(p.params, tuple(cells[:k]) + p.cells[k:])
-        M = p.cells[k]
-        for eta in possibilities(pk, k - 1):
-            prefix_of = {t: _decided_prefix(pk, eta + (t,), k, nu)
-                         for t in M.sorted_members()}
+
+def _refine_reading(space: BranchSpace, nu: NameOracle) -> None:
+    """Shrink every split cell by bigness, one application per possibility
+    below it, so that the name's prefix is decided strictly below every
+    level.  Both bounds are checked at each split on the partly refined
+    space."""
+    for k, j in space.splits():
+        d = space.parts[j].params.d[k]
+        if space.count(k - 1) >= d:
+            raise PreconditionError(f"|poss| >= d at split level {k}")
+        if prod(len(a) for a in nu.profile[:k]) > d:
+            raise PreconditionError(f"value-space product exceeds d at level {k}")
+        x = j * space.N + k
+        fixed = space.below(k) + [x]
+        M = space.cells[x]
+        for eta in space.poss(k - 1):
+            members = M.sorted_members()
+            prefix_of = {t: space.decided(nu, fixed, eta + (t,), k)
+                         for t in members}
             index = {}
-            for t in M.sorted_members():
+            for t in members:
                 index.setdefault(prefix_of[t], len(index))
-            if len(index) > d[k]:
+            if len(index) > d:
                 raise PreconditionError(f"more decision classes than d at level {k}")
-            _, M = bigness_refine(M, lambda t: index[prefix_of[t]], d[k])
-        cells[k] = M
-    return TruncCondition(p.params, tuple(cells))
+            _, M = bigness_refine(M, lambda t: index[prefix_of[t]], d)
+        space.set_cell(x, M)
+
+
+def _localize_split(space: BranchSpace, nu: NameOracle, k: int, j: int,
+                    cdh: int, e: int, d: int, a: int):
+    """Localise at coordinate j's split at level k, below which there are m
+    possibilities.  Wide subcase (2m * cdh <= e, cdh the cell's subset
+    count): keep the cell and return None.  Narrow subcase (2m * a <= d):
+    range-refine the cell once per possibility so that each keeps at most
+    e // m decided values, and return the values kept per possibility."""
+    etas = space.poss(k - 1)
+    m = len(etas)
+    if 2 * m * cdh <= e:
+        return None
+    if 2 * m * a > d:
+        raise PreconditionError(f"clause ii fails at split level {k}")
+    kcap = e // m
+    if a > d * kcap:
+        raise PreconditionError(f"block bound fails at level {k}")
+    x = j * space.N + k
+    fixed = space.below(k) + [x]
+    M = space.cells[x]
+    kept = []
+    for eta in etas:
+        valmap = {t: space.decided(nu, fixed, eta + (t,), k + 1)[k]
+                  for t in M.sorted_members()}
+        M = range_refine(M, valmap.__getitem__, kcap, d, a)
+        kept.append({valmap[t] for t in M.members})
+    space.set_cell(x, M)
+    return kept
 
 
 def localize(p: TruncCondition, nu: NameOracle, a, e, k0: int = 0,
@@ -393,7 +539,8 @@ def localize(p: TruncCondition, nu: NameOracle, a, e, k0: int = 0,
     k0 if the threshold is positive).
     """
     _check_compat(p, nu)
-    if not check_reading(p, nu, "early"):
+    space = BranchSpace.of(p)
+    if not _reads(space, nu, "early"):
         raise PreconditionError("condition does not read the name early")
     N = p.horizon
     c, h, d = p.params.c, p.params.h, p.params.d
@@ -410,40 +557,20 @@ def localize(p: TruncCondition, nu: NameOracle, a, e, k0: int = 0,
             raise PreconditionError(f"clause iii fails at level {n}")
     split_set = set(p.split_levels())
 
-    cells = list(p.cells)
     phi = []
     for k in range(N):
-        pk = TruncCondition(p.params, tuple(cells[:k]) + p.cells[k:])
-        etas = possibilities(pk, k - 1)
-        m = len(etas)
+        etas = space.poss(k - 1)
         if k < k0:
-            phi.append(frozenset(nu.eval(b)[k] for b in branches(pk)))
-            continue
-        if k not in split_set:
-            phi.append(frozenset(_decided_value(pk, eta, k, nu) for eta in etas))
-            continue
-        if 2 * m * cdh[k] <= e[k]:
-            # wide subcase: collect every decided value, keep the cell
-            vals = {_decided_value(pk, eta1, k, nu)
-                    for eta1 in possibilities(pk, k)}
-            phi.append(frozenset(vals))
-        elif 2 * m * a[k] <= d[k]:
-            # narrow subcase: shrink the cell so each prior possibility
-            # contributes at most floor(e/m) values
-            kcap = e[k] // m
-            if a[k] > d[k] * kcap:
-                raise PreconditionError(f"block bound fails at level {k}")
-            M = p.cells[k]
-            parts = []
-            for eta in etas:
-                valmap = {t: _decided_value(pk, eta + (t,), k, nu)
-                          for t in M.sorted_members()}
-                M = range_refine(M, lambda t: valmap[t], kcap, d[k], a[k])
-                parts.append({valmap[t] for t in M.members})
-            cells[k] = M
-            phi.append(frozenset().union(*parts))
+            phi.append(frozenset(nu._values(b)[k] for b in space.branches()))
+        elif k not in split_set:
+            phi.append(frozenset(space.decided(nu, space.below(k), eta, k + 1)[k]
+                                 for eta in etas))
         else:
-            raise PreconditionError(f"clause ii fails at split level {k}")
-    q = TruncCondition(p.params, tuple(cells))
+            kept = _localize_split(space, nu, k, 0, cdh[k], e[k], d[k], a[k])
+            if kept is None:  # wide subcase: collect every decided value
+                kept = [{space.decided(nu, space.below(k + 1), eta1, k + 1)[k]
+                         for eta1 in space.poss(k)}]
+            phi.append(frozenset().union(*kept))
+    q = space.conditions()[0]
     widths = tuple(max(e[k], len(phi[k])) if k < k0 else e[k] for k in range(N))
     return q, Slalom(tuple(a), widths, tuple(phi))

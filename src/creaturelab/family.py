@@ -186,8 +186,10 @@ def _stage_values(k: int, d, state, prec, cap, count_mode, tree: bool):
     c = _pow2(_add(g, total_next, prec, cap), prec, cap)
     ch = _pow(c, h, prec, cap)
     if count_mode == "exact":
+        # the sum of C(c, i) over i <= h holds binomials of up to i * bits(c)
+        # bits each, so its cost grows with bits(c) * h^2 / 2, not h * bits(c)
         if not (isinstance(c, int) and isinstance(h, int)
-                and h * _bits(c) <= EXACT_BIT_LIMIT):
+                and _bits(c) * h * (h + 1) // 2 <= EXACT_BIT_LIMIT):
             raise ValueError("exact subset counting infeasible at this level")
         base = subset_count(c, h, "exact") - 1
     elif tree:

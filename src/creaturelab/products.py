@@ -9,13 +9,13 @@ total functions of full product branches, checked exhaustively.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import prod
 
-from .conditions import (BRANCH_CAP, POSS_CAP, ParamTriple, PreconditionError,
-                         TruncCondition, branches, order_check, possibilities)
-from .creatures import Creature, bigness_refine, norm, range_refine
+from .conditions import (BranchSpace, NameOracle, ParamTriple,
+                         PreconditionError, TruncCondition, _frozen_through,
+                         _factors, _fuse, _localize_split, _reads, _refine_reading,
+                         _singleton, and_restrict, catch_real, order_check)
 from .numeric import subset_count
 
 
@@ -86,11 +86,8 @@ class ProductCondition:
     def split_levels(self) -> list[tuple[int, str]]:
         """(level, owning coordinate) per product split, ascending; only
         meaningful on modest conditions."""
-        out = []
-        for level in range(self.horizon):
-            for xi in self.splitters(level):
-                out.append((level, xi))
-        return out
+        return [(level, xi) for level in range(self.horizon)
+                for xi in self.splitters(level)]
 
     def s(self, n: int) -> int:
         return self.split_levels()[n][0]
@@ -138,16 +135,12 @@ def modest_refine(p: ProductCondition) -> ProductCondition:
         splitters = p.splitters(level)
         if not splitters:
             continue
-        ranked = sorted(splitters,
-                        key=lambda xi: (support.index(xi) - pointer) % len(support))
-        keep = ranked[0]
+        keep = min(splitters,
+                   key=lambda xi: (support.index(xi) - pointer) % len(support))
         pointer = (support.index(keep) + 1) % len(support)
         for xi in splitters:
             if xi != keep:
-                cell = p.parts[xi].cells[level]
-                parts[xi][level] = Creature(
-                    cell.arena, cell.cap,
-                    frozenset({cell.sorted_members()[0]}))
+                parts[xi][level] = _singleton(p.parts[xi].cells[level])
     out = ProductCondition(
         p.space, {xi: TruncCondition(p.parts[xi].params, tuple(parts[xi]))
                   for xi in support})
@@ -159,10 +152,8 @@ def modest_refine(p: ProductCondition) -> ProductCondition:
 def product_possibilities(p: ProductCondition, k: int) -> list[tuple]:
     """Selections of one member per level <= k for every coordinate, as
     tuples aligned with sorted support.  k = -1 yields one possibility."""
-    pools = [possibilities(p.parts[xi], k) for xi in p.support]
-    if prod(len(pool) for pool in pools) > POSS_CAP:
-        raise ValueError("possibility enumeration cap exceeded")
-    return [tuple(sel) for sel in itertools.product(*pools)]
+    space = BranchSpace.of(p)
+    return [space.nest(sel, k + 1) for sel in space.poss(k)]
 
 
 def product_poss_count(p: ProductCondition, k: int) -> int:
@@ -171,14 +162,17 @@ def product_poss_count(p: ProductCondition, k: int) -> int:
 
 
 def product_branches(p: ProductCondition) -> list[tuple]:
-    if product_poss_count(p, p.horizon - 1) > BRANCH_CAP:
-        raise ValueError("branch enumeration cap exceeded")
-    return product_possibilities(p, p.horizon - 1)
+    space = BranchSpace.of(p)
+    return [space.nest(b) for b in space.branches()]
+
+
+def _with_space(p: ProductCondition, space: BranchSpace) -> ProductCondition:
+    """p with the (refined) cells of its branch space."""
+    return ProductCondition(p.space, dict(zip(p.support, space.conditions())))
 
 
 def product_restrict(p: ProductCondition, eta: tuple) -> ProductCondition:
     """Freeze the levels covered by the product possibility eta."""
-    from .conditions import and_restrict
     parts = dict(p.parts)
     for xi, sel in zip(p.support, eta):
         parts[xi] = and_restrict(parts[xi], sel)
@@ -199,15 +193,9 @@ def product_order_check(q: ProductCondition, p: ProductCondition,
     tag, n, F = mode
     if tag != "at_n":
         raise ValueError(f"unknown mode {mode!r}")
-    splits = q.split_levels()
-    frozen_top = splits[n][0] if n < len(splits) else q.horizon - 1
-    for xi in F:
-        if xi not in p.support:
-            continue
-        if any(q.parts[xi].cells[i].members != p.parts[xi].cells[i].members
-               for i in range(frozen_top + 1)):
-            return False
-    return True
+    return _frozen_through([k for k, _ in q.split_levels()], n, q.horizon,
+                           [(q.parts[xi], p.parts[xi]) for xi in F
+                            if xi in p.support])
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +208,7 @@ def product_fuse(chain) -> ProductCondition:
     coordinates entering at stage n_xi contribute from that stage onward."""
     if not chain:
         raise ValueError("empty chain")
-    L = len(chain)
-    for n in range(L - 1):
+    for n in range(len(chain) - 1):
         pn, Fn = chain[n]
         if not set(Fn) <= set(chain[n + 1][1]):
             raise PreconditionError(f"frozen sets shrink at stage {n + 1}")
@@ -229,39 +216,11 @@ def product_fuse(chain) -> ProductCondition:
             raise PreconditionError(
                 f"chain link {n + 1} does not extend link {n} "
                 f"with the stage-{n} freeze")
-    f = [-1]
-    for n, (pn, _) in enumerate(chain):
-        splits = pn.split_levels()
-        if len(splits) <= n:
-            raise PreconditionError(
-                f"chain element {n} has fewer than {n + 1} product splits")
-        f.append(splits[n][0])
     space = chain[0][0].space
-    entry = {}
-    for n, (_, Fn) in enumerate(chain):
-        for xi in Fn:
-            entry.setdefault(xi, n)
-    support = sorted(set().union(*(set(pn.support) for pn, _ in chain)))
-    N = space.horizon
-    parts = {}
-    for xi in support:
-        n_xi = entry.get(xi, L - 1)
-        cells = []
-        for k in range(N):
-            for n in range(L):
-                if f[n] < k <= f[n + 1]:
-                    stage = n
-                    break
-            else:
-                stage = L - 1
-            stage = max(stage, n_xi)
-            src = chain[stage][0]
-            while xi not in src.parts:
-                stage += 1
-                src = chain[stage][0]
-            cells.append(src.parts[xi].cells[k])
-        parts[xi] = TruncCondition(space.triple_of(xi), tuple(cells))
-    q = ProductCondition(space, parts)
+    cells = _fuse([(pn.parts, Fn, [k for k, _ in pn.split_levels()])
+                   for pn, Fn in chain], space.horizon)
+    q = ProductCondition(space, {xi: TruncCondition(space.triple_of(xi), cs)
+                                 for xi, cs in cells.items()})
     for n, (pn, Fn) in enumerate(chain):
         if not product_order_check(q, pn, ("at_n", n, Fn)):
             raise PreconditionError(f"fusion does not honour stage {n}")
@@ -283,8 +242,8 @@ def schedule_plan(n: int) -> dict:
         owners.extend([j + 1] * (j + 1))   # and its further splits
         m.append(len(owners) - 1)
         sizes.append(len(owners))
-    for j in range(n + 1):
-        assert sizes[j] == (j + 1) ** 2
+    if any(sizes[j] != (j + 1) ** 2 for j in range(n + 1)):
+        raise AssertionError("a stage size is not (j+1)^2")
     return {"n": n, "m": m, "sizes": sizes, "owners": owners}
 
 
@@ -293,50 +252,21 @@ def schedule_plan(n: int) -> dict:
 
 
 @dataclass
-class ProductNameOracle:
-    """Total map from full product branches of ``base`` to value tuples,
-    one value per level, drawn from ``profile``."""
+class ProductNameOracle(NameOracle):
+    """Total map from full product branches of ``base`` (per coordinate of
+    the support, a tuple of members) to value tuples, one value per level,
+    drawn from ``profile``."""
 
     base: ProductCondition
-    profile: tuple[tuple, ...]
-    fn: object
-
-    def __post_init__(self):
-        self._cache = {}
-
-    def eval(self, branch: tuple) -> tuple:
-        if branch in self._cache:
-            return self._cache[branch]
-        out = tuple(self.fn(branch))
-        if len(out) != self.base.horizon:
-            raise ValueError("oracle must return one value per level")
-        for k, v in enumerate(out):
-            if v not in self.profile[k]:
-                raise ValueError(f"oracle value {v!r} outside profile at level {k}")
-        self._cache[branch] = out
-        return out
-
-    @staticmethod
-    def from_table(base: "ProductCondition", profile,
-                   table: dict) -> "ProductNameOracle":
-        """Table keyed by the canonical branch key: per coordinate the
-        comma-joined member indices, coordinates joined by '|'."""
-        def fn(branch):
-            return table[branch_key(base, branch)]
-        return ProductNameOracle(base, tuple(tuple(a) for a in profile), fn)
 
 
 def branch_key(p: ProductCondition, branch: tuple,
                coords=None) -> str:
     """Canonical string key of a product branch (optionally restricted)."""
-    parts = []
-    for pos, xi in enumerate(p.support):
-        if coords is not None and xi not in coords:
-            continue
-        ordered = [cell.sorted_members() for cell in p.parts[xi].cells]
-        parts.append(",".join(str(ordered[k].index(branch[pos][k]))
-                              for k in range(len(branch[pos]))))
-    return "|".join(parts)
+    keep = [pos for pos, xi in enumerate(p.support)
+            if coords is None or xi in coords]
+    space = BranchSpace([p.parts[p.support[pos]] for pos in keep], p.horizon)
+    return space.key(tuple(branch[pos] for pos in keep))
 
 
 def _check_product_compat(p: ProductCondition, nu: ProductNameOracle):
@@ -347,59 +277,12 @@ def _check_product_compat(p: ProductCondition, nu: ProductNameOracle):
         raise PreconditionError("condition is not an extension of the oracle base")
 
 
-def _cut(branch: tuple, k: int) -> tuple:
-    return tuple(b[:k] for b in branch)
-
-
 def product_check_reading(p: ProductCondition, nu: ProductNameOracle,
                           mode: str) -> bool:
     """timely: all selections up to each product split level k fix the first
     k values; early: selections strictly below every level fix the prefix."""
     _check_product_compat(p, nu)
-    brs = product_branches(p)
-    vals = {b: nu.eval(b) for b in brs}
-    if mode == "timely":
-        cuts = [(level, level + 1) for level, _ in p.split_levels()]
-    elif mode == "early":
-        cuts = [(k, k) for k in range(1, p.horizon + 1)]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    for k, cut in cuts:
-        seen = {}
-        for b in brs:
-            pre = vals[b][:k]
-            if seen.setdefault(_cut(b, cut), pre) != pre:
-                return False
-    return True
-
-
-def _decided_product_prefix(p: ProductCondition, eta: tuple, k: int,
-                            nu: ProductNameOracle) -> tuple:
-    pools = []
-    for xi, sel in zip(p.support, eta):
-        part = p.parts[xi]
-        coord_pools = [[frozenset(t)] for t in sel]
-        coord_pools += [cell.sorted_members()
-                        for cell in part.cells[len(sel):]]
-        pools.append([tuple(b) for b in itertools.product(*coord_pools)])
-    out = None
-    for branch in itertools.product(*pools):
-        pre = nu.eval(tuple(branch))[:k]
-        if out is None:
-            out = pre
-        elif out != pre:
-            raise PreconditionError(f"branches disagree on the first {k} values")
-    return out
-
-
-def _decided_product_value(p, eta, k, nu):
-    return _decided_product_prefix(p, eta, k + 1, nu)[k]
-
-
-def _poke(eta: tuple, pos: int, level_value) -> tuple:
-    """Extend coordinate ``pos``'s selection in eta by one level."""
-    return tuple(sel + (level_value,) if i == pos else sel
-                 for i, sel in enumerate(eta))
+    return _reads(BranchSpace.of(p), nu, mode)
 
 
 def product_early_read(p: ProductCondition,
@@ -410,45 +293,27 @@ def product_early_read(p: ProductCondition,
     _check_product_compat(p, nu)
     if not p.is_modest():
         raise PreconditionError("condition is not modest")
-    if not product_check_reading(p, nu, "timely"):
+    space = BranchSpace.of(p)
+    if not _reads(space, nu, "timely"):
         raise PreconditionError("condition does not read the name timely")
-    q = p
-    for k, xi in p.split_levels():
-        d = q.space.triple_of(xi).d[k]
-        if product_poss_count(q, k - 1) >= d:
-            raise PreconditionError(f"|poss| >= d at split level {k}")
-        if prod(len(a) for a in nu.profile[:k]) > d:
-            raise PreconditionError(f"value-space product exceeds d at level {k}")
-        pos = q.support.index(xi)
-        M = q.parts[xi].cells[k]
-        for eta in product_possibilities(q, k - 1):
-            prefix_of = {t: _decided_product_prefix(q, _poke(eta, pos, t), k, nu)
-                         for t in M.sorted_members()}
-            index = {}
-            for t in M.sorted_members():
-                index.setdefault(prefix_of[t], len(index))
-            if len(index) > d:
-                raise PreconditionError(f"more decision classes than d at level {k}")
-            _, M = bigness_refine(M, lambda t: index[prefix_of[t]], d)
-        cells = list(q.parts[xi].cells)
-        cells[k] = M
-        q = q.with_part(xi, TruncCondition(q.parts[xi].params, tuple(cells)))
-    if not product_check_reading(q, nu, "early"):
+    _refine_reading(space, nu)
+    if not _reads(space, nu, "early"):
         raise PreconditionError("early agreement failed after refinement")
-    return q
+    return _with_space(p, space)
 
 
 def bounding_extract(q: ProductCondition, nu: ProductNameOracle) -> tuple:
     """f(k) = max of the values the name can take at level k; every branch
     is re-verified to stay below f pointwise."""
-    if not (product_check_reading(q, nu, "early")
-            or product_check_reading(q, nu, "timely")):
+    _check_product_compat(q, nu)
+    space = BranchSpace.of(q)
+    if not (_reads(space, nu, "early") or _reads(space, nu, "timely")):
         raise PreconditionError("condition reads the name neither early nor timely")
-    brs = product_branches(q)
-    vals = [nu.eval(b) for b in brs]
+    vals = [nu._values(b) for b in space.branches()]
     f = tuple(max(v[k] for v in vals) for k in range(q.horizon))
     for v in vals:
-        assert all(v[k] <= f[k] for k in range(q.horizon))
+        if any(v[k] > f[k] for k in range(q.horizon)):
+            raise AssertionError("a branch exceeds the extracted bound")
     return f
 
 
@@ -459,14 +324,10 @@ def bounding_extract(q: ProductCondition, nu: ProductNameOracle) -> tuple:
 def _depends_only_on(p: ProductCondition, nu: ProductNameOracle,
                      coords) -> bool:
     """Does the name factor through the given coordinates' branches?"""
-    idx = [i for i, xi in enumerate(p.support) if xi in coords]
-    seen = {}
-    for b in product_branches(p):
-        key = tuple(b[i] for i in idx)
-        v = nu.eval(b)
-        if seen.setdefault(key, v) != v:
-            return False
-    return True
+    space = BranchSpace.of(p)
+    return _factors(((b, nu._values(b)) for b in space.branches()),
+                    space.below(p.horizon, [j for j, xi in enumerate(p.support)
+                                            if xi in coords]))
 
 
 def product_catch(p: ProductCondition, nu_x: ProductNameOracle, B, xi: str,
@@ -486,28 +347,18 @@ def product_catch(p: ProductCondition, nu_x: ProductNameOracle, B, xi: str,
     parts = dict(p.parts)
     for beta in B:
         part = parts[beta]
-        cells = tuple(Creature(cell.arena, cell.cap,
-                               frozenset({cell.sorted_members()[0]}))
-                      for cell in part.cells)
-        parts[beta] = TruncCondition(part.params, cells)
+        parts[beta] = TruncCondition(part.params,
+                                     tuple(map(_singleton, part.cells)))
     q = ProductCondition(p.space, parts)
-    x = nu_x.eval(product_branches(q)[0])
-    target = q.parts[xi]
-    for k in range(n0, q.horizon):
-        covered = frozenset().union(*target.cells[k].members)
-        if len(covered) != target.cells[k].arena:
-            continue
-        for t in target.cells[k].sorted_members():
-            if x[k] in t:
-                cells = list(target.cells)
-                cells[k] = Creature(target.cells[k].arena,
-                                    target.cells[k].cap, frozenset({t}))
-                q = q.with_part(xi, TruncCondition(target.params, tuple(cells)))
-                pos = q.support.index(xi)
-                for b in product_branches(q):
-                    assert nu_x.eval(b)[k] in b[pos][k]
-                return q, k
-    raise PreconditionError(f"no level >= {n0} of norm >= 1 within the horizon")
+    x = nu_x._values(tuple(pool[0] for pool in BranchSpace.of(q).pools))
+    caught, k = catch_real(q.parts[xi], x, n0)
+    q = q.with_part(xi, caught)
+    space = BranchSpace.of(q)
+    at = q.support.index(xi) * q.horizon + k
+    for b in space.branches():
+        if nu_x._values(b)[k] not in b[at]:
+            raise AssertionError(f"a branch escapes the caught member at level {k}")
+    return q, k
 
 
 @dataclass
@@ -536,53 +387,33 @@ def restricted_localize(p: ProductCondition, nu_x: ProductNameOracle,
     _check_product_compat(p, nu_x)
     if not p.is_modest():
         raise PreconditionError("condition is not modest")
-    if not product_check_reading(p, nu_x, "early"):
+    space = BranchSpace.of(p)
+    if not _reads(space, nu_x, "early"):
         raise PreconditionError("condition does not read the name early")
     C = tuple(sorted(set(C) & set(p.support)))
-    cidx = [i for i, xi in enumerate(p.support) if xi in C]
     N = p.horizon
     for k in range(N):
         if any(v not in range(a[k]) for v in nu_x.profile[k]):
             raise PreconditionError(f"profile leaves range(a) at level {k}")
-    q = p
-    split_owner = dict(p.split_levels())
+    cidx = [j for j, xi in enumerate(p.support) if xi in C]
+
+    def restricted(b):
+        return tuple(b[j * N:(j + 1) * N] for j in cidx)
+    split_owner = dict(space.splits())
 
     phi = []
     for k in range(N):
-        etas = product_possibilities(q, k - 1)
-        m = len(etas)
-        owner = split_owner.get(k)
-        if owner is not None and owner not in C:
+        j = split_owner.get(k)
+        if j is not None and p.support[j] not in C:
             # the level is decided by a foreign coordinate: shrink its cell
-            beta = owner
-            triple = q.space.triple_of(beta)
-            cdh = subset_count(triple.c[k], triple.h[k], count_mode)
-            pos = q.support.index(beta)
-            M = q.parts[beta].cells[k]
-            if 2 * m * cdh <= e[k]:
-                pass  # wide: every decided value fits already
-            elif 2 * m * a[k] <= triple.d[k]:
-                kcap = e[k] // m
-                if a[k] > triple.d[k] * kcap:
-                    raise PreconditionError(f"block bound fails at level {k}")
-                for eta in etas:
-                    valmap = {t: _decided_product_value(q, _poke(eta, pos, t),
-                                                        k, nu_x)
-                              for t in M.sorted_members()}
-                    M = range_refine(M, lambda t: valmap[t], kcap,
-                                     triple.d[k], a[k])
-                cells = list(q.parts[beta].cells)
-                cells[k] = M
-                q = q.with_part(beta,
-                                TruncCondition(q.parts[beta].params, tuple(cells)))
-            else:
-                raise PreconditionError(
-                    f"clause ii fails at level {k}, coordinate {beta!r}")
+            triple = p.space.triple_of(p.support[j])
+            _localize_split(space, nu_x, k, j,
+                            subset_count(triple.c[k], triple.h[k], count_mode),
+                            e[k], triple.d[k], a[k])
         # collect the surviving values per restricted branch
         cell = {}
-        for b in product_branches(q):
-            key = tuple(b[i] for i in cidx)
-            cell.setdefault(key, set()).add(nu_x.eval(b)[k])
+        for b in space.branches():
+            cell.setdefault(restricted(b), set()).add(nu_x._values(b)[k])
         for key, vals in cell.items():
             if len(vals) > e[k]:
                 raise PreconditionError(
@@ -590,9 +421,8 @@ def restricted_localize(p: ProductCondition, nu_x: ProductNameOracle,
         phi.append({key: frozenset(vals) for key, vals in cell.items()})
 
     name = RestrictedName(C, tuple(e), tuple(phi))
-    for b in product_branches(q):
-        key = tuple(b[i] for i in cidx)
-        v = nu_x.eval(b)
-        for k in range(N):
-            assert v[k] in name.cells[k][key]
-    return q, name
+    for b in space.branches():
+        v, key = nu_x._values(b), restricted(b)
+        if any(v[k] not in name.cells[k][key] for k in range(N)):
+            raise AssertionError("a branch escapes the restricted name")
+    return _with_space(p, space), name

@@ -10,10 +10,11 @@ caller's ``random.Random``.
 from __future__ import annotations
 
 import itertools
+from math import prod
 from random import Random
 
-from .conditions import (NameOracle, ParamTriple, TruncCondition, poss_count,
-                         possibilities)
+from .conditions import (BranchSpace, NameOracle, ParamTriple, TruncCondition,
+                         _singleton)
 from .creatures import Creature, full_creature
 from .numeric import subset_count
 from .products import (CoordinateSpace, ProductCondition, ProductNameOracle,
@@ -25,12 +26,16 @@ from .relational import FinRelSystem, TukeyPair
 # creatures and relational systems
 
 
+def _subsets(arena: int, cap: int) -> list[tuple]:
+    """The subsets of size <= cap of the arena, by size."""
+    return [m for k in range(cap + 1)
+            for m in itertools.combinations(range(arena), k)]
+
+
 def random_creature(rng: Random, max_arena: int = 8, max_cap: int = 3) -> Creature:
     arena = rng.randint(2, max_arena)
     cap = rng.randint(1, max_cap)
-    pool = []
-    for k in range(cap + 1):
-        pool.extend(itertools.combinations(range(arena), k))
+    pool = _subsets(arena, cap)
     count = rng.randint(1, min(len(pool), 8))
     return Creature.of(arena, cap, rng.sample(pool, count))
 
@@ -71,9 +76,7 @@ def _random_cells(rng: Random, horizon: int, max_branches: int):
     for k in range(horizon):
         c = rng.randint(3, 5)
         h = rng.randint(1, 2)
-        pool = []
-        for sz in range(h + 1):
-            pool.extend(itertools.combinations(range(c), sz))
+        pool = _subsets(c, h)
         want_split = split_budget > 0 and rng.random() < 0.7
         if want_split and count * 3 <= max_branches:
             members = rng.sample(pool, rng.randint(2, min(3, len(pool))))
@@ -86,28 +89,24 @@ def _random_cells(rng: Random, horizon: int, max_branches: int):
         count *= len(members)
     if all(len(cell.members) == 1 for cell in cells):
         k = rng.randrange(horizon)
-        c, h = cs[k], hs[k]
-        pool = []
-        for sz in range(h + 1):
-            pool.extend(itertools.combinations(range(c), sz))
-        cells[k] = Creature.of(c, h, rng.sample(pool, 2))
+        cells[k] = Creature.of(cs[k], hs[k], rng.sample(_subsets(cs[k], hs[k]), 2))
     return cells, cs, hs
 
 
-def _table_oracle(rng: Random, p: TruncCondition, profile, dep_cut):
-    """x(k) drawn from a random table over the member indices below
-    dep_cut(k)."""
-    ordered = [cell.sorted_members() for cell in p.cells]
-    tables = []
-    for k in range(p.horizon):
-        cut = dep_cut(k)
-        keys = itertools.product(*(range(len(ordered[i])) for i in range(cut)))
-        tables.append({key: rng.choice(profile[k]) for key in keys})
+def _table_oracle(rng: Random, p, profile, dep_cut):
+    """x(k) drawn from a random table over the member indices of the levels
+    below dep_cut(k) in every coordinate of p (a condition or a product)."""
+    space = BranchSpace.of(p)
+    cuts = [space.below(dep_cut(k)) for k in range(p.horizon)]
+    tables = [{key: rng.choice(profile[k]) for key in itertools.product(
+                   *(range(len(space.pools[x])) for x in xs))}
+              for k, xs in enumerate(cuts)]
 
     def fn(branch):
-        idx = tuple(ordered[i].index(branch[i]) for i in range(len(branch)))
-        return tuple(tables[k][idx[:dep_cut(k)]] for k in range(p.horizon))
-    return NameOracle(p, profile, fn)
+        idx = [m[t] for m, t in zip(space.index, space.flat(branch))]
+        return tuple(table[tuple(idx[x] for x in xs)]
+                     for table, xs in zip(tables, cuts))
+    return (ProductNameOracle if space.nested else NameOracle)(p, profile, fn)
 
 
 def reading_instance(rng: Random, max_horizon: int = 5,
@@ -118,17 +117,9 @@ def reading_instance(rng: Random, max_horizon: int = 5,
     cells, cs, hs = _random_cells(rng, N, max_branches)
     splits = [k for k, cell in enumerate(cells) if len(cell.members) > 1]
     profile = tuple(tuple(range(rng.randint(1, 2))) for _ in range(N))
-    ds = []
-    count = 1
-    for k in range(N):
-        need = 2
-        if k in splits:
-            need = max(need, count + 1)
-        prodA = 1
-        for i in range(k):
-            prodA *= len(profile[i])
-        ds.append(max(need, prodA, 2))
-        count *= len(cells[k].members)
+    count = [prod(len(cell.members) for cell in cells[:k]) for k in range(N)]
+    ds = [max(count[k] + 1 if k in splits else 2,
+              prod(len(x) for x in profile[:k]), 2) for k in range(N)]
     p = TruncCondition(ParamTriple(tuple(cs), tuple(hs), tuple(ds)), tuple(cells))
 
     def dep_cut(k):
@@ -149,13 +140,8 @@ def localize_instance(rng: Random, horizon: int = 3):
     e, ds = [], []
     count = 1
     for k in range(N):
-        prod_cdh = 1
-        prod_a = 1
-        for i in range(k):
-            prod_cdh *= cdh[i]
-            prod_a *= a[i]
-        ek = max(prod_cdh, count, 1)
-        dk = max(2, prod_a)
+        ek = max(prod(cdh[:k]), count, 1)
+        dk = max(2, prod(a[:k]))
         if k in splits:
             if rng.random() < 0.5:
                 ek = max(ek, 2 * count * cdh[k])       # wide subcase
@@ -177,10 +163,7 @@ def antiloc_instance(rng: Random, horizon: int = 3):
     N = horizon
     cs = [rng.randint(2, 3)]
     for k in range(1, N):
-        prev_cdh = 1
-        for i in range(k):
-            prev_cdh *= cs[i] + 1
-        cs.append(prev_cdh + 1 + rng.randint(0, 2))
+        cs.append(prod(c + 1 for c in cs) + 1 + rng.randint(0, 2))
     hs = [1] * N
     cells = []
     count = 1
@@ -196,23 +179,13 @@ def antiloc_instance(rng: Random, horizon: int = 3):
         count *= len(cells[k].members)
     a = tuple(cs[k] + 1 for k in range(N))
     e = tuple(cs[k] - 1 for k in range(N))
-    ds = []
-    cnt = 1
-    for k in range(N):
-        prod_a = 1
-        for i in range(k):
-            prod_a *= a[i]
-        ds.append(max(2, prod_a, 2 * cnt * a[k]))
-        cnt *= len(cells[k].members)
+    ds = [max(2, prod(a[:k]), 2 * prod(len(c.members) for c in cells[:k]) * a[k])
+          for k in range(N)]
     p = TruncCondition(ParamTriple(tuple(cs), tuple(hs), tuple(ds)), tuple(cells))
     profile = tuple(tuple(range(a[k])) for k in range(N))
 
     def fn(branch):
-        out = []
-        for k in range(N):
-            cell = branch[k]
-            out.append(0 if not cell else min(cell) + 1)
-        return tuple(out)
+        return tuple(0 if not cell else min(cell) + 1 for cell in branch)
     return p, NameOracle(p, profile, fn), a, e
 
 
@@ -229,67 +202,32 @@ def product_instance(rng: Random, horizon: int = 3):
     """A modest two-coordinate condition with at most one split per level
     and small branch counts."""
     N = horizon
-    owners = []
-    for k in range(N):
-        owners.append(rng.choice(["x", "y", None]))
+    owners = [rng.choice(["x", "y", None]) for _ in range(N)]
     if all(o is None for o in owners):
         owners[rng.randrange(N)] = rng.choice(["x", "y"])
     cells = {"x": [], "y": []}
-    cs = {"x": [], "y": []}
-    hs = {"x": [], "y": []}
     count = 1
     for k in range(N):
         for xi in ("x", "y"):
             c = rng.randint(3, 5)
             h = rng.randint(1, 2)
-            pool = []
-            for sz in range(h + 1):
-                pool.extend(itertools.combinations(range(c), sz))
+            pool = _subsets(c, h)
             if owners[k] == xi and count * 3 <= 300:
                 members = rng.sample(pool, rng.randint(2, min(3, len(pool))))
             else:
                 members = [rng.choice(pool)]
             cells[xi].append(Creature.of(c, h, members))
-            cs[xi].append(c)
-            hs[xi].append(h)
             count *= len(members)
-    triples = {}
-    parts = {}
-    counts = [1]
-    for k in range(N):
-        lv = len(cells["x"][k].members) * len(cells["y"][k].members)
-        counts.append(counts[-1] * lv)
-    for xi in ("x", "y"):
-        d = tuple(max(2, 2 * counts[k] + 1) for k in range(N))
-        triples[xi] = ParamTriple(tuple(cs[xi]), tuple(hs[xi]), d)
+    # d(k) = 2 * (possibilities below k) + 1 in both families
+    d = tuple(max(2, 2 * prod(len(cell.members) for xi in "xy"
+                              for cell in cells[xi][:k]) + 1) for k in range(N))
+    triples = {xi: ParamTriple(tuple(cell.arena for cell in cells[xi]),
+                               tuple(cell.cap for cell in cells[xi]), d)
+               for xi in "xy"}
     space = CoordinateSpace.of({"x": "A", "y": "B"},
                                {"A": triples["x"], "B": triples["y"]})
-    for xi in ("x", "y"):
-        parts[xi] = TruncCondition(triples[xi], tuple(cells[xi]))
-    return ProductCondition(space, parts)
-
-
-def _product_table_oracle(rng: Random, p: ProductCondition, profile, dep_cut):
-    ordered = {xi: [cell.sorted_members() for cell in p.parts[xi].cells]
-               for xi in p.support}
-    N = p.horizon
-
-    def key_of(branch, cut):
-        return tuple(tuple(ordered[xi][i].index(branch[pos][i])
-                           for i in range(cut))
-                     for pos, xi in enumerate(p.support))
-    tables = []
-    for k in range(N):
-        cut = dep_cut(k)
-        per_coord = [itertools.product(*(range(len(ordered[xi][i]))
-                                         for i in range(cut)))
-                     for xi in p.support]
-        keys = itertools.product(*[list(pc) for pc in per_coord])
-        tables.append({key: rng.choice(profile[k]) for key in keys})
-
-    def fn(branch):
-        return tuple(tables[k][key_of(branch, dep_cut(k))] for k in range(N))
-    return ProductNameOracle(p, profile, fn)
+    return ProductCondition(space, {xi: TruncCondition(triples[xi], tuple(cells[xi]))
+                                    for xi in "xy"})
 
 
 def _widen_d(p: ProductCondition, floors) -> ProductCondition:
@@ -309,13 +247,8 @@ def product_reading_instance(rng: Random, horizon: int = 3):
     """(p, nu) on two coordinates, nu read early across the product."""
     p = product_instance(rng, horizon)
     profile = tuple(tuple(range(rng.randint(1, 3))) for _ in range(horizon))
-    floors = []
-    prod = 1
-    for k in range(horizon):
-        floors.append(prod)
-        prod *= len(profile[k])
-    p = _widen_d(p, floors)
-    nu = _product_table_oracle(rng, p, profile, lambda k: k + 1)
+    p = _widen_d(p, [prod(len(x) for x in profile[:k]) for k in range(horizon)])
+    nu = _table_oracle(rng, p, profile, lambda k: k + 1)
     return p, nu
 
 
@@ -328,25 +261,24 @@ def product_catch_instance(rng: Random, horizon: int = 3):
     k0 = rng.randrange(horizon)
     bpart = p.parts[beta]
     bcells = list(bpart.cells)
-    bcells[k0] = Creature(bcells[k0].arena, bcells[k0].cap,
-                          frozenset({bcells[k0].sorted_members()[0]}))
+    bcells[k0] = _singleton(bcells[k0])
     p = p.with_part(beta, TruncCondition(bpart.params, tuple(bcells)))
     part = p.parts[xi]
     cells = list(part.cells)
     cells[k0] = full_creature(part.params.c[k0], part.params.h[k0])
     p = p.with_part(xi, TruncCondition(part.params, tuple(cells)))
-    assert p.is_modest()
+    if not p.is_modest():
+        raise AssertionError("the catch instance is not modest")
     c_xi = p.parts[xi].params.c
     profile = tuple(tuple(range(c_xi[k])) for k in range(horizon))
     pos_b = p.support.index(beta)
-    ordered = [cell.sorted_members() for cell in p.parts[beta].cells]
+    index = BranchSpace.of(p.parts[beta]).index
     tables = [{i: rng.randrange(c_xi[k])
-               for i in range(len(ordered[k]))} for k in range(horizon)]
+               for i in range(len(index[k]))} for k in range(horizon)]
 
     def fn(branch):
         bb = branch[pos_b]
-        return tuple(tables[k][ordered[k].index(bb[k])]
-                     for k in range(horizon))
+        return tuple(tables[k][index[k][bb[k]]] for k in range(horizon))
     return p, ProductNameOracle(p, profile, fn), {beta}, xi
 
 
@@ -358,12 +290,10 @@ def restricted_instance(rng: Random, horizon: int = 3):
     N = horizon
     profile = tuple(tuple(range(rng.randint(1, 3))) for _ in range(N))
     a = tuple(len(profile[k]) + rng.randint(0, 1) for k in range(N))
-    counts = [1]
-    for k in range(N):
-        counts.append(product_poss_count(p, k))
+    counts = [product_poss_count(p, k) for k in range(-1, N)]
     e = tuple(max(counts[k + 1], 1) for k in range(N))
     # room for the narrow refinement at splits owned outside C
     floors = [max(2 * counts[k] * a[k], counts[k]) for k in range(N)]
     p = _widen_d(p, floors)
-    nu = _product_table_oracle(rng, p, profile, lambda k: k + 1)
+    nu = _table_oracle(rng, p, profile, lambda k: k + 1)
     return p, nu, C, a, e

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 from random import Random
 
@@ -139,6 +140,17 @@ def test_thin_with_float_d_exits_2(tmp_path, capsys):
     assert code == 2 and body == ""
     assert "Traceback" not in err and "integer" in err
 
+
+
+def test_exact_family_count_past_the_bit_budget_exits_2(tmp_path, capsys):
+    # the level-1 count sums 257 binomials of a 131,077-bit c
+    payload = {"n0_minus": 3, "d0": 4, "depth": 1, "count_mode": "exact"}
+    start = time.perf_counter()
+    code, body = run(tmp_path, "family", payload, "--mode", "build")
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2 and body == "" and elapsed < 1.0
+    assert "Traceback" not in err and "infeasible" in err
 
 # SHA-256 of the CLI output, pinned before the exact-arithmetic fast paths
 # (power-of-two powers by shift, log2 quotients from the top bits) landed
