@@ -202,8 +202,10 @@ class BranchSpace:
     def key(self, branch: tuple) -> str:
         """Canonical string key of a branch: per coordinate the comma-joined
         member indices, coordinates joined by '|'."""
-        idx = list(map(str, map(operator.getitem, self.index, self.flat(branch))))
-        N = self.N
+        idx = map(str, map(operator.getitem, self.index, self.flat(branch)))
+        if self.W == 1:
+            return ",".join(idx)
+        idx, N = list(idx), self.N
         return "|".join([",".join(idx[j * N:(j + 1) * N]) for j in range(self.W)])
 
 

@@ -350,15 +350,15 @@ def product_catch(p: ProductCondition, nu_x: ProductNameOracle, B, xi: str,
         parts[beta] = TruncCondition(part.params,
                                      tuple(map(_singleton, part.cells)))
     q = ProductCondition(p.space, parts)
-    x = nu_x._values(tuple(pool[0] for pool in BranchSpace.of(q).pools))
-    caught, k = catch_real(q.parts[xi], x, n0)
-    q = q.with_part(xi, caught)
     space = BranchSpace.of(q)
+    x = nu_x._values(tuple(pool[0] for pool in space.pools))
+    caught, k = catch_real(q.parts[xi], x, n0)
     at = q.support.index(xi) * q.horizon + k
+    space.set_cell(at, caught.cells[k])
     for b in space.branches():
         if nu_x._values(b)[k] not in b[at]:
             raise AssertionError(f"a branch escapes the caught member at level {k}")
-    return q, k
+    return q.with_part(xi, caught), k
 
 
 @dataclass
