@@ -258,26 +258,26 @@ def _h_family(ns, data):
     mode = ns.mode or data.get("mode", "build")
     prec = ns.precision or DEFAULT_PRECISION
     cap = ns.cap or F.FAMILY_HEIGHT_CAP
-
-    def single():
-        return F.build_single(data["n0_minus"], data["d0"], data.get("depth", 2),
-                              data.get("count_mode", "power-bound"),
-                              prec=prec, cap=cap)
-
-    def tree():
-        return F.build_tree(data.get("d0", 3), data.get("depth", 2),
-                            prec=prec, cap=cap)
     if mode == "build":
-        fam, bnd = single()
+        fam, bnd = F.build_single(data["n0_minus"], data["d0"],
+                                  data.get("depth", 2),
+                                  data.get("count_mode", "power-bound"),
+                                  prec=prec, cap=cap)
         return 0, {"family": fam.to_json(), "bounding": bnd.to_json()}
     if mode == "tree":
-        return 0, tree().to_json()
+        fam = F.build_tree(data.get("d0", 3), data.get("depth", 2),
+                           prec=prec, cap=cap)
+        return 0, fam.to_json()
     if mode == "verify":
         if data.get("kind", "tree") == "tree":
-            fam = tree()
+            fam = F.build_tree(data.get("d0", 3), data.get("depth", 2),
+                               prec=prec, cap=cap)
             bnd = fam.bounding
         else:
-            fam, bnd = single()
+            fam, bnd = F.build_single(data["n0_minus"], data["d0"],
+                                      data.get("depth", 2),
+                                      data.get("count_mode", "power-bound"),
+                                      prec=prec, cap=cap)
         if "corrupt" in data:
             which = data["corrupt"]
             fam.constructed = False
