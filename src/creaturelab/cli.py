@@ -41,7 +41,7 @@ def _emit(ns, obj) -> None:
         sys.stdout.write(text)
 
 
-def _named(data, kind=C.TruncCondition):
+def _named(data, kind):
     """The condition (or product) under "condition" and its table oracle."""
     p = kind.from_json(data["condition"])
     oracle = C.NameOracle if kind is C.TruncCondition else P.ProductNameOracle
@@ -50,7 +50,7 @@ def _named(data, kind=C.TruncCondition):
 
 
 def _restricted_json(p: P.ProductCondition, name: P.RestrictedName) -> dict:
-    space = C.BranchSpace([p.parts[xi] for xi in name.coords], p.horizon)
+    space = C.BranchSpace([p.parts[xi] for xi in name.coords], p.horizon, True)
     return {"coords": list(name.coords),
             "widths": list(name.widths),
             "cells": [{space.key(key): sorted(vals) for key, vals in cell.items()}
@@ -130,18 +130,18 @@ def _h_catch(ns, data):
 
 
 def _h_check_reading(ns, data):
-    p, nu = _named(data)
+    p, nu = _named(data, C.TruncCondition)
     ok = C.check_reading(p, nu, data.get("mode", ns.mode or "timely"))
     return (0 if ok else 1), {"reads": ok}
 
 
 def _h_early_read(ns, data):
-    p, nu = _named(data)
+    p, nu = _named(data, C.TruncCondition)
     return 0, {"condition": C.early_read(p, nu).to_json()}
 
 
 def _h_localize(ns, data):
-    p, nu = _named(data)
+    p, nu = _named(data, C.TruncCondition)
     q, phi = C.localize(p, nu, tuple(data["a"]), tuple(data["e"]),
                         data.get("k0", 0))
     return 0, {"condition": q.to_json(), "slalom": phi.to_json()}

@@ -117,7 +117,7 @@ class BranchSpace:
     per-coordinate tuples, as products do.
     """
 
-    def __init__(self, parts, horizon: int, nested: bool = True):
+    def __init__(self, parts, horizon: int, nested: bool):
         self.parts = list(parts)
         self.N = horizon
         self.W = len(self.parts)
@@ -130,8 +130,8 @@ class BranchSpace:
     def of(cls, p) -> "BranchSpace":
         """A condition's space, or a product's over its support."""
         if isinstance(p, TruncCondition):
-            return cls([p], p.horizon, nested=False)
-        return cls([p.parts[xi] for xi in p.support], p.horizon)
+            return cls([p], p.horizon, False)
+        return cls([p.parts[xi] for xi in p.support], p.horizon, True)
 
     def set_cell(self, x: int, cell: Creature) -> None:
         self.cells[x] = cell
@@ -144,11 +144,9 @@ class BranchSpace:
         return [TruncCondition(part.params, tuple(self.cells[j * N:(j + 1) * N]))
                 for j, part in enumerate(self.parts)]
 
-    def below(self, k: int, coords=None) -> list[int]:
-        """Positions of the levels < k of the given coordinates (default:
-        all), in branch order."""
-        coords = range(self.W) if coords is None else coords
-        return [j * self.N + i for j in coords for i in range(k)]
+    def below(self, k: int) -> list[int]:
+        """Positions of the levels < k of every coordinate, in branch order."""
+        return [j * self.N + i for j in range(self.W) for i in range(k)]
 
     def splits(self) -> list[tuple[int, int]]:
         """(level, coordinate) of every cell with several members, levels
@@ -189,10 +187,9 @@ class BranchSpace:
                 raise PreconditionError(f"branches disagree on the first {n} values")
         return out
 
-    def nest(self, flat: tuple, width: int | None = None) -> tuple:
-        """Per-coordinate tuples of a flat selection of ``width`` levels
-        (default N) per coordinate."""
-        w = self.N if width is None else width
+    def nest(self, flat: tuple, w: int) -> tuple:
+        """Per-coordinate tuples of a flat selection of w levels per
+        coordinate."""
         return tuple(flat[j * w:(j + 1) * w] for j in range(self.W))
 
     def flat(self, branch: tuple) -> tuple:
@@ -393,7 +390,7 @@ class NameOracle:
         out = self._cache.get(flat)
         if out is None:
             space = self._space
-            out = tuple(self.fn(space.nest(flat) if space.nested else flat))
+            out = tuple(self.fn(space.nest(flat, space.N) if space.nested else flat))
             if len(out) != space.N:
                 raise ValueError("oracle must return one value per level")
             if not all(map(operator.contains, self.profile, out)):
@@ -405,9 +402,10 @@ class NameOracle:
     @classmethod
     def from_table(cls, base, profile, table: dict) -> "NameOracle":
         """Table keyed by the canonical branch key (``BranchSpace.key``)."""
-        key = BranchSpace.of(base).key
-        return cls(base, tuple(tuple(a) for a in profile),
-                   lambda branch: table[key(branch)])
+        nu = cls(base, tuple(tuple(a) for a in profile), None)
+        key = nu._space.key
+        nu.fn = lambda branch: table[key(branch)]
+        return nu
 
 
 def branch_slalom(p: TruncCondition, branch: tuple) -> Slalom:
@@ -446,9 +444,9 @@ def _reads(space: BranchSpace, nu: NameOracle, mode: str) -> bool:
     return all(_factors(zip(brs, vals), space.below(cut), n) for n, cut in cuts)
 
 
-def _factors(pairs, positions, n=None) -> bool:
-    """Are the first n values (all by default) of the (flat branch, values)
-    pairs a function of the branch's members at the positions?"""
+def _factors(pairs, positions, n) -> bool:
+    """Are the first n values (all if n is None) of the (flat branch,
+    values) pairs a function of the branch's members at the positions?"""
     key = operator.itemgetter(*positions) if positions else lambda b: ()
     seen = {}
     for b, v in pairs:

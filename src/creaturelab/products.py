@@ -163,7 +163,7 @@ def product_poss_count(p: ProductCondition, k: int) -> int:
 
 def product_branches(p: ProductCondition) -> list[tuple]:
     space = BranchSpace.of(p)
-    return [space.nest(b) for b in space.branches()]
+    return [space.nest(b, space.N) for b in space.branches()]
 
 
 def _with_space(p: ProductCondition, space: BranchSpace) -> ProductCondition:
@@ -265,7 +265,7 @@ def branch_key(p: ProductCondition, branch: tuple,
     """Canonical string key of a product branch (optionally restricted)."""
     keep = [pos for pos, xi in enumerate(p.support)
             if coords is None or xi in coords]
-    space = BranchSpace([p.parts[p.support[pos]] for pos in keep], p.horizon)
+    space = BranchSpace([p.parts[p.support[pos]] for pos in keep], p.horizon, True)
     return space.key(tuple(branch[pos] for pos in keep))
 
 
@@ -324,10 +324,10 @@ def bounding_extract(q: ProductCondition, nu: ProductNameOracle) -> tuple:
 def _depends_only_on(p: ProductCondition, nu: ProductNameOracle,
                      coords) -> bool:
     """Does the name factor through the given coordinates' branches?"""
-    space = BranchSpace.of(p)
+    space, N = BranchSpace.of(p), p.horizon
     return _factors(((b, nu._values(b)) for b in space.branches()),
-                    space.below(p.horizon, [j for j, xi in enumerate(p.support)
-                                            if xi in coords]))
+                    [j * N + i for j, xi in enumerate(p.support) if xi in coords
+                     for i in range(N)], None)
 
 
 def product_catch(p: ProductCondition, nu_x: ProductNameOracle, B, xi: str,
