@@ -152,37 +152,62 @@ def test_exact_family_count_past_the_bit_budget_exits_2(tmp_path, capsys):
     assert code == 2 and body == "" and elapsed < 1.0
     assert "Traceback" not in err and "infeasible" in err
 
-# SHA-256 of the CLI output, pinned before the exact-arithmetic fast paths
-# (power-of-two powers by shift, log2 quotients from the top bits) landed
+# SHA-256 of the CLI output and the exit code, pinned before the
+# exact-arithmetic fast paths (power-of-two powers by shift, log2 quotients
+# from the top bits) landed
 _GOLDEN = [
-    ("family", {"n0_minus": 3, "d0": 4}, ["--mode", "build"],
+    ("family", {"n0_minus": 3, "d0": 4}, ["--mode", "build"], 0,
      "557ae847c1c6d73802b8f395cc4cfbe45cbeba475715526fc7452801ab33a70c"),
-    ("family", {"n0_minus": 3, "d0": 5}, ["--mode", "build"],
+    ("family", {"n0_minus": 3, "d0": 5}, ["--mode", "build"], 0,
      "36fdd1e47e208471b704e56f632515d11c378c811a5d6dea9ac82971ac6e7095"),
-    ("family", {"d0": 3, "depth": 2}, ["--mode", "tree"],
+    ("family", {"d0": 3, "depth": 2}, ["--mode", "tree"], 0,
      "895ed4a9c928c4ae7bebffe622d9cea274afe578d8012533755b6c0c98019323"),
-    ("family", {"d0": 3, "depth": 3}, ["--mode", "tree", "--cap", "32"],
+    ("family", {"d0": 3, "depth": 3}, ["--mode", "tree", "--cap", "32"], 0,
      "c4dde07d77709ffe2dbda7cab1a2863b6615453b52bfcc1dcdbf6e4a34e64229"),
-    ("family", {"d0": 3, "depth": 2}, ["--mode", "verify"],
+    ("family", {"d0": 3, "depth": 2}, ["--mode", "verify"], 0,
      "1ed1f4a89d344cbd1031bc35310a0e4d6bd574bd991346ca6c22adcd44091862"),
-    ("suite", {}, ["--mode", "norm", "--seed", "7", "--cap", "200"],
+    ("suite", {}, ["--mode", "norm", "--seed", "7", "--cap", "200"], 0,
      "942a066f86806af78bd4a5be6258712aeb9c9c8685d6a67ea39d185b2929f3b7"),
     # pinned before single conditions and products shared one branch engine
-    ("suite", {}, ["--mode", "reading", "--seed", "3", "--cap", "30"],
+    ("suite", {}, ["--mode", "reading", "--seed", "3", "--cap", "30"], 0,
      "23f7293fb33ec363c7490325cb9a2c4be1f233cf3699cbb84e7144c09ea5a531"),
-    ("suite", {}, ["--mode", "localize", "--seed", "4", "--cap", "30"],
+    ("suite", {}, ["--mode", "localize", "--seed", "4", "--cap", "30"], 0,
      "b0f262b69b6db75ff67ba8e2304dae970530e5789f45313834fd671a6c80c48b"),
-    ("suite", {}, ["--mode", "product-catch", "--seed", "5", "--cap", "30"],
+    ("suite", {}, ["--mode", "product-catch", "--seed", "5", "--cap", "30"], 0,
      "bad3dba191020d5faedf700e82a3990c12a86363957517eeee6bd0dbad36c670"),
-    ("suite", {}, ["--mode", "restricted", "--seed", "6", "--cap", "30"],
+    ("suite", {}, ["--mode", "restricted", "--seed", "6", "--cap", "30"], 0,
      "08b3e5836b85cc616aab2d6627e59be0d7c00aaf89a00e307a6009df7ef40288"),
+    # pinned before the family's exact/tower wrappers moved into numeric:
+    # the toy and single-tuple families, corrupted families, three suites
+    ("family", {"seed": 3, "horizon": 4}, ["--mode", "toy"], 0,
+     "acf9ed4d6b52720786d7020afbed6d3cc30188811cd684a8197cc9c9d6c28521"),
+    ("family", {"kind": "single", "n0_minus": 3, "d0": 7}, ["--mode", "verify"],
+     1, "feb5b143f53d3b50096c157a11a8c359523dfa8307a235c2706c433b05f8b06b"),
+    ("family", {"kind": "single", "n0_minus": 3, "d0": 4}, ["--mode", "verify"],
+     1, "7b59ea05bfd66f205f39ba1c345a15061d6a7ed8329296e300c5ee6fa1d9d047"),
+    ("family", {"kind": "single", "n0_minus": 3, "d0": 7,
+                "corrupt": {"field": "h", "k": 0, "value": 5}},
+     ["--mode", "verify"], 1,
+     "98e10b9615177ca714c557ee207e0175d6acf84ca4651cca265db5157e678801"),
+    ("family", {"d0": 3, "depth": 2,
+                "corrupt": {"node": "01", "field": "a", "value": 7}},
+     ["--mode", "verify"], 1,
+     "8056dac7011acc028cbbd5b6a179d72edec7f75dd206553a9b87fe4bd1b81885"),
+    ("suite", {}, ["--mode", "bigness", "--seed", "8", "--cap", "30"], 0,
+     "29a25731a9fe6898779eff4e0b5bdef7232f6b58bf3132ffe425f2e44b9ab10c"),
+    ("suite", {}, ["--mode", "tukey", "--seed", "9", "--cap", "30"], 0,
+     "3de287e80bb79dbf033f48cfb03269b141440b2f8d8905a4e94df0ba5b255b81"),
+    ("suite", {}, ["--mode", "measure", "--seed", "10", "--cap", "30"], 0,
+     "de243ae6aa69b2465d45d927547d380f0de0dce8ad84a59949aa526f898b81db"),
 ]
 
-# one fixed input per condition/product subcommand (tests/golden_inputs.json,
-# keyed by subcommand; check-reading has a timely and an early input)
+# one fixed input per other subcommand (tests/golden_inputs.json, keyed by
+# subcommand; check-reading has a timely and an early input, and maps one
+# input per mode, named "maps-<mode>")
 _INPUTS = json.loads((Path(__file__).parent / "golden_inputs.json").read_text())
-_GOLDEN += [(name.removesuffix("-timely").removesuffix("-early"),
-             _INPUTS[name], [], digest) for name, digest in [
+_GOLDEN += [("maps" if name.startswith("maps-") else
+             name.removesuffix("-timely").removesuffix("-early"),
+             _INPUTS[name], [], 0, digest) for name, digest in [
     ("poss", "9ea57b43ecfa569299d008f9c02d1a8d67c32f598b64d9db1380436856596724"),
     ("catch", "0963e4055fe0b9642570d88164627f64fcef50b43a49da5f6bf46893c7cddc08"),
     ("fuse", "b89b2a5de48027c48c282ee8cad7ea52079e414e57ed40430be39335491ac29c"),
@@ -202,13 +227,28 @@ _GOLDEN += [(name.removesuffix("-timely").removesuffix("-early"),
      "bcafeee5e067227af95d103abb98d6cb743700c56f0d4f80511d0394ac00c402"),
     ("restricted-localize",
      "f883da26b6d6e7708ab0f560af235084ff5c52817e2b125b4afd9adcc842165c"),
+    # pinned before the family's exact/tower wrappers moved into numeric
+    ("bigness", "9329d0c49d4d97624b5ed075c0b0dba8efa7e101af3332e60409740249624477"),
+    ("range-refine",
+     "6aca5fe7f6b4bee9d79cac893e057ac93d15c4ee5f5fb9936b5046d60fada760"),
+    ("and", "d773cd7e0e2523833e66110abb7c6bd6d9677c12b523d1962283448aa053be1d"),
+    ("order", "9ef687dca570afeec59719040e4eaea1b0e6ea5a03573a5a1e1614c7e77928d9"),
+    ("dual", "151ee639b735d5f5263d6f9f8dce8741c03f00195d9fb39279e4e22f1188c128"),
+    ("maps-l24", "b8f1a59ad9f745099a6fededcbe5f6c33a2c8c92a1a5e820b28569d0c2651c1e"),
+    ("maps-l25", "ec80a016ba5b4602edb9a02e08fbcb3ccd78a0351205d4e8206d5f2c1b5c2e81"),
+    ("maps-l26", "ffcafc09fae4306fc2a8d97163f3902f65b30efb5f0211ba4b99b90729fda2b5"),
+    ("maps-l27", "5bf814c00631ec59b7c8d4faa3559a864ec777f1118e8ef9b79303570e879e8d"),
+    ("maps-ed", "5dfb1bc05f445280ca80b29e08b30d16c1af7a3cbc3eb126b24b74e43c370edd"),
+    ("partition", "8979c67ec20e3ff7ab1c934e2c5b4ed565a2dab8b2b410d0e4720354592060be"),
+    ("gch", "ad4b1698e29179ee5f82f02f7623d3dc3becec26443052ae9066835f35b478d6"),
+    ("fbg", "a09d261fc56f77b444683b339588cce239cb553b931d988deb8fa3be99b5ddd9"),
 ]]
 
 
 def test_family_and_suite_output_is_byte_identical(tmp_path):
-    for sub, payload, flags, digest in _GOLDEN:
+    for sub, payload, flags, expect, digest in _GOLDEN:
         code, body = run(tmp_path, sub, payload, *flags)
-        assert code == 0
+        assert code == expect, (sub, payload, flags)
         assert hashlib.sha256(body.encode()).hexdigest() == digest, \
             (sub, payload, flags)
 
