@@ -22,7 +22,6 @@ from . import family as F
 from . import products as P
 from . import relational as R
 from . import toys
-from .numeric import DEFAULT_PRECISION
 
 
 def _load(ns):
@@ -256,47 +255,37 @@ def _h_fbg(ns, data):
 
 def _h_family(ns, data):
     mode = ns.mode or data.get("mode", "build")
-    prec = ns.precision or DEFAULT_PRECISION
-    cap = ns.cap or F.FAMILY_HEIGHT_CAP
-    if mode == "build":
-        fam, bnd = F.build_single(data["n0_minus"], data["d0"],
-                                  data.get("depth", 2),
-                                  data.get("count_mode", "power-bound"),
-                                  prec=prec, cap=cap)
-        return 0, {"family": fam.to_json(), "bounding": bnd.to_json()}
-    if mode == "tree":
-        fam = F.build_tree(data.get("d0", 3), data.get("depth", 2),
-                           prec=prec, cap=cap)
-        return 0, fam.to_json()
-    if mode == "verify":
-        if data.get("kind", "tree") == "tree":
-            fam = F.build_tree(data.get("d0", 3), data.get("depth", 2),
-                               prec=prec, cap=cap)
-            bnd = fam.bounding
-        else:
-            fam, bnd = F.build_single(data["n0_minus"], data["d0"],
-                                      data.get("depth", 2),
-                                      data.get("count_mode", "power-bound"),
-                                      prec=prec, cap=cap)
-        if "corrupt" in data:
-            which = data["corrupt"]
-            fam.constructed = False
-            if isinstance(fam, F.TreeFamily):
-                fam.nodes[which["node"]].__dict__[which["field"]] = which["value"]
-            else:
-                vals = list(getattr(fam, which["field"]))
-                vals[which["k"]] = which["value"]
-                setattr(fam, which["field"], tuple(vals))
-        cert = F.verify_suitable(fam, bnd, prec=prec, cap=cap)
-        summary = F.certificate_summary(cert)
-        code = 0 if summary["fail"] == 0 and summary["unknown"] == 0 else 1
-        return code, {"certificate": cert, "summary":
-                      {k: summary[k] for k in ("total", "pass", "fail",
-                                               "unknown")}}
     if mode == "toy":
         return 0, F.toy_family(data.get("seed", ns.seed or 0),
                                data.get("horizon", 3))
-    raise ValueError(f"unknown family mode {mode!r}")
+    if mode not in ("build", "tree", "verify"):
+        raise ValueError(f"unknown family mode {mode!r}")
+    cap = ns.cap or F.FAMILY_HEIGHT_CAP
+    if mode == "tree" or mode == "verify" and data.get("kind", "tree") == "tree":
+        fam = F.build_tree(data.get("d0", 3), data.get("depth", 2), cap=cap)
+        bnd = fam.bounding
+    else:
+        fam, bnd = F.build_single(data["n0_minus"], data["d0"],
+                                  data.get("depth", 2),
+                                  data.get("count_mode", "power-bound"), cap=cap)
+    if mode == "build":
+        return 0, {"family": fam.to_json(), "bounding": bnd.to_json()}
+    if mode == "tree":
+        return 0, fam.to_json()
+    if "corrupt" in data:
+        which = data["corrupt"]
+        fam.constructed = False
+        if isinstance(fam, F.TreeFamily):
+            fam.nodes[which["node"]].__dict__[which["field"]] = which["value"]
+        else:
+            vals = list(getattr(fam, which["field"]))
+            vals[which["k"]] = which["value"]
+            setattr(fam, which["field"], tuple(vals))
+    cert = F.verify_suitable(fam, bnd, cap=cap)
+    summary = F.certificate_summary(cert)
+    code = 0 if summary["fail"] == 0 and summary["unknown"] == 0 else 1
+    return code, {"certificate": cert, "summary":
+                  {k: summary[k] for k in ("total", "pass", "fail", "unknown")}}
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--output", help="JSON output path (default: stdout)")
     ap.add_argument("--seed", type=int, help="seed for randomized suites")
     ap.add_argument("--mode", help="subcommand mode (maps/family/suite)")
-    ap.add_argument("--precision", type=int, help="tower precision bits")
     ap.add_argument("--cap", type=int,
                     help="tower height cap, or suite instance count")
     return ap

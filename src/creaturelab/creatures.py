@@ -100,8 +100,8 @@ def lognorm_cmp(M: Creature, d: int, t) -> str:
 def lognorm_value_cmp(norm_value: int, d: int, t) -> str:
     """Decide (norm_value+1)**w >= d**(d*u) for t = u/w: by bit lengths
     where they separate the sides, exactly otherwise.  Raises ValueError
-    when the exact powers would pass EXACT_BIT_LIMIT bits, TypeError when
-    d is not an integer."""
+    when the exact powers would pass numeric's exact size limit, TypeError
+    when d is not an integer."""
     d = operator.index(d)
     if d < 2:
         raise ValueError("d must be at least 2")

@@ -2,7 +2,8 @@
 and the certificate checker.
 
 Level-0 values are exact integers; deeper levels are rigorous tower
-enclosures.  Several clauses are equalities or strict inequalities *by
+enclosures.  The numeric tower operations, which take plain ints too, decide
+which values stay exact.  Several clauses are equalities or strict inequalities *by
 construction* (e.g. h = d^{(k+1)d}); when a tower comparison cannot separate
 two enclosures of the same underlying expression, the checker credits the
 recorded construction tag instead of guessing, and an exact level-0
@@ -14,74 +15,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .numeric import (DEFAULT_PRECISION, EXACT_BIT_LIMIT, Cmp, LogTower,
-                      _double_slack, _exact_pow, subset_count, tower, tower_cmp,
-                      tower_le, tower_mul, tower_pow, tower_sub, tower_to_json)
+from .numeric import (Cmp, tower_add, tower_cmp, tower_exp2, tower_le,
+                      tower_mul, tower_pow, tower_sub, tower_to_json, _bits,
+                      _exact_subset_count)
 
 FAMILY_HEIGHT_CAP = 24
 
 
-# ---------------------------------------------------------------------------
-# mixed exact/tower arithmetic
-
-
-def _bits(x: int) -> int:
-    return max(1, abs(x).bit_length())
-
-
-def _add(x, y, prec, cap):
-    if isinstance(x, int) and isinstance(y, int):
-        return x + y
-    from .numeric import tower_add
-    return tower_add(x, y, prec=prec, cap=cap)
-
-
-def _sub(x, y, prec, cap):
-    if isinstance(x, int) and isinstance(y, int):
-        if x < y:
-            raise ValueError("negative difference")
-        return x - y
-    return tower_sub(x, y, prec=prec, cap=cap)
-
-
-def _mul(x, y, prec, cap):
-    if isinstance(x, int) and isinstance(y, int) \
-            and _bits(x) + _bits(y) <= EXACT_BIT_LIMIT:
-        return x * y
-    return tower_mul(x, y, prec=prec, cap=cap)
-
-
-def _pow(x, y, prec, cap):
-    if isinstance(x, int) and isinstance(y, int):
-        v = _exact_pow(x, y)
-        if v is not None:
-            return v
-    return tower_pow(x, y, prec=prec, cap=cap)
-
-
-def _pow2(e, prec, cap):
-    if isinstance(e, int) and e <= EXACT_BIT_LIMIT:
-        return 1 << e
-    from .numeric import tower_exp2
-    return tower_exp2(tower(e) if isinstance(e, int) else e, prec=prec, cap=cap)
-
-
-def _le(x, y, prec, cap):
-    """True / False / None, exact on integers."""
-    if isinstance(x, int) and isinstance(y, int):
-        return x <= y
-    return tower_le(x, y, prec=prec, cap=cap)
-
-
-def _lt(x, y, prec, cap):
-    if isinstance(x, int) and isinstance(y, int):
-        return x < y
-    c = tower_cmp(x, y, prec=prec, cap=cap)
-    if c is Cmp.LESS:
-        return True
-    if c in (Cmp.GREATER, Cmp.EQUAL):
-        return False
-    return None
+def _lt(x, y, cap):
+    c = tower_cmp(x, y, cap=cap)
+    return None if c is Cmp.UNKNOWN else c is Cmp.LESS
 
 
 def _value_json(v):
@@ -152,8 +95,6 @@ class TreeNode:
 class TreeFamily:
     depth: int
     nodes: dict           # label -> TreeNode
-    i_min: dict           # prefix label ("" at root) -> block minimum
-    j_min: dict
     bounding: BoundingSequences
     constructed: bool = True
 
@@ -173,58 +114,51 @@ class TreeFamily:
 # construction
 
 
-def _stage_values(k: int, d, state, prec, cap, count_mode, tree: bool):
+def _staircase(k: int, d, cap):
+    """h = d^{(k+1)d}."""
+    return tower_pow(d, tower_mul(k + 1, d, cap=cap), cap=cap)
+
+
+def _stage_values(k: int, d, state, cap, count_mode, tree: bool):
     """One level of the recursion from d(k) and the running block state
     (min I_k, min J_k, sum of g+d below k)."""
     min_i, min_j, total = state
-    h = _pow(d, _mul(k + 1, d, prec, cap), prec, cap)
-    min_j_next = _add(min_j, h, prec, cap)
-    g = _sub(_pow(min_j_next, k + 2, prec, cap), min_i, prec, cap)
-    gd = _add(g, d, prec, cap)
-    total_next = _add(total, gd, prec, cap)
-    b = _pow2(gd, prec, cap)
-    c = _pow2(_add(g, total_next, prec, cap), prec, cap)
-    ch = _pow(c, h, prec, cap)
+    h = _staircase(k, d, cap)
+    min_j_next = tower_add(min_j, h, cap=cap)
+    g = tower_sub(tower_pow(min_j_next, k + 2, cap=cap), min_i, cap=cap)
+    gd = tower_add(g, d, cap=cap)
+    total_next = tower_add(total, gd, cap=cap)
+    b = tower_exp2(gd, cap=cap)
+    c = tower_exp2(tower_add(g, total_next, cap=cap), cap=cap)
+    ch = tower_pow(c, h, cap=cap)
     if count_mode == "exact":
-        # the sum of C(c, i) over i <= h holds binomials of up to i * bits(c)
-        # bits each, so its cost grows with bits(c) * h^2 / 2, not h * bits(c)
-        if not (isinstance(c, int) and isinstance(h, int)
-                and _bits(c) * h * (h + 1) // 2 <= EXACT_BIT_LIMIT):
+        count = _exact_subset_count(c, h) if isinstance(c, int) \
+            and isinstance(h, int) else None
+        if count is None:
             raise ValueError("exact subset counting infeasible at this level")
-        base = subset_count(c, h, "exact") - 1
+        base = count - 1
     elif tree:
         # the larger of the two power bounds, so a also tops b^g
-        bg = _pow(b, g, prec, cap)
-        le = _le(ch, bg, prec, cap)
-        base = bg if le in (True, None) else ch
+        bg = tower_pow(b, g, cap=cap)
+        base = bg if tower_le(ch, bg, cap=cap) in (True, None) else ch
     else:
         base = ch
-    a = _add_one(base, prec, cap)
-    min_i_next = _add(min_i, g, prec, cap)
+    # on a tower, + 1 widens the upper bound by the slack that covers doubling
+    a = tower_add(base, 1, cap=cap)
     return {"h": h, "g": g, "b": b, "c": c, "a": a,
-            "state": (min_i_next, min_j_next, total_next),
-            "offset": _sub_offset(total_next, min_i, prec, cap)}
+            "state": (tower_add(min_i, g, cap=cap), min_j_next, total_next),
+            "offset": _sub_offset(total_next, min_i, cap)}
 
 
-def _add_one(x, prec, cap, n: int = 1):
-    """x + n for a small n <= x: exact on integers; on a tower the upper
-    bound widens by the slack that covers doubling."""
-    if isinstance(x, int):
-        return x + n
-    return LogTower(x.height, x.low,
-                    x.high + _double_slack(x.height, x.high))
-
-
-def _sub_offset(total, min_i, prec, cap):
+def _sub_offset(total, min_i, cap):
     try:
-        return _sub(total, min_i, prec, cap)
+        return tower_sub(total, min_i, cap=cap)
     except (ValueError, ArithmeticError):
         return None
 
 
 def build_single(n0_minus: int, d0: int, depth: int = 2,
                  count_mode: str = "power-bound", *,
-                 prec: int = DEFAULT_PRECISION,
                  cap: int = FAMILY_HEIGHT_CAP):
     """Evaluate the single-tuple recursion for k < depth.
 
@@ -240,7 +174,7 @@ def build_single(n0_minus: int, d0: int, depth: int = 2,
     d = d0
     state = (0, 0, 0)
     for k in range(depth):
-        vals = _stage_values(k, d, state, prec, cap, count_mode, tree=False)
+        vals = _stage_values(k, d, state, cap, count_mode, tree=False)
         for name in "bgch":
             seqs[name].append(vals[name])
         seqs["d"].append(d)
@@ -248,9 +182,9 @@ def build_single(n0_minus: int, d0: int, depth: int = 2,
         f_records.append({"k": k, "start": state[0],
                           "end": vals["state"][0], "offset": vals["offset"]})
         n_plus.append(vals["a"])
-        nm = _add_one(_mul(n_minus[-1], vals["a"], prec, cap), prec, cap)
+        nm = tower_add(tower_mul(n_minus[-1], vals["a"], cap=cap), 1, cap=cap)
         n_minus.append(nm)
-        d = _add_one(nm, prec, cap)
+        d = tower_add(nm, 1, cap=cap)
         state = vals["state"]
         i_min.append(state[0])
         j_min.append(state[1])
@@ -259,8 +193,7 @@ def build_single(n0_minus: int, d0: int, depth: int = 2,
     return fam, BoundingSequences(tuple(n_minus), tuple(n_plus))
 
 
-def build_tree(d0: int = 3, depth: int = 2, *,
-               prec: int = DEFAULT_PRECISION, cap: int = FAMILY_HEIGHT_CAP):
+def build_tree(d0: int = 3, depth: int = 2, *, cap: int = FAMILY_HEIGHT_CAP):
     """The binary-tree family: per stage k, nodes of length k+1 take their
     d in lexicographic order -- the first from the previous stage's extremes,
     each successor as (k+1) times its predecessor's a."""
@@ -282,13 +215,13 @@ def build_tree(d0: int = 3, depth: int = 2, *,
                 else:
                     lo = nodes["0" * k]
                     hi = nodes["1" * k]
-                    d = _add_one(_mul(lo.d, hi.a, prec, cap), prec, cap, n=3)
+                    d = tower_add(tower_mul(lo.d, hi.a, cap=cap), 3, cap=cap)
                     d_from = "stage"
             else:
-                d = _mul(k + 1, nodes[prev_label].a, prec, cap)
+                d = tower_mul(k + 1, nodes[prev_label].a, cap=cap)
                 d_from = prev_label
-            vals = _stage_values(k, d, state[t[:-1]], prec, cap,
-                                 "power-bound", tree=True)
+            vals = _stage_values(k, d, state[t[:-1]], cap, "power-bound",
+                                 tree=True)
             nodes[t] = TreeNode(t, k, d, vals["h"], vals["g"], vals["b"],
                                 vals["c"], vals["a"], d_from)
             next_state[t] = vals["state"]
@@ -301,7 +234,7 @@ def build_tree(d0: int = 3, depth: int = 2, *,
         dk = nodes["0" * (k + 1)].d
         nm.append(dk - 1 if isinstance(dk, int) else dk)
     bounding = BoundingSequences(tuple(nm), tuple(n_plus))
-    return TreeFamily(depth, nodes, {}, {}, bounding)
+    return TreeFamily(depth, nodes, bounding)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +247,7 @@ def _entry(clause, k, status, method, **extra):
     return out
 
 
-def _check(clause, k, cond, constructed, prec, cap, entries, **extra):
+def _check(clause, k, cond, constructed, entries, **extra):
     """cond is True/False/None; None falls back to the construction tag."""
     if cond is True:
         entries.append(_entry(clause, k, "pass", "comparison", **extra))
@@ -326,12 +259,12 @@ def _check(clause, k, cond, constructed, prec, cap, entries, **extra):
         entries.append(_entry(clause, k, "unknown", "comparison", **extra))
 
 
-def _chain_check(values, prec, cap):
+def _chain_check(values, cap):
     """Strictly-increasing scan; returns True/False/None (first failure or
     undecidable link wins)."""
     out = True
     for x, y in zip(values, values[1:]):
-        r = _lt(x, y, prec, cap)
+        r = _lt(x, y, cap)
         if r is False:
             return False
         if r is None:
@@ -339,48 +272,44 @@ def _chain_check(values, prec, cap):
     return out
 
 
-def verify_suitable(family, bounding: BoundingSequences, k_range=None, *,
-                    prec: int = DEFAULT_PRECISION,
+def verify_suitable(family, bounding: BoundingSequences, *,
                     cap: int = FAMILY_HEIGHT_CAP) -> list[dict]:
     """Per-level certificate for the growth clauses and the bounding
     conditions; entries are {"clause", "k", "status", "method", ...}."""
     if isinstance(family, TreeFamily):
-        return _verify_tree(family, bounding, k_range, prec, cap)
-    return _verify_single(family, bounding, k_range, prec, cap)
+        return _verify_tree(family, bounding, cap)
+    return _verify_single(family, bounding, cap)
 
 
-def _verify_single(fam: FamilyTuple, bounding, k_range, prec, cap):
-    ks = range(fam.depth) if k_range is None else k_range
+def _verify_single(fam: FamilyTuple, bounding, cap):
     entries = []
     con = fam.constructed
-    for k in ks:
+    for k in range(fam.depth):
         a, d, b, g, c, h = (fam.a[k], fam.d[k], fam.b[k], fam.g[k],
                             fam.c[k], fam.h[k])
         nm, np_ = bounding.n_minus[k], bounding.n_plus[k]
         # S1: the ordering chain pins all quantities inside [n^-, n^+];
         # c^{nabla h} sits between c and c^h <= a - 1 (h >= 2 throughout)
-        chain = _chain_check([nm, d, h, g, b, c], prec, cap)
-        top = _le(a, np_, prec, cap)
-        ca = _lt(c, a, prec, cap)
+        chain = _chain_check([nm, d, h, g, b, c], cap)
+        top = tower_le(a, np_, cap=cap)
+        ca = _lt(c, a, cap)
         s1 = False if False in (chain, top, ca) else \
             (None if None in (chain, top, ca) else True)
-        _check("S1", k, s1, con, prec, cap, entries)
+        _check("S1", k, s1, con, entries)
         # S2: h + 1 >= d^{(k+1)d} (the staircase norm certificate)
-        s2 = _le(_pow(d, _mul(k + 1, d, prec, cap), prec, cap),
-                 _add_one(h, prec, cap), prec, cap)
-        _check("S2", k, s2, con, prec, cap, entries)
+        s2 = tower_le(_staircase(k, d, cap), tower_add(h, 1, cap=cap), cap=cap)
+        _check("S2", k, s2, con, entries)
         # S3: b / g > d, i.e. b > g * d
-        _check("S3", k, _lt(_mul(g, d, prec, cap), b, prec, cap),
-               con, prec, cap, entries)
+        _check("S3", k, _lt(tower_mul(g, d, cap=cap), b, cap), con, entries)
         # S4: a >= b^{nabla g}, power-bound form a > b^g; the single tuple's
         # a = c^h + 1 can genuinely fail this, so no construction credit
-        s4 = _lt(_pow(b, g, prec, cap), a, prec, cap)
-        _check("S4", k, s4, False, prec, cap, entries)
+        s4 = _lt(tower_pow(b, g, cap=cap), a, cap)
+        _check("S4", k, s4, False, entries)
         # S5: the cumulative profile never overtakes f on the k-th interval:
         # both offsets are sums of g + d below, so f leads by j - min(I_k)
         rec = fam.f_records[k]
         s5 = True if rec["offset"] is not None else None
-        _check("S5", k, s5, con, prec, cap, entries)
+        _check("S5", k, s5, con, entries)
         # S6: f(j^{k+2}) <= log2 c(k) for j in the k-th h-block; the largest
         # reachable argument is max(I_k), where f = log2 c(k) - 1
         if isinstance(c, int) and isinstance(rec["offset"], int) \
@@ -388,52 +317,52 @@ def _verify_single(fam: FamilyTuple, bounding, k_range, prec, cap):
             s6 = (rec["offset"] + rec["end"] - 1) <= c.bit_length() - 1
         else:
             s6 = None
-        _check("S6", k, s6, con, prec, cap, entries)
+        _check("S6", k, s6, con, entries)
         # bounding (i): n_k^- * n_k^+ < n_{k+1}^-
-        bi = _lt(_mul(nm, np_, prec, cap), bounding.n_minus[k + 1], prec, cap)
-        _check("bounding_i", k, bi, con, prec, cap, entries)
+        bi = _lt(tower_mul(nm, np_, cap=cap), bounding.n_minus[k + 1], cap)
+        _check("bounding_i", k, bi, con, entries)
         # bounding (ii): n_k^+ >= (n_k^-)^k
-        bii = True if k == 0 else _le(_pow(nm, k, prec, cap), np_, prec, cap)
-        _check("bounding_ii", k, bii, con, prec, cap, entries)
+        bii = True if k == 0 else tower_le(tower_pow(nm, k, cap=cap), np_,
+                                           cap=cap)
+        _check("bounding_ii", k, bii, con, entries)
     return entries
 
 
-def _verify_tree(fam: TreeFamily, bounding, k_range, prec, cap):
-    ks = range(fam.depth) if k_range is None else k_range
+def _verify_tree(fam: TreeFamily, bounding, cap):
     entries = []
     con = fam.constructed
-    for k in ks:
+    for k in range(fam.depth):
         labels = fam.stage(k)
         nm, np_ = bounding.n_minus[k], bounding.n_plus[k]
         for t in labels:
             n = fam.nodes[t]
-            chain = _chain_check([n.d, n.h, n.g, n.b, n.c], prec, cap)
-            ca = _lt(n.c, n.a, prec, cap)
-            bottom = True if t == "0" * (k + 1) else _lt(nm, n.d, prec, cap)
-            top = True if t == "1" * (k + 1) else _lt(n.a, np_, prec, cap)
+            chain = _chain_check([n.d, n.h, n.g, n.b, n.c], cap)
+            ca = _lt(n.c, n.a, cap)
+            bottom = True if t == "0" * (k + 1) else _lt(nm, n.d, cap)
+            top = True if t == "1" * (k + 1) else _lt(n.a, np_, cap)
             vals = [chain, ca, bottom, top]
             s1 = False if False in vals else (None if None in vals else True)
-            _check("S1", k, s1, con, prec, cap, entries, node=t)
-            s2 = _le(_pow(n.d, _mul(k + 1, n.d, prec, cap), prec, cap),
-                     _add_one(n.h, prec, cap), prec, cap)
-            _check("S2", k, s2, con, prec, cap, entries, node=t)
-            _check("S3", k, _lt(_mul(n.g, n.d, prec, cap), n.b, prec, cap),
-                   con, prec, cap, entries, node=t)
-            s4 = _lt(_pow(n.b, n.g, prec, cap), n.a, prec, cap)
-            _check("S4", k, s4, con, prec, cap, entries, node=t)
+            _check("S1", k, s1, con, entries, node=t)
+            s2 = tower_le(_staircase(k, n.d, cap), tower_add(n.h, 1, cap=cap),
+                          cap=cap)
+            _check("S2", k, s2, con, entries, node=t)
+            _check("S3", k, _lt(tower_mul(n.g, n.d, cap=cap), n.b, cap),
+                   con, entries, node=t)
+            s4 = _lt(tower_pow(n.b, n.g, cap=cap), n.a, cap)
+            _check("S4", k, s4, con, entries, node=t)
         # S7: for lex-adjacent and all earlier pairs, (k+1) a_t <= d_{t'}
         for i, t in enumerate(labels):
             for tp in labels[i + 1:]:
-                lhs = _mul(k + 1, fam.nodes[t].a, prec, cap)
-                r = _le(lhs, fam.nodes[tp].d, prec, cap)
+                lhs = tower_mul(k + 1, fam.nodes[t].a, cap=cap)
+                r = tower_le(lhs, fam.nodes[tp].d, cap=cap)
                 adjacent = fam.nodes[tp].d_from == t
-                _check("S7", k, r, con and adjacent, prec, cap, entries,
-                       pair=[t, tp])
+                _check("S7", k, r, con and adjacent, entries, pair=[t, tp])
         bi = True if k + 1 > fam.depth - 1 else _lt(
-            _mul(nm, np_, prec, cap), bounding.n_minus[k + 1], prec, cap)
-        _check("bounding_i", k, bi, con, prec, cap, entries)
-        bii = True if k == 0 else _le(_pow(nm, k, prec, cap), np_, prec, cap)
-        _check("bounding_ii", k, bii, con, prec, cap, entries)
+            tower_mul(nm, np_, cap=cap), bounding.n_minus[k + 1], cap)
+        _check("bounding_i", k, bi, con, entries)
+        bii = True if k == 0 else tower_le(tower_pow(nm, k, cap=cap), np_,
+                                           cap=cap)
+        _check("bounding_ii", k, bii, con, entries)
     return entries
 
 

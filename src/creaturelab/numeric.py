@@ -7,12 +7,16 @@ bounds at some exponential height, where a tower of height k with bounds
 is directed (lower bounds round down, upper bounds round up), so every
 comparison that resolves is sound.  Comparisons that do not resolve report
 Unknown; callers must raise the precision or fail, never guess.
+
+This module alone decides which values stay exact.  The tower operations
+also take plain ints, and on two of them return a plain int: add and sub
+always, mul, pow and exp2 while the result fits EXACT_BIT_LIMIT bits (a
+tower above that); le and cmp compare two ints directly.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
@@ -54,6 +58,25 @@ def subset_count(m: int, k: int, mode: str = "exact") -> int:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _bits(x: int) -> int:
+    return max(1, x.bit_length())
+
+
+def _ints(a, b) -> bool:
+    return isinstance(a, int) and isinstance(b, int)
+
+
+def _exact_subset_count(m: int, k: int):
+    """subset_count(m, k), or None when it could pass EXACT_BIT_LIMIT bits.
+    For k >= m the count is 2**m; below that the binomial sum holds terms of
+    up to i * bits(m) bits for i <= k, bits(m) * k(k+1)/2 in all."""
+    if k >= m >= 0:
+        return 1 << m if m <= EXACT_BIT_LIMIT else None
+    if _bits(m) * k * (k + 1) // 2 > EXACT_BIT_LIMIT:
+        return None
+    return subset_count(m, k, "exact")
+
+
 def _is_pow2(n: int) -> bool:
     """n > 0 is a power of two.  A set bit among the low 64 rejects most
     huge n without scanning them."""
@@ -63,7 +86,7 @@ def _is_pow2(n: int) -> bool:
 def _exact_pow(x: int, y: int):
     """x ** y for integers x and y >= 0, or None when the result could pass
     EXACT_BIT_LIMIT bits.  A power-of-two base is a shift."""
-    bits = max(1, x.bit_length())
+    bits = _bits(x)
     if y * bits > EXACT_BIT_LIMIT:
         return None
     if x > 0 and _is_pow2(x):
@@ -305,7 +328,9 @@ def tower_log2(x, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP) -> Lo
     return _canonical(0, lo, hi, prec, cap)
 
 
-def tower_exp2(x, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP) -> LogTower:
+def tower_exp2(x, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP):
+    if isinstance(x, int) and 0 <= x <= EXACT_BIT_LIMIT:
+        return 1 << x
     x = tower(x)
     if x.height + 1 > cap:
         raise TowerOverflowError(f"height cap {cap} exceeded")
@@ -316,7 +341,9 @@ def _is_zero(t: LogTower) -> bool:
     return t.height == 0 and t.low == t.high == 0
 
 
-def tower_add(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP) -> LogTower:
+def tower_add(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP):
+    if _ints(a, b):
+        return a + b
     x, y = tower(a), tower(b)
     if x.height == 0 and y.height == 0:
         return _canonical(0, x.low + y.low, x.high + y.high, prec, cap)
@@ -344,7 +371,11 @@ def tower_add(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP) -> 
     return _canonical(h, lo, top + slack, prec, cap)
 
 
-def tower_sub(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP) -> LogTower:
+def tower_sub(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP):
+    if _ints(a, b):
+        if a < b:
+            raise TowerDomainError("negative difference")
+        return a - b
     x, y = tower(a), tower(b)
     if x.height == 0 and y.height == 0:
         if x.low - y.high < 0:
@@ -365,7 +396,9 @@ def tower_sub(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP) -> 
     return _canonical(x.height, lo, x.high, prec, cap)
 
 
-def tower_mul(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP) -> LogTower:
+def tower_mul(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP):
+    if _ints(a, b) and _bits(a) + _bits(b) <= EXACT_BIT_LIMIT:
+        return a * b
     x, y = tower(a), tower(b)
     if _is_zero(x) or _is_zero(y):
         return tower(0)
@@ -390,7 +423,11 @@ def tower_div(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP) -> 
     return tower_exp2(tower_sub(lx, ly, prec=prec, cap=cap), prec=prec, cap=cap)
 
 
-def tower_pow(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP) -> LogTower:
+def tower_pow(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP):
+    if _ints(a, b) and b >= 0:
+        v = _exact_pow(a, b)
+        if v is not None:
+            return v
     x, y = tower(a), tower(b)
     if _is_zero(y):
         return tower(1)
@@ -406,6 +443,8 @@ def tower_pow(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP) -> 
 
 def tower_cmp(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP + 4) -> Cmp:
     """Sound three-way comparison; Unknown when the intervals overlap."""
+    if _ints(a, b):
+        return Cmp.EQUAL if a == b else Cmp.LESS if a < b else Cmp.GREATER
     if a is b:
         return Cmp.EQUAL
     x, y = tower(a), tower(b)
@@ -429,6 +468,8 @@ def tower_cmp(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP + 4)
 
 def tower_le(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP + 4):
     """Sound <=: True / False, or None when undecidable at this precision."""
+    if _ints(a, b):
+        return a <= b
     if a is b:
         return True
     x, y = tower(a), tower(b)
@@ -484,26 +525,21 @@ def tower_eval(expr, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP) ->
         return tower_div(args[0], args[1], prec=prec, cap=cap)
     if op == "pow":
         return tower_pow(args[0], args[1], prec=prec, cap=cap)
-    # subset_count_bound(m, k): enclosure of |[m]^{<=k}|
+    # subset_count_bound(m, k): enclosure of |[m]^{<=k}|, which is 2^m for
+    # k >= m; otherwise 2^min(m, k) <= sum <= (k + 1) m^k
     m, k = args
-    if m.is_exact_int and k.is_exact_int:
-        mi, ki = int(m.low), int(k.low)
-        if ki * max(1, mi.bit_length()) <= EXACT_BIT_LIMIT:
-            return tower(subset_count(mi, ki, "exact"))
-    # 2**min(m,k)-ish lower would need min(); C(m,k) <= sum <= (k+1) m^k
-    lo = tower(1)
+    c = tower_cmp(m, k, prec=prec, cap=cap)
+    if m.is_exact_int and (k.is_exact_int or c in (Cmp.LESS, Cmp.EQUAL)):
+        mi = int(m.low)
+        v = _exact_subset_count(mi, int(k.low) if k.is_exact_int else mi)
+        if v is not None:
+            return tower(v)
+    j = k if c is Cmp.GREATER else m if c is not Cmp.UNKNOWN else tower(0)
+    lo = tower_exp2(j, prec=prec, cap=cap)
     hi = tower_mul(tower_add(k, 1, prec=prec, cap=cap),
                    tower_pow(m, k, prec=prec, cap=cap), prec=prec, cap=cap)
     lo, hi = _align(lo, hi, prec, cap)
     return LogTower(lo.height, lo.low, hi.high)
-
-
-def expr_to_json(expr) -> str:
-    return json.dumps(expr, sort_keys=True)
-
-
-def expr_from_json(text: str):
-    return json.loads(text)
 
 
 def tower_to_json(t: LogTower) -> dict:

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from math import prod
 
 from .conditions import (BranchSpace, NameOracle, ParamTriple,
-                         PreconditionError, TruncCondition, _frozen_through,
-                         _factors, _fuse, _localize_split, _reads, _refine_reading,
-                         _singleton, and_restrict, catch_real, order_check)
+                         PreconditionError, TruncCondition, _check_level,
+                         _frozen_through, _factors, _fuse, _localize_split,
+                         _reads, _refine_reading, _singleton, and_restrict,
+                         catch_real, order_check, poss_count)
 from .numeric import subset_count
 
 
@@ -89,9 +90,6 @@ class ProductCondition:
         return [(level, xi) for level in range(self.horizon)
                 for xi in self.splitters(level)]
 
-    def s(self, n: int) -> int:
-        return self.split_levels()[n][0]
-
     def with_part(self, xi: str, part: TruncCondition) -> "ProductCondition":
         parts = dict(self.parts)
         parts[xi] = part
@@ -157,8 +155,9 @@ def product_possibilities(p: ProductCondition, k: int) -> list[tuple]:
 
 
 def product_poss_count(p: ProductCondition, k: int) -> int:
-    return prod(len(cell.members)
-                for xi in p.support for cell in p.parts[xi].cells[:k + 1])
+    """|product_possibilities(p, k)|: the product of the parts' counts."""
+    _check_level(k, p.horizon)
+    return prod(poss_count(part, k) for part in p.parts.values())
 
 
 def product_branches(p: ProductCondition) -> list[tuple]:

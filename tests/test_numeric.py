@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 from random import Random
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from creaturelab.numeric import (
     EXACT_BIT_LIMIT,
+    LogTower,
     Cmp,
     TowerDomainError,
     subset_count,
@@ -24,8 +26,10 @@ from creaturelab.numeric import (
     tower_sub,
     tower_to_json,
     _exact_pow,
+    _exact_subset_count,
     _floor_log2,
     _log2_bounds,
+    _pow2_bounds,
     _shifted_quotient,
     _sq_chain_floor,
 )
@@ -180,3 +184,78 @@ def test_exact_pow_shift_and_limit():
     assert _exact_pow(2, half) == 1 << half
     assert _exact_pow(2, half + 1) is None
     assert _exact_pow(3, EXACT_BIT_LIMIT // 2 + 1) is None
+
+
+def test_two_ints_stay_exact_under_the_bit_limit():
+    assert tower_add(2 ** 70, 1) == 2 ** 70 + 1
+    assert tower_sub(2 ** 70, 1) == 2 ** 70 - 1
+    with pytest.raises(TowerDomainError):
+        tower_sub(3, 4)
+    assert tower_mul(3 ** 50, 5 ** 40) == 3 ** 50 * 5 ** 40
+    assert tower_pow(3, 200) == 3 ** 200
+    assert tower_exp2(0) == 1 and tower_exp2(1000) == 2 ** 1000
+    assert tower_le(2 ** 80, 2 ** 80 + 1) is True
+    assert tower_le(5, 4) is False
+    assert tower_cmp(7, 7) is Cmp.EQUAL and tower_cmp(6, 7) is Cmp.LESS
+    assert tower_cmp(2 ** 90, 7) is Cmp.GREATER
+    # past the limit the same calls give tower enclosures
+    half = EXACT_BIT_LIMIT // 2
+    big = tower_mul(2 ** half, 2 ** half)
+    assert isinstance(big, LogTower)
+    assert big.height == 1 and big.low <= 2 * half <= big.high
+    assert isinstance(tower_pow(3, EXACT_BIT_LIMIT), LogTower)
+    assert isinstance(tower_exp2(EXACT_BIT_LIMIT + 1), LogTower)
+
+
+def test_exact_subset_count_budget():
+    for m in range(12):
+        for k in range(14):
+            assert _exact_subset_count(m, k) == subset_count(m, k)
+    assert _exact_subset_count(10 ** 6, 10 ** 6 + 5) == 2 ** (10 ** 6)
+    assert _exact_subset_count(EXACT_BIT_LIMIT + 1, EXACT_BIT_LIMIT + 1) is None
+    # k = 256 binomials of a 131,077-bit m: about 4.3e9 bits of terms
+    assert _exact_subset_count(2 ** 131076, 256) is None
+    assert _exact_subset_count(2 ** 100, 20) == subset_count(2 ** 100, 20)
+
+
+def _count_bound(m, k):
+    return tower_eval({"op": "subset_count_bound", "args": [m, k]})
+
+
+def test_subset_count_bound_of_all_subsets_is_a_shift():
+    start = time.perf_counter()
+    t = _count_bound(100000, 100000)
+    assert time.perf_counter() - start < 1.0
+    assert tower_cmp(t, tower(2 ** 100000)) is Cmp.EQUAL
+    assert tower_cmp(_count_bound(10, 2 ** 100), tower(1024)) is Cmp.EQUAL
+
+
+def test_subset_count_bound_encloses_past_the_exact_budget():
+    # the sum over an m-set with k >= m is exactly 2^m = exp2^2(100)
+    t = _count_bound(2 ** 100, 2 ** 100)
+    assert t.height == 2 and t.low <= 100 <= t.high
+    # 2^20 <= sum <= 21 * (2^100)^20 < 2^2005
+    t = _count_bound(2 ** 100, 20)
+    assert tower_le(tower(2 ** 20), t) is True
+    assert tower_le(t, tower_exp2(tower(2005))) is True
+
+
+def test_pow2_bounds_enclose_fractional_powers():
+    # x = m / 2^s: lo^(2^s) <= 2^m <= hi^(2^s), checked in exact rationals;
+    # s > prec reaches the edge where the upper mantissa rounds up to 2 (at
+    # prec 16 its 2^17-th powers take most of a second, so only 8 and 12)
+    edges = 0
+    for prec in (8, 12, 16):
+        cases = [(m, s) for s in (1, 2, 3, 5) for m in range(-3 << s, 3 << s)
+                 if m % 2]
+        if prec < 16:
+            cases += [(m, prec + 1) for m in (-1, (1 << prec + 1) - 1,
+                                              (3 << prec + 1) - 1)]
+        for m, s in cases:
+            x = Fraction(m, 1 << s)
+            lo, hi = _pow2_bounds(x, prec)
+            assert lo ** (1 << s) <= Fraction(2) ** m <= hi ** (1 << s)
+            assert (hi - lo) * 2 ** (prec - 1) <= hi
+            f = x - math.floor(x)
+            edges += (f.numerator << prec) // f.denominator + 1 >= 1 << prec
+    assert edges == 6

@@ -17,6 +17,7 @@ from creaturelab.products import (
     product_fuse,
     product_order_check,
     product_poss_count,
+    product_possibilities,
     restricted_localize,
     schedule_plan,
 )
@@ -26,6 +27,15 @@ from creaturelab.toys import (
     product_reading_instance,
     restricted_instance,
 )
+
+
+def test_product_poss_count_checks_its_level():
+    p = product_instance(Random(0), 6)
+    for k in range(-1, 6):
+        assert product_poss_count(p, k) == len(product_possibilities(p, k))
+    for k in (-5, -2, 6, 7):
+        with pytest.raises(ValueError, match=f"k = {k} is not a level"):
+            product_poss_count(p, k)
 
 
 def test_product_shape_and_modesty():
