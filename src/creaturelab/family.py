@@ -3,11 +3,11 @@ and the certificate checker.
 
 Level-0 values are exact integers; deeper levels are rigorous tower
 enclosures.  The numeric tower operations, which take plain ints too, decide
-which values stay exact.  Several clauses are equalities or strict inequalities *by
-construction* (e.g. h = d^{(k+1)d}); when a tower comparison cannot separate
-two enclosures of the same underlying expression, the checker credits the
-recorded construction tag instead of guessing, and an exact level-0
-recomputation always takes precedence.
+which values stay exact.  Several clauses are equalities or strict
+inequalities *by construction* (e.g. h = d^{(k+1)d}); when a tower comparison
+cannot separate two enclosures of the same underlying expression, the checker
+credits the recorded construction tag instead of guessing, and an exact
+level-0 recomputation always takes precedence.
 """
 
 from __future__ import annotations
