@@ -15,14 +15,6 @@ from fractions import Fraction
 from math import prod
 from random import Random
 
-from . import conditions as C
-from . import connections as X
-from . import creatures as Cr
-from . import family as F
-from . import products as P
-from . import relational as R
-from . import toys
-
 
 def _load(ns):
     if ns.input:
@@ -40,15 +32,16 @@ def _emit(ns, obj) -> None:
         sys.stdout.write(text)
 
 
-def _named(data, kind):
+def _named(data, kind, oracle):
     """The condition (or product) under "condition" and its table oracle."""
     p = kind.from_json(data["condition"])
-    oracle = C.NameOracle if kind is C.TruncCondition else P.ProductNameOracle
     table = {k: tuple(v) for k, v in data["oracle"]["table"].items()}
     return p, oracle.from_table(p, data["oracle"]["profile"], table)
 
 
-def _restricted_json(p: P.ProductCondition, name: P.RestrictedName) -> dict:
+def _restricted_json(p, name) -> dict:
+    """A product condition's RestrictedName as JSON."""
+    from . import conditions as C
     space = C.BranchSpace([p.parts[xi] for xi in name.coords], p.horizon, True)
     return {"coords": list(name.coords),
             "widths": list(name.widths),
@@ -61,16 +54,19 @@ def _restricted_json(p: P.ProductCondition, name: P.RestrictedName) -> dict:
 
 
 def _h_norm(ns, data):
+    from . import creatures as Cr
     return 0, {"norm": Cr.norm(Cr.Creature.from_json(data["creature"]))}
 
 
 def _h_lognorm(ns, data):
+    from . import creatures as Cr
     M = Cr.Creature.from_json(data["creature"])
     t = Fraction(data["t"])
     return 0, {"cmp": Cr.lognorm_cmp(M, data["d"], t)}
 
 
 def _h_bigness(ns, data):
+    from . import creatures as Cr
     M = Cr.Creature.from_json(data["creature"])
     colors = data["colors"]
     table = dict(zip(M.sorted_members(), colors))
@@ -79,6 +75,7 @@ def _h_bigness(ns, data):
 
 
 def _h_range_refine(ns, data):
+    from . import creatures as Cr
     M = Cr.Creature.from_json(data["creature"])
     fvals = dict(zip(M.sorted_members(), data["f"]))
     out = Cr.range_refine(M, lambda m: fvals[m], data["k"], data["d"], data["m"])
@@ -86,6 +83,7 @@ def _h_range_refine(ns, data):
 
 
 def _h_poss(ns, data):
+    from . import conditions as C
     p = C.TruncCondition.from_json(data["condition"])
     k = data["k"]
     count = C.poss_count(p, k)
@@ -97,12 +95,14 @@ def _h_poss(ns, data):
 
 
 def _h_and(ns, data):
+    from . import conditions as C
     p = C.TruncCondition.from_json(data["condition"])
     q = C.and_restrict(p, tuple(frozenset(s) for s in data["eta"]))
     return 0, {"condition": q.to_json()}
 
 
 def _h_order(ns, data):
+    from . import conditions as C
     q = C.TruncCondition.from_json(data["q"])
     p = C.TruncCondition.from_json(data["p"])
     mode = data.get("mode", "plain")
@@ -113,79 +113,93 @@ def _h_order(ns, data):
 
 
 def _h_fuse(ns, data):
+    from . import conditions as C
     chain = [C.TruncCondition.from_json(c) for c in data["chain"]]
     return 0, {"condition": C.fuse(chain).to_json()}
 
 
 def _h_thin(ns, data):
+    from . import conditions as C
     p = C.TruncCondition.from_json(data["condition"])
     return 0, {"condition": C.thin(p, data["gbound"]).to_json()}
 
 
 def _h_catch(ns, data):
+    from . import conditions as C
     p = C.TruncCondition.from_json(data["condition"])
     q, k = C.catch_real(p, data["x"], data.get("n0", 0))
     return 0, {"condition": q.to_json(), "level": k}
 
 
 def _h_check_reading(ns, data):
-    p, nu = _named(data, C.TruncCondition)
+    from . import conditions as C
+    p, nu = _named(data, C.TruncCondition, C.NameOracle)
     ok = C.check_reading(p, nu, data.get("mode", ns.mode or "timely"))
     return (0 if ok else 1), {"reads": ok}
 
 
 def _h_early_read(ns, data):
-    p, nu = _named(data, C.TruncCondition)
+    from . import conditions as C
+    p, nu = _named(data, C.TruncCondition, C.NameOracle)
     return 0, {"condition": C.early_read(p, nu).to_json()}
 
 
 def _h_localize(ns, data):
-    p, nu = _named(data, C.TruncCondition)
+    from . import conditions as C
+    p, nu = _named(data, C.TruncCondition, C.NameOracle)
     q, phi = C.localize(p, nu, tuple(data["a"]), tuple(data["e"]),
                         data.get("k0", 0))
     return 0, {"condition": q.to_json(), "slalom": phi.to_json()}
 
 
 def _h_modest(ns, data):
+    from . import products as P
     p = P.ProductCondition.from_json(data["condition"])
     return 0, {"condition": P.modest_refine(p).to_json()}
 
 
 def _h_product_fuse(ns, data):
+    from . import products as P
     chain = [(P.ProductCondition.from_json(c["condition"]),
               tuple(c["frozen"])) for c in data["chain"]]
     return 0, {"condition": P.product_fuse(chain).to_json()}
 
 
 def _h_schedule(ns, data):
+    from . import products as P
     return 0, P.schedule_plan(data["n"])
 
 
 def _h_product_early_read(ns, data):
-    p, nu = _named(data, P.ProductCondition)
+    from . import products as P
+    p, nu = _named(data, P.ProductCondition, P.ProductNameOracle)
     return 0, {"condition": P.product_early_read(p, nu).to_json()}
 
 
 def _h_bound(ns, data):
-    p, nu = _named(data, P.ProductCondition)
+    from . import products as P
+    p, nu = _named(data, P.ProductCondition, P.ProductNameOracle)
     return 0, {"f": list(P.bounding_extract(p, nu))}
 
 
 def _h_product_catch(ns, data):
-    p, nu = _named(data, P.ProductCondition)
+    from . import products as P
+    p, nu = _named(data, P.ProductCondition, P.ProductNameOracle)
     q, k = P.product_catch(p, nu, set(data["B"]), data["xi"],
                            data.get("n0", 0))
     return 0, {"condition": q.to_json(), "level": k}
 
 
 def _h_restricted_localize(ns, data):
-    p, nu = _named(data, P.ProductCondition)
+    from . import products as P
+    p, nu = _named(data, P.ProductCondition, P.ProductNameOracle)
     q, name = P.restricted_localize(p, nu, set(data["C"]),
                                     tuple(data["a"]), tuple(data["e"]))
     return 0, {"condition": q.to_json(), "phi": _restricted_json(q, name)}
 
 
 def _h_tukey(ns, data):
+    from . import relational as R
     Rs = R.FinRelSystem.from_json(data["R"])
     Rp = R.FinRelSystem.from_json(data["Rp"])
     pair = R.TukeyPair(tuple(data["F"]), tuple(data["G"]))
@@ -196,15 +210,18 @@ def _h_tukey(ns, data):
 
 
 def _h_dual(ns, data):
+    from . import relational as R
     return 0, {"dual": R.dual(R.FinRelSystem.from_json(data["R"])).to_json()}
 
 
 def _h_brute(ns, data):
+    from . import relational as R
     b, d = R.brute_characteristics(R.FinRelSystem.from_json(data["R"]))
     return 0, {"b": b, "d": d}
 
 
 def _h_maps(ns, data):
+    from . import connections as X
     mode = ns.mode or data.get("mode")
     if mode == "l24":
         f, g, tr = X.l24_maps(data["c"], data["h"], data["y"],
@@ -233,27 +250,32 @@ def _h_maps(ns, data):
 
 
 def _h_measure(ns, data):
+    from . import connections as X
     m = X.escape_measure(X.Slalom.from_json(data["slalom"]),
                          tuple(data["window"]))
     return 0, {"measure": f"{m.numerator}/{m.denominator}"}
 
 
 def _h_partition(ns, data):
+    from . import connections as X
     part = X.build_partition(data["lengths"])
     return 0, {"blocks": [list(b) for b in part.blocks]}
 
 
 def _h_gch(ns, data):
+    from . import connections as X
     return 0, {"profile": list(X.gch_profile(data["c"], data["h"],
                                              data["horizon"]))}
 
 
 def _h_fbg(ns, data):
+    from . import connections as X
     return 0, {"profile": list(X.fbg_profile(data["b"], data["g"],
                                              data["horizon"]))}
 
 
 def _h_family(ns, data):
+    from . import family as F
     mode = ns.mode or data.get("mode", "build")
     if mode == "toy":
         return 0, F.toy_family(data.get("seed", ns.seed or 0),
@@ -293,6 +315,7 @@ def _h_family(ns, data):
 
 
 def _suite_norm(rng, n):
+    from . import creatures as Cr, toys
     fails = []
     for i in range(n):
         M = toys.random_creature(rng)
@@ -304,6 +327,7 @@ def _suite_norm(rng, n):
 
 
 def _suite_bigness(rng, n):
+    from . import creatures as Cr, toys
     fails = []
     for i in range(n):
         M = toys.random_creature(rng)
@@ -318,12 +342,13 @@ def _suite_bigness(rng, n):
 
 
 def _checked(make, check):
-    """A suite over instances from make(rng): an exception, or a false
-    result, of check(*instance) is a failure."""
+    """A suite over instances from toys.<make>(rng): an exception, or a
+    false result, of check(*instance) is a failure."""
     def suite(rng, n):
+        from . import toys
         fails = []
         for i in range(n):
-            inst = make(rng)
+            inst = getattr(toys, make)(rng)
             try:
                 ok = check(*inst)
             except Exception as ex:  # pragma: no cover - surfaced in the report
@@ -335,14 +360,32 @@ def _checked(make, check):
     return suite
 
 
+def _reads_early(p, nu):
+    from . import conditions as C
+    return C.check_reading(C.early_read(p, nu), nu, "early")
+
+
 def _localizes(p, nu, a, e):
+    from . import conditions as C
     q, phi = C.localize(p, nu, a, e)
     vals = [nu.eval(b) for b in C.branches(q)]
     return all(len(phi.cells[k]) <= e[k] and all(v[k] in phi.cells[k] for v in vals)
                for k in range(p.horizon))
 
 
+# both return a (condition, ...) pair, which is true
+def _catches(*inst):
+    from . import products as P
+    return P.product_catch(*inst)
+
+
+def _restricts(*inst):
+    from . import products as P
+    return P.restricted_localize(*inst)
+
+
 def _suite_tukey(rng, n):
+    from . import relational as R, toys
     fails = []
     for i in range(n):
         Rs, Rp, pair = toys.tukey_instance(rng)
@@ -357,6 +400,7 @@ def _suite_tukey(rng, n):
 
 
 def _suite_measure(rng, n):
+    from . import connections as X
     fails = []
     for i in range(n):
         N = rng.randint(1, 5)
@@ -377,15 +421,11 @@ def _suite_measure(rng, n):
 
 # the library calls go through module attributes, so tracing wrappers see them
 _SUITES = {"norm": _suite_norm, "bigness": _suite_bigness,
-           "reading": _checked(toys.reading_instance, lambda p, nu: C.check_reading(
-               C.early_read(p, nu), nu, "early")),
-           "localize": _checked(toys.localize_instance, _localizes),
+           "reading": _checked("reading_instance", _reads_early),
+           "localize": _checked("localize_instance", _localizes),
            "tukey": _suite_tukey,
-           # both return a (condition, ...) pair, which is true
-           "product-catch": _checked(toys.product_catch_instance,
-                                     lambda *inst: P.product_catch(*inst)),
-           "restricted": _checked(toys.restricted_instance,
-                                  lambda *inst: P.restricted_localize(*inst)),
+           "product-catch": _checked("product_catch_instance", _catches),
+           "restricted": _checked("restricted_instance", _restricts),
            "measure": _suite_measure}
 
 

@@ -13,7 +13,6 @@ import operator
 from dataclasses import dataclass
 from math import prod
 
-from .connections import Slalom
 from .creatures import (Creature, bigness_refine, lognorm_value_cmp, norm,
                         range_refine)
 from .numeric import subset_count
@@ -410,6 +409,7 @@ class NameOracle:
 
 def branch_slalom(p: TruncCondition, branch: tuple) -> Slalom:
     """The per-level chosen members of a branch, as a slalom over (c, h)."""
+    from .connections import Slalom
     return Slalom(p.params.c, p.params.h, tuple(branch))
 
 
@@ -538,6 +538,7 @@ def localize(p: TruncCondition, nu: NameOracle, a, e, k0: int = 0,
     Returns (q, phi) with phi a Slalom whose width bound is e (widened below
     k0 if the threshold is positive).
     """
+    from .connections import Slalom
     _check_compat(p, nu)
     space = BranchSpace.of(p)
     if not _reads(space, nu, "early"):

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .numeric import _exact_pow
-
 ARENA_LIMIT = 20
 
 
@@ -102,6 +100,7 @@ def lognorm_value_cmp(norm_value: int, d: int, t) -> str:
     where they separate the sides, exactly otherwise.  Raises ValueError
     when the exact powers would pass numeric's exact size limit, TypeError
     when d is not an integer."""
+    from .numeric import _exact_pow
     d = operator.index(d)
     if d < 2:
         raise ValueError("d must be at least 2")

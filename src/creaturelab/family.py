@@ -167,6 +167,8 @@ def build_single(n0_minus: int, d0: int, depth: int = 2,
     """
     if not 2 < n0_minus < d0:
         raise ValueError("need 2 < n0_minus < d0")
+    if count_mode not in ("exact", "power-bound"):
+        raise ValueError(f"unknown count_mode {count_mode!r}")
     seqs = {name: [] for name in "adbgch"}
     f_records = []
     i_min, j_min = [0], [0]

@@ -13,12 +13,7 @@ import itertools
 from math import prod
 from random import Random
 
-from .conditions import (BranchSpace, NameOracle, ParamTriple, TruncCondition,
-                         _singleton)
 from .creatures import Creature, full_creature
-from .numeric import subset_count
-from .products import (CoordinateSpace, ProductCondition, ProductNameOracle,
-                       product_poss_count)
 from .relational import FinRelSystem, TukeyPair
 
 
@@ -96,6 +91,8 @@ def _random_cells(rng: Random, horizon: int, max_branches: int):
 def _table_oracle(rng: Random, p, profile, dep_cut):
     """x(k) drawn from a random table over the member indices of the levels
     below dep_cut(k) in every coordinate of p (a condition or a product)."""
+    from .conditions import BranchSpace, NameOracle
+    from .products import ProductNameOracle
     space = BranchSpace.of(p)
     cuts = [space.below(dep_cut(k)) for k in range(p.horizon)]
     tables = [{key: rng.choice(profile[k]) for key in itertools.product(
@@ -113,6 +110,7 @@ def reading_instance(rng: Random, max_horizon: int = 5,
                      max_branches: int = 10 ** 4):
     """(p, nu) with nu read timely: x(k) may depend on levels up to the
     first split strictly above k.  d is sized for the refinement loop."""
+    from .conditions import ParamTriple, TruncCondition
     N = rng.randint(3, max_horizon)
     cells, cs, hs = _random_cells(rng, N, max_branches)
     splits = [k for k, cell in enumerate(cells) if len(cell.members) > 1]
@@ -131,6 +129,8 @@ def reading_instance(rng: Random, max_horizon: int = 5,
 def localize_instance(rng: Random, horizon: int = 3):
     """(p, nu, a, e) meeting the localisation windows; nu is read early
     (x(k) depends on levels <= k)."""
+    from .conditions import ParamTriple, TruncCondition
+    from .numeric import subset_count
     N = horizon
     cells, cs, hs = _random_cells(rng, N, max_branches=200)
     splits = [k for k, cell in enumerate(cells) if len(cell.members) > 1]
@@ -160,6 +160,7 @@ def antiloc_instance(rng: Random, horizon: int = 3):
     """(p, nu, a, e) with width-1 levels: a(k) counts the <=1-cells of the
     arena, e(k) = c(k) - 1, and nu encodes the branch's own chosen cell
     (empty cell -> 0, {j} -> j + 1)."""
+    from .conditions import NameOracle, ParamTriple, TruncCondition
     N = horizon
     cs = [rng.randint(2, 3)]
     for k in range(1, N):
@@ -201,6 +202,8 @@ def decode_cell(index: int):
 def product_instance(rng: Random, horizon: int = 3):
     """A modest two-coordinate condition with at most one split per level
     and small branch counts."""
+    from .conditions import ParamTriple, TruncCondition
+    from .products import CoordinateSpace, ProductCondition
     N = horizon
     owners = [rng.choice(["x", "y", None]) for _ in range(N)]
     if all(o is None for o in owners):
@@ -232,6 +235,8 @@ def product_instance(rng: Random, horizon: int = 3):
 
 def _widen_d(p: ProductCondition, floors) -> ProductCondition:
     """Raise every family's d(k) to at least floors[k]."""
+    from .conditions import ParamTriple, TruncCondition
+    from .products import CoordinateSpace, ProductCondition
     fams = {}
     for fam, triple in p.space.params:
         fams[fam] = ParamTriple(triple.c, triple.h,
@@ -255,6 +260,8 @@ def product_reading_instance(rng: Random, horizon: int = 3):
 def product_catch_instance(rng: Random, horizon: int = 3):
     """(p, nu_x, B, xi): nu_x reads only the B coordinate, and xi has a
     norm->=1 level (full union) to catch at."""
+    from .conditions import BranchSpace, TruncCondition, _singleton
+    from .products import ProductNameOracle
     p = product_instance(rng, horizon)
     xi, beta = ("x", "y") if rng.random() < 0.5 else ("y", "x")
     # guarantee a catchable level on xi: replace one level by a full creature
@@ -285,6 +292,7 @@ def product_catch_instance(rng: Random, horizon: int = 3):
 def restricted_instance(rng: Random, horizon: int = 3):
     """(p, nu, C, a, e) for the restricted localisation: C holds one of the
     two coordinates; windows sized from the live possibility counts."""
+    from .products import product_poss_count
     p = product_instance(rng, horizon)
     C = {rng.choice(p.support)}
     N = horizon

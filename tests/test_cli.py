@@ -152,6 +152,14 @@ def test_exact_family_count_past_the_bit_budget_exits_2(tmp_path, capsys):
     assert code == 2 and body == "" and elapsed < 1.0
     assert "Traceback" not in err and "infeasible" in err
 
+
+def test_unknown_family_count_mode_exits_2(tmp_path, capsys):
+    payload = {"n0_minus": 3, "d0": 4, "depth": 1, "count_mode": "nope"}
+    code, body = run(tmp_path, "family", payload, "--mode", "build")
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert "Traceback" not in err and "'nope'" in err
+
 # SHA-256 of the CLI output and the exit code, pinned before the
 # exact-arithmetic fast paths (power-of-two powers by shift, log2 quotients
 # from the top bits) landed
