@@ -4,16 +4,25 @@ Exit codes: 0 success / all properties hold, 1 a property violation or
 counterexample was found (the witness is in the report), 2 usage or input
 error.  Reports are serialized with sorted keys, so identical invocations
 are byte-identical.
+
+Each subcommand is one function, registered by ``@_op(layer)`` under its
+name (``_range_refine`` is ``range-refine``): it gets the module
+creaturelab.<layer>, and its other parameters are the JSON fields it takes,
+a default marking an optional one.  The flags --mode, --seed and --cap give
+the fields of those names and beat the JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
-from fractions import Fraction
 from math import prod
 from random import Random
+
+_OPS = {}
+_FLAGS = ("mode", "seed", "cap")
 
 
 def _load(ns):
@@ -32,461 +41,434 @@ def _emit(ns, obj) -> None:
         sys.stdout.write(text)
 
 
-def _named(data, kind, oracle):
-    """The condition (or product) under "condition" and its table oracle."""
-    p = kind.from_json(data["condition"])
-    table = {k: tuple(v) for k, v in data["oracle"]["table"].items()}
-    return p, oracle.from_table(p, data["oracle"]["profile"], table)
+def _op(layer):
+    def register(fn):
+        _OPS[fn.__name__[1:].replace("_", "-")] = layer, fn
+        return fn
+    return register
 
 
-def _restricted_json(p, name) -> dict:
-    """A product condition's RestrictedName as JSON."""
-    from . import conditions as C
-    space = C.BranchSpace([p.parts[xi] for xi in name.coords], p.horizon, True)
-    return {"coords": list(name.coords),
-            "widths": list(name.widths),
-            "cells": [{space.key(key): sorted(vals) for key, vals in cell.items()}
-                      for cell in name.cells]}
+def _params(fn):
+    """fn's fields (parameters after the layer), the required ones, **fields."""
+    code = fn.__code__
+    params = code.co_varnames[1:code.co_argcount]
+    return (params, params[:len(params) - len(fn.__defaults__ or ())],
+            code.co_flags & 0x08)  # inspect.CO_VARKEYWORDS
+
+
+def _call(fn, lib, fields):
+    """fn(lib, **fields), once the fields are checked against fn's."""
+    params, required, open_ = _params(fn)
+    bad = [f"unknown field {k!r}" for k in fields if k not in params and not open_]
+    bad += [f"missing field {k!r}" for k in required if k not in fields]
+    if bad:
+        raise ValueError(", ".join(bad))
+    return fn(lib, **fields)
+
+
+def _cap(cap, default) -> int:
+    if cap is None:
+        return default
+    if not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"--cap must be an integer >= 1, got {cap!r}")
+    return cap
+
+
+def _named(kind, oracle_kind, condition, oracle):
+    """The condition (or product) and its table oracle from their JSON."""
+    p, table = kind.from_json(condition), oracle["table"]
+    if not isinstance(table, dict):
+        raise ValueError("the oracle table must be a JSON object")
+    return p, oracle_kind.from_table(p, oracle["profile"],
+                                     {k: tuple(v) for k, v in table.items()})
 
 
 # ---------------------------------------------------------------------------
-# handlers: return (exit_code, payload)
+# subcommands: return (exit_code, payload)
 
 
-def _h_norm(ns, data):
-    from . import creatures as Cr
-    return 0, {"norm": Cr.norm(Cr.Creature.from_json(data["creature"]))}
+@_op("creatures")
+def _norm(lib, creature):
+    return 0, {"norm": lib.norm(lib.Creature.from_json(creature))}
 
 
-def _h_lognorm(ns, data):
-    from . import creatures as Cr
-    M = Cr.Creature.from_json(data["creature"])
-    t = Fraction(data["t"])
-    return 0, {"cmp": Cr.lognorm_cmp(M, data["d"], t)}
+@_op("creatures")
+def _lognorm(lib, creature, d, t):
+    from fractions import Fraction
+    return 0, {"cmp": lib.lognorm_cmp(lib.Creature.from_json(creature), d, Fraction(t))}
 
 
-def _h_bigness(ns, data):
-    from . import creatures as Cr
-    M = Cr.Creature.from_json(data["creature"])
-    colors = data["colors"]
+@_op("creatures")
+def _bigness(lib, creature, colors, d):
+    M = lib.Creature.from_json(creature)
     table = dict(zip(M.sorted_members(), colors))
-    color, refined = Cr.bigness_refine(M, lambda m: table[m], data["d"])
+    color, refined = lib.bigness_refine(M, lambda m: table[m], d)
     return 0, {"color": color, "refined": refined.to_json()}
 
 
-def _h_range_refine(ns, data):
-    from . import creatures as Cr
-    M = Cr.Creature.from_json(data["creature"])
-    fvals = dict(zip(M.sorted_members(), data["f"]))
-    out = Cr.range_refine(M, lambda m: fvals[m], data["k"], data["d"], data["m"])
-    return 0, {"refined": out.to_json()}
+@_op("creatures")
+def _range_refine(lib, creature, f, k, d, m):
+    M = lib.Creature.from_json(creature)
+    fvals = dict(zip(M.sorted_members(), f))
+    return 0, {"refined": lib.range_refine(M, lambda t: fvals[t], k, d, m).to_json()}
 
 
-def _h_poss(ns, data):
-    from . import conditions as C
-    p = C.TruncCondition.from_json(data["condition"])
-    k = data["k"]
-    count = C.poss_count(p, k)
+@_op("conditions")
+def _poss(lib, condition, k):
+    p = lib.TruncCondition.from_json(condition)
+    count = lib.poss_count(p, k)
     out = {"count": count}
     if count <= 10 ** 4:
-        out["possibilities"] = [[sorted(sel) for sel in eta]
-                                for eta in C.possibilities(p, k)]
+        out["possibilities"] = _plain(lib.possibilities(p, k))
     return 0, out
 
 
-def _h_and(ns, data):
-    from . import conditions as C
-    p = C.TruncCondition.from_json(data["condition"])
-    q = C.and_restrict(p, tuple(frozenset(s) for s in data["eta"]))
+@_op("conditions")
+def _and(lib, condition, eta):
+    p = lib.TruncCondition.from_json(condition)
+    q = lib.and_restrict(p, tuple(frozenset(s) for s in eta))
     return 0, {"condition": q.to_json()}
 
 
-def _h_order(ns, data):
-    from . import conditions as C
-    q = C.TruncCondition.from_json(data["q"])
-    p = C.TruncCondition.from_json(data["p"])
-    mode = data.get("mode", "plain")
+@_op("conditions")
+def _order(lib, q, p, mode="plain"):
     if isinstance(mode, dict):
         mode = ("at_n", mode["at_n"])
-    ok = C.order_check(q, p, mode)
+    ok = lib.order_check(lib.TruncCondition.from_json(q),
+                         lib.TruncCondition.from_json(p), mode)
     return (0 if ok else 1), {"extends": ok}
 
 
-def _h_fuse(ns, data):
-    from . import conditions as C
-    chain = [C.TruncCondition.from_json(c) for c in data["chain"]]
-    return 0, {"condition": C.fuse(chain).to_json()}
+@_op("conditions")
+def _fuse(lib, chain):
+    chain = [lib.TruncCondition.from_json(c) for c in chain]
+    return 0, {"condition": lib.fuse(chain).to_json()}
 
 
-def _h_thin(ns, data):
-    from . import conditions as C
-    p = C.TruncCondition.from_json(data["condition"])
-    return 0, {"condition": C.thin(p, data["gbound"]).to_json()}
+@_op("conditions")
+def _thin(lib, condition, gbound):
+    p = lib.TruncCondition.from_json(condition)
+    return 0, {"condition": lib.thin(p, gbound).to_json()}
 
 
-def _h_catch(ns, data):
-    from . import conditions as C
-    p = C.TruncCondition.from_json(data["condition"])
-    q, k = C.catch_real(p, data["x"], data.get("n0", 0))
+@_op("conditions")
+def _catch(lib, condition, x, n0=0):
+    q, k = lib.catch_real(lib.TruncCondition.from_json(condition), x, n0)
     return 0, {"condition": q.to_json(), "level": k}
 
 
-def _h_check_reading(ns, data):
-    from . import conditions as C
-    p, nu = _named(data, C.TruncCondition, C.NameOracle)
-    ok = C.check_reading(p, nu, data.get("mode", ns.mode or "timely"))
+@_op("conditions")
+def _check_reading(lib, condition, oracle, mode="timely"):
+    p, nu = _named(lib.TruncCondition, lib.NameOracle, condition, oracle)
+    ok = lib.check_reading(p, nu, mode)
     return (0 if ok else 1), {"reads": ok}
 
 
-def _h_early_read(ns, data):
-    from . import conditions as C
-    p, nu = _named(data, C.TruncCondition, C.NameOracle)
-    return 0, {"condition": C.early_read(p, nu).to_json()}
+@_op("conditions")
+def _early_read(lib, condition, oracle):
+    p, nu = _named(lib.TruncCondition, lib.NameOracle, condition, oracle)
+    return 0, {"condition": lib.early_read(p, nu).to_json()}
 
 
-def _h_localize(ns, data):
-    from . import conditions as C
-    p, nu = _named(data, C.TruncCondition, C.NameOracle)
-    q, phi = C.localize(p, nu, tuple(data["a"]), tuple(data["e"]),
-                        data.get("k0", 0))
+@_op("conditions")
+def _localize(lib, condition, oracle, a, e, k0=0):
+    p, nu = _named(lib.TruncCondition, lib.NameOracle, condition, oracle)
+    q, phi = lib.localize(p, nu, tuple(a), tuple(e), k0)
     return 0, {"condition": q.to_json(), "slalom": phi.to_json()}
 
 
-def _h_modest(ns, data):
-    from . import products as P
-    p = P.ProductCondition.from_json(data["condition"])
-    return 0, {"condition": P.modest_refine(p).to_json()}
+@_op("products")
+def _modest(lib, condition):
+    p = lib.ProductCondition.from_json(condition)
+    return 0, {"condition": lib.modest_refine(p).to_json()}
 
 
-def _h_product_fuse(ns, data):
-    from . import products as P
-    chain = [(P.ProductCondition.from_json(c["condition"]),
-              tuple(c["frozen"])) for c in data["chain"]]
-    return 0, {"condition": P.product_fuse(chain).to_json()}
+@_op("products")
+def _product_fuse(lib, chain):
+    chain = [(lib.ProductCondition.from_json(c["condition"]), tuple(c["frozen"]))
+             for c in chain]
+    return 0, {"condition": lib.product_fuse(chain).to_json()}
 
 
-def _h_schedule(ns, data):
-    from . import products as P
-    return 0, P.schedule_plan(data["n"])
+@_op("products")
+def _schedule(lib, n):
+    return 0, lib.schedule_plan(n)
 
 
-def _h_product_early_read(ns, data):
-    from . import products as P
-    p, nu = _named(data, P.ProductCondition, P.ProductNameOracle)
-    return 0, {"condition": P.product_early_read(p, nu).to_json()}
+@_op("products")
+def _product_early_read(lib, condition, oracle):
+    p, nu = _named(lib.ProductCondition, lib.ProductNameOracle, condition, oracle)
+    return 0, {"condition": lib.product_early_read(p, nu).to_json()}
 
 
-def _h_bound(ns, data):
-    from . import products as P
-    p, nu = _named(data, P.ProductCondition, P.ProductNameOracle)
-    return 0, {"f": list(P.bounding_extract(p, nu))}
+@_op("products")
+def _bound(lib, condition, oracle):
+    p, nu = _named(lib.ProductCondition, lib.ProductNameOracle, condition, oracle)
+    return 0, {"f": list(lib.bounding_extract(p, nu))}
 
 
-def _h_product_catch(ns, data):
-    from . import products as P
-    p, nu = _named(data, P.ProductCondition, P.ProductNameOracle)
-    q, k = P.product_catch(p, nu, set(data["B"]), data["xi"],
-                           data.get("n0", 0))
+@_op("products")
+def _product_catch(lib, condition, oracle, B, xi, n0=0):
+    p, nu = _named(lib.ProductCondition, lib.ProductNameOracle, condition, oracle)
+    q, k = lib.product_catch(p, nu, set(B), xi, n0)
     return 0, {"condition": q.to_json(), "level": k}
 
 
-def _h_restricted_localize(ns, data):
-    from . import products as P
-    p, nu = _named(data, P.ProductCondition, P.ProductNameOracle)
-    q, name = P.restricted_localize(p, nu, set(data["C"]),
-                                    tuple(data["a"]), tuple(data["e"]))
-    return 0, {"condition": q.to_json(), "phi": _restricted_json(q, name)}
+@_op("products")
+def _restricted_localize(lib, condition, oracle, C, a, e):
+    p, nu = _named(lib.ProductCondition, lib.ProductNameOracle, condition, oracle)
+    q, name = lib.restricted_localize(p, nu, set(C), tuple(a), tuple(e))
+    cells = [{lib.branch_key(q, key, name.coords): sorted(vals)
+              for key, vals in cell.items()} for cell in name.cells]
+    return 0, {"condition": q.to_json(),
+               "phi": {"coords": name.coords, "widths": name.widths, "cells": cells}}
 
 
-def _h_tukey(ns, data):
-    from . import relational as R
-    Rs = R.FinRelSystem.from_json(data["R"])
-    Rp = R.FinRelSystem.from_json(data["Rp"])
-    pair = R.TukeyPair(tuple(data["F"]), tuple(data["G"]))
-    res = R.check_tukey(Rs, Rp, pair)
+@_op("relational")
+def _tukey(lib, R, Rp, F, G):
+    res = lib.check_tukey(lib.FinRelSystem.from_json(R), lib.FinRelSystem.from_json(Rp),
+                          lib.TukeyPair(tuple(F), tuple(G)))
     if res == "ok":
         return 0, {"result": "ok"}
     return 1, {"result": "counterexample", "x": res[1], "yp": res[2]}
 
 
-def _h_dual(ns, data):
-    from . import relational as R
-    return 0, {"dual": R.dual(R.FinRelSystem.from_json(data["R"])).to_json()}
+@_op("relational")
+def _dual(lib, R):
+    return 0, {"dual": lib.dual(lib.FinRelSystem.from_json(R)).to_json()}
 
 
-def _h_brute(ns, data):
-    from . import relational as R
-    b, d = R.brute_characteristics(R.FinRelSystem.from_json(data["R"]))
+@_op("relational")
+def _brute(lib, R):
+    b, d = lib.brute_characteristics(lib.FinRelSystem.from_json(R))
     return 0, {"b": b, "d": d}
 
 
-def _h_maps(ns, data):
-    from . import connections as X
-    mode = ns.mode or data.get("mode")
-    if mode == "l24":
-        f, g, tr = X.l24_maps(data["c"], data["h"], data["y"],
-                              X.Slalom.from_json(data["S"]))
-        out = {"f": list(f), "g": g.to_json()}
-    elif mode == "l25":
-        f, g, tr = X.l25_maps(data["b"], data["g"], tuple(data["y"]),
-                              X.SigmaCover.from_json(data["X"]))
-        out = {"f": f, "g": g.to_json()}
-    elif mode == "l26":
-        phi = tuple(tuple(tuple(c) for c in lvl) for lvl in data["phi"])
-        f, g, tr = X.l26_maps(data["c"], data["h"], data["hprime"],
-                              X.Slalom.from_json(data["S"]), phi)
-        out = {"f": [sorted(s) for s in f], "g": list(g)}
-    elif mode == "l27":
-        f, g, tr = X.l27_maps(data["c"], data["h"], data["S"], data["y"])
-        out = {"f": f.to_json(),
-               "g": [sorted(sorted(c) for c in fam) for fam in g]}
-    elif mode == "ed":
-        f, g, tr = X.ed_maps(data["c"], data["h"], data["x"], data["y"])
-        out = {"f": f.to_json(), "g": list(g)}
-    else:
-        raise ValueError(f"unknown maps mode {mode!r}")
-    out["transfer"] = "ok" if tr == "ok" else {"violation": tr[1]}
-    return (0 if tr == "ok" else 1), out
+@_op("connections")
+def _maps(lib, mode, **fields):
+    f, g, tr = _call(_MAPS[mode], lib, fields)
+    return (0 if tr == "ok" else 1), {
+        "f": _plain(f), "g": _plain(g),
+        "transfer": "ok" if tr == "ok" else {"violation": tr[1]}}
 
 
-def _h_measure(ns, data):
-    from . import connections as X
-    m = X.escape_measure(X.Slalom.from_json(data["slalom"]),
-                         tuple(data["window"]))
+# one map pair per mode; its fields are the parameters after the layer module
+_MAPS = {
+    "l24": lambda lib, c, h, y, S: lib.l24_maps(c, h, y, lib.Slalom.from_json(S)),
+    "l25": lambda lib, b, g, y, X: lib.l25_maps(b, g, tuple(y),
+                                                lib.SigmaCover.from_json(X)),
+    "l26": lambda lib, c, h, hprime, S, phi: lib.l26_maps(
+        c, h, hprime, lib.Slalom.from_json(S),
+        tuple(tuple(tuple(cell) for cell in lvl) for lvl in phi)),
+    "l27": lambda lib, c, h, S, y: lib.l27_maps(c, h, S, y),
+    "ed": lambda lib, c, h, x, y: lib.ed_maps(c, h, x, y)}
+
+
+def _plain(x):
+    """x as JSON: an object by its to_json, a set as a sorted list."""
+    if hasattr(x, "to_json"):
+        return x.to_json()
+    if isinstance(x, (set, frozenset)):
+        return sorted(map(_plain, x))
+    if isinstance(x, (list, tuple)):
+        return list(map(_plain, x))
+    return x
+
+
+@_op("connections")
+def _measure(lib, slalom, window):
+    m = lib.escape_measure(lib.Slalom.from_json(slalom), tuple(window))
     return 0, {"measure": f"{m.numerator}/{m.denominator}"}
 
 
-def _h_partition(ns, data):
-    from . import connections as X
-    part = X.build_partition(data["lengths"])
-    return 0, {"blocks": [list(b) for b in part.blocks]}
+@_op("connections")
+def _partition(lib, lengths):
+    return 0, {"blocks": [list(b) for b in lib.build_partition(lengths).blocks]}
 
 
-def _h_gch(ns, data):
-    from . import connections as X
-    return 0, {"profile": list(X.gch_profile(data["c"], data["h"],
-                                             data["horizon"]))}
+@_op("connections")
+def _gch(lib, c, h, horizon):
+    return 0, {"profile": list(lib.gch_profile(c, h, horizon))}
 
 
-def _h_fbg(ns, data):
-    from . import connections as X
-    return 0, {"profile": list(X.fbg_profile(data["b"], data["g"],
-                                             data["horizon"]))}
+@_op("connections")
+def _fbg(lib, b, g, horizon):
+    return 0, {"profile": list(lib.fbg_profile(b, g, horizon))}
 
 
-def _h_family(ns, data):
-    from . import family as F
-    mode = ns.mode or data.get("mode", "build")
-    if mode == "toy":
-        return 0, F.toy_family(data.get("seed", ns.seed or 0),
-                               data.get("horizon", 3))
-    if mode not in ("build", "tree", "verify"):
-        raise ValueError(f"unknown family mode {mode!r}")
-    cap = ns.cap or F.FAMILY_HEIGHT_CAP
-    if mode == "tree" or mode == "verify" and data.get("kind", "tree") == "tree":
-        fam = F.build_tree(data.get("d0", 3), data.get("depth", 2), cap=cap)
-        bnd = fam.bounding
-    else:
-        fam, bnd = F.build_single(data["n0_minus"], data["d0"],
-                                  data.get("depth", 2),
-                                  data.get("count_mode", "power-bound"), cap=cap)
-    if mode == "build":
-        return 0, {"family": fam.to_json(), "bounding": bnd.to_json()}
+@_op("family")
+def _family(lib, mode="build", **fields):
+    if mode in ("toy", "verify"):
+        return _call(_toy if mode == "toy" else _verify, lib, fields)
+    fam, bnd = _call({"build": _single, "tree": _tree}[mode], lib, fields)
     if mode == "tree":
         return 0, fam.to_json()
-    if "corrupt" in data:
-        which = data["corrupt"]
+    return 0, {"family": fam.to_json(), "bounding": bnd.to_json()}
+
+
+def _toy(lib, seed=0, horizon=3):
+    return 0, lib.toy_family(seed, horizon)
+
+
+def _tree(lib, d0=3, depth=2, cap=None):
+    fam = lib.build_tree(d0, depth, cap=_cap(cap, lib.FAMILY_HEIGHT_CAP))
+    return fam, fam.bounding
+
+
+def _single(lib, n0_minus, d0, depth=2, count_mode="power-bound", cap=None):
+    return lib.build_single(n0_minus, d0, depth, count_mode,
+                            cap=_cap(cap, lib.FAMILY_HEIGHT_CAP))
+
+
+def _verify(lib, kind="tree", corrupt=None, **fields):
+    fam, bnd = _call({"tree": _tree, "single": _single}[kind], lib, fields)
+    if corrupt is not None:
         fam.constructed = False
-        if isinstance(fam, F.TreeFamily):
-            fam.nodes[which["node"]].__dict__[which["field"]] = which["value"]
+        if isinstance(fam, lib.TreeFamily):
+            fam.nodes[corrupt["node"]].__dict__[corrupt["field"]] = corrupt["value"]
         else:
-            vals = list(getattr(fam, which["field"]))
-            vals[which["k"]] = which["value"]
-            setattr(fam, which["field"], tuple(vals))
-    cert = F.verify_suitable(fam, bnd, cap=cap)
-    summary = F.certificate_summary(cert)
+            vals = list(fam.__dict__[corrupt["field"]])
+            if not 0 <= corrupt["k"] < len(vals):
+                raise ValueError(f"corrupt k = {corrupt['k']!r} is out of range")
+            vals[corrupt["k"]] = corrupt["value"]
+            setattr(fam, corrupt["field"], tuple(vals))
+    cert = lib.verify_suitable(fam, bnd,
+                               cap=_cap(fields.get("cap"), lib.FAMILY_HEIGHT_CAP))
+    summary = lib.certificate_summary(cert)
     code = 0 if summary["fail"] == 0 and summary["unknown"] == 0 else 1
     return code, {"certificate": cert, "summary":
                   {k: summary[k] for k in ("total", "pass", "fail", "unknown")}}
 
 
 # ---------------------------------------------------------------------------
-# seeded suites
+# seeded suites: each draws one instance from (its layer, toys, rng) and
+# returns None, or the failure's witness
 
 
-def _suite_norm(rng, n):
-    from . import creatures as Cr, toys
-    fails = []
+@_op("toys")
+def _suite(lib, mode, seed, cap=None):
+    layer, check = _SUITES[mode]
+    if not isinstance(seed, int):
+        raise ValueError(f"--seed must be an integer, got {seed!r}")
+    mod = importlib.import_module(f".{layer}", __package__)
+    rng, n = Random(seed), _cap(cap, 50)
+    failures = []
     for i in range(n):
-        M = toys.random_creature(rng)
-        v = Cr.norm(M)
-        covered = frozenset().union(*M.members)
-        if (v >= 1) != (len(covered) == M.arena):
-            fails.append({"instance": i, "creature": M.to_json()})
-    return fails
+        witness = check(mod, lib, rng)
+        if witness is not None:
+            failures.append({"instance": i, **witness})
+    return (0 if not failures else 1), {"suite": mode, "instances": n,
+                                        "failures": failures}
 
 
-def _suite_bigness(rng, n):
-    from . import creatures as Cr, toys
-    fails = []
-    for i in range(n):
-        M = toys.random_creature(rng)
-        d = rng.randint(2, 4)
-        coloring = toys.random_coloring(rng, M, d)
-        color, Ms = Cr.bigness_refine(M, coloring, d)
-        ok = (all(coloring(m) == color for m in Ms.members)
-              and Cr.norm(M) + 1 <= d * (Cr.norm(Ms) + 1))
-        if not ok:
-            fails.append({"instance": i, "creature": M.to_json(), "d": d})
-    return fails
+def _suite_norm(Cr, toys, rng):
+    M = toys.random_creature(rng)
+    covered = frozenset().union(*M.members)
+    if (Cr.norm(M) >= 1) != (len(covered) == M.arena):
+        return {"creature": M.to_json()}
+
+
+def _suite_bigness(Cr, toys, rng):
+    M = toys.random_creature(rng)
+    d = rng.randint(2, 4)
+    coloring = toys.random_coloring(rng, M, d)
+    color, Ms = Cr.bigness_refine(M, coloring, d)
+    if not (all(coloring(m) == color for m in Ms.members)
+            and Cr.norm(M) + 1 <= d * (Cr.norm(Ms) + 1)):
+        return {"creature": M.to_json(), "d": d}
 
 
 def _checked(make, check):
     """A suite over instances from toys.<make>(rng): an exception, or a
-    false result, of check(*instance) is a failure."""
-    def suite(rng, n):
-        from . import toys
-        fails = []
-        for i in range(n):
-            inst = getattr(toys, make)(rng)
-            try:
-                ok = check(*inst)
-            except Exception as ex:  # pragma: no cover - surfaced in the report
-                fails.append({"instance": i, "error": str(ex)})
-                continue
-            if not ok:
-                fails.append({"instance": i, "condition": inst[0].to_json()})
-        return fails
+    false result, of check(layer, *instance) is a failure."""
+    def suite(lib, toys, rng):
+        inst = getattr(toys, make)(rng)
+        try:
+            ok = check(lib, *inst)
+        except Exception as ex:  # pragma: no cover - surfaced in the report
+            return {"error": str(ex)}
+        if not ok:
+            return {"condition": inst[0].to_json()}
     return suite
 
 
-def _reads_early(p, nu):
-    from . import conditions as C
+def _reads_early(C, p, nu):
     return C.check_reading(C.early_read(p, nu), nu, "early")
 
 
-def _localizes(p, nu, a, e):
-    from . import conditions as C
+def _localizes(C, p, nu, a, e):
     q, phi = C.localize(p, nu, a, e)
     vals = [nu.eval(b) for b in C.branches(q)]
     return all(len(phi.cells[k]) <= e[k] and all(v[k] in phi.cells[k] for v in vals)
                for k in range(p.horizon))
 
 
-# both return a (condition, ...) pair, which is true
-def _catches(*inst):
-    from . import products as P
-    return P.product_catch(*inst)
+def _suite_tukey(R, toys, rng):
+    Rs, Rp, pair = toys.tukey_instance(rng)
+    if R.check_tukey(Rs, Rp, pair) != "ok":
+        return {"R": Rs.to_json()}
+    b, d = R.brute_characteristics(Rs)
+    bp, dp = R.brute_characteristics(Rp)
+    if not (R.leq_card(d, dp) and R.leq_card(bp, b)):
+        return {"b": b, "d": d, "bp": bp, "dp": dp}
 
 
-def _restricts(*inst):
-    from . import products as P
-    return P.restricted_localize(*inst)
+def _suite_measure(X, toys, rng):
+    from fractions import Fraction
+    N = rng.randint(1, 5)
+    c = [rng.randint(1, 6) for _ in range(N)]
+    h = [rng.randint(1, ck) for ck in c]
+    cells = [rng.sample(range(c[k]), rng.randint(0, h[k])) for k in range(N)]
+    S = X.Slalom.of(c, h, cells)
+    direct = prod((Fraction(c[k] - len(cells[k]), c[k]) for k in range(N)),
+                  start=Fraction(1))
+    mid = rng.randint(0, N)
+    split = X.escape_measure(S, (0, mid)) * X.escape_measure(S, (mid, N))
+    if X.escape_measure(S, (0, N)) != direct or split != direct:
+        return {"slalom": S.to_json()}
 
 
-def _suite_tukey(rng, n):
-    from . import relational as R, toys
-    fails = []
-    for i in range(n):
-        Rs, Rp, pair = toys.tukey_instance(rng)
-        if R.check_tukey(Rs, Rp, pair) != "ok":
-            fails.append({"instance": i, "R": Rs.to_json()})
-            continue
-        b, d = R.brute_characteristics(Rs)
-        bp, dp = R.brute_characteristics(Rp)
-        if not (R.leq_card(d, dp) and R.leq_card(bp, b)):
-            fails.append({"instance": i, "b": b, "d": d, "bp": bp, "dp": dp})
-    return fails
-
-
-def _suite_measure(rng, n):
-    from . import connections as X
-    fails = []
-    for i in range(n):
-        N = rng.randint(1, 5)
-        c = [rng.randint(1, 6) for _ in range(N)]
-        h = [rng.randint(1, ck) for ck in c]
-        cells = [rng.sample(range(c[k]), rng.randint(0, h[k]))
-                 for k in range(N)]
-        S = X.Slalom.of(c, h, cells)
-        direct = prod((Fraction(c[k] - len(cells[k]), c[k]) for k in range(N)),
-                      start=Fraction(1))
-        mid = rng.randint(0, N)
-        split = (X.escape_measure(S, (0, mid))
-                 * X.escape_measure(S, (mid, N)))
-        if X.escape_measure(S, (0, N)) != direct or split != direct:
-            fails.append({"instance": i, "slalom": S.to_json()})
-    return fails
-
-
-# the library calls go through module attributes, so tracing wrappers see them
-_SUITES = {"norm": _suite_norm, "bigness": _suite_bigness,
-           "reading": _checked("reading_instance", _reads_early),
-           "localize": _checked("localize_instance", _localizes),
-           "tukey": _suite_tukey,
-           "product-catch": _checked("product_catch_instance", _catches),
-           "restricted": _checked("restricted_instance", _restricts),
-           "measure": _suite_measure}
-
-
-def _h_suite(ns, data):
-    name = ns.mode or data.get("suite")
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}")
-    n = ns.cap or data.get("instances", 50)
-    if ns.seed is None and "seed" not in data:
-        raise ValueError("a seed is required for randomized suites")
-    rng = Random(ns.seed if ns.seed is not None else data["seed"])
-    failures = _SUITES[name](rng, n)
-    report = {"suite": name, "instances": n, "failures": failures}
-    return (0 if not failures else 1), report
-
-
-_HANDLERS = {
-    "norm": _h_norm, "lognorm": _h_lognorm, "bigness": _h_bigness,
-    "range-refine": _h_range_refine, "poss": _h_poss, "and": _h_and,
-    "order": _h_order, "fuse": _h_fuse, "thin": _h_thin, "catch": _h_catch,
-    "check-reading": _h_check_reading, "early-read": _h_early_read,
-    "localize": _h_localize, "modest": _h_modest,
-    "product-fuse": _h_product_fuse, "schedule": _h_schedule,
-    "product-early-read": _h_product_early_read, "bound": _h_bound,
-    "product-catch": _h_product_catch,
-    "restricted-localize": _h_restricted_localize,
-    "tukey": _h_tukey, "dual": _h_dual, "brute": _h_brute,
-    "maps": _h_maps, "measure": _h_measure, "partition": _h_partition,
-    "gch": _h_gch, "fbg": _h_fbg, "family": _h_family, "suite": _h_suite,
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="creaturelab",
-        description="Run a single operation on JSON input, or a seeded suite.")
-    ap.add_argument("subcommand", choices=sorted(_HANDLERS))
-    ap.add_argument("--input", help="JSON input path (default: stdin)")
-    ap.add_argument("--output", help="JSON output path (default: stdout)")
-    ap.add_argument("--seed", type=int, help="seed for randomized suites")
-    ap.add_argument("--mode", help="subcommand mode (maps/family/suite)")
-    ap.add_argument("--cap", type=int,
-                    help="tower height cap, or suite instance count")
-    return ap
+# library calls go through module attributes, so tracing wrappers see them;
+# product_catch and restricted_localize return a true (condition, ...) pair
+_SUITES = {
+    "norm": ("creatures", _suite_norm),
+    "bigness": ("creatures", _suite_bigness),
+    "reading": ("conditions", _checked("reading_instance", _reads_early)),
+    "localize": ("conditions", _checked("localize_instance", _localizes)),
+    "tukey": ("relational", _suite_tukey),
+    "product-catch": ("products", _checked(
+        "product_catch_instance", lambda P, *inst: P.product_catch(*inst))),
+    "restricted": ("products", _checked(
+        "restricted_instance", lambda P, *inst: P.restricted_localize(*inst))),
+    "measure": ("connections", _suite_measure)}
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = argparse.ArgumentParser(
+        prog="creaturelab",
+        description="Run a single operation on JSON input, or a seeded suite.")
+    ap.add_argument("subcommand", choices=sorted(_OPS))
+    ap.add_argument("--input", help="JSON input path (default: stdin)")
+    ap.add_argument("--output", help="JSON output path (default: stdout)")
+    ap.add_argument("--seed", type=int, help="the field seed (randomized suites)")
+    ap.add_argument("--mode", help="the field mode (maps/family/suite)")
+    ap.add_argument("--cap", type=int,
+                    help="the field cap: tower height cap, or suite instance count")
     try:
         ns = ap.parse_args(argv)
     except SystemExit:
         return 2
-    handler = _HANDLERS[ns.subcommand]
+    layer, fn = _OPS[ns.subcommand]
+    params, _, open_ = _params(fn)
+    flags = {k: getattr(ns, k) for k in _FLAGS if getattr(ns, k) is not None}
     try:
-        data = _load(ns) if ns.subcommand != "suite" or ns.input else {}
-    except (OSError, json.JSONDecodeError) as ex:
-        sys.stderr.write(f"input error: {ex}\n")
-        return 2
-    try:
-        code, payload = handler(ns, data)
-    except (KeyError, TypeError, ValueError, ArithmeticError) as ex:
+        # a subcommand whose fields are all flags (suite) reads no stdin
+        data = _load(ns) if ns.input or open_ or set(params) - set(_FLAGS) else {}
+        if not isinstance(data, dict):
+            raise ValueError("the JSON input must be an object")
+        lib = importlib.import_module(f".{layer}", __package__)
+        code, payload = _call(fn, lib, {**data, **flags})
+    except (OSError, KeyError, TypeError, ValueError, ArithmeticError) as ex:
         sys.stderr.write(f"error: {type(ex).__name__}: {ex}\n")
         return 2
     _emit(ns, payload)

@@ -77,8 +77,9 @@ class TruncCondition:
     @staticmethod
     def from_json(obj) -> "TruncCondition":
         params = ParamTriple(tuple(obj["c"]), tuple(obj["h"]), tuple(obj["d"]))
-        cells = tuple(Creature.of(params.c[n], params.h[n], obj["cells"][n])
-                      for n in range(params.horizon))
+        # a short or long cells list fails the one-per-level check
+        cells = tuple(Creature.of(c, h, members) for c, h, members
+                      in zip(params.c, params.h, obj["cells"]))
         return TruncCondition(params, cells)
 
 
@@ -380,6 +381,8 @@ class NameOracle:
     def __post_init__(self):
         self._cache = {}
         self._space = BranchSpace.of(self.base)
+        if len(self.profile) != self._space.N:
+            raise ValueError("the profile needs one entry per level")
 
     def eval(self, branch: tuple) -> tuple:
         return self._values(self._space.flat(branch))
@@ -530,8 +533,7 @@ def _localize_split(space: BranchSpace, nu: NameOracle, k: int, j: int,
     return kept
 
 
-def localize(p: TruncCondition, nu: NameOracle, a, e, k0: int = 0,
-             count_mode: str = "exact"):
+def localize(p: TruncCondition, nu: NameOracle, a, e, k0: int = 0):
     """Build q <= p and a slalom phi over (a, e) catching the name at every
     level >= k0, per-level by decided-value collection or range refinement.
 
@@ -544,11 +546,13 @@ def localize(p: TruncCondition, nu: NameOracle, a, e, k0: int = 0,
     if not _reads(space, nu, "early"):
         raise PreconditionError("condition does not read the name early")
     N = p.horizon
+    if min(len(a), len(e)) < N:
+        raise PreconditionError("a and e need an entry per level")
     c, h, d = p.params.c, p.params.h, p.params.d
     for k in range(N):
         if any(v not in range(a[k]) for v in nu.profile[k]):
             raise PreconditionError(f"profile leaves range(a) at level {k}")
-    cdh = [subset_count(c[k], h[k], count_mode) for k in range(N)]
+    cdh = [subset_count(c[k], h[k]) for k in range(N)]
     for n in range(k0, N):
         if prod(a[:n]) > d[n]:
             raise PreconditionError(f"clause L1 fails at level {n}: prod a > d")

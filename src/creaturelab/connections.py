@@ -115,6 +115,11 @@ def fbg_profile(b, g, horizon: int) -> tuple[int, ...]:
     return tuple(out[:horizon])
 
 
+def _one_per_index(*seqs) -> None:
+    if len({len(s) for s in seqs}) > 1:
+        raise ValueError("the per-index sequences differ in length")
+
+
 def _ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
@@ -133,9 +138,10 @@ def l24_maps(c, h, y: str, S: Slalom):
     Decoder: the cells of S spread over an |I_n| = h(n) partition as binary
     strings (unencodable or missing slots become all-zeros strings).
     """
-    widths = [cn.bit_length() - 1 for cn in c]
+    _one_per_index(c, h, S.cells)
     if any(v < 2 for v in c) or any(v < 1 for v in h):
         raise ValueError("need c >= 2 and h >= 1 pointwise")
+    widths = [cn.bit_length() - 1 for cn in c]
     if len(y) < max(widths, default=0):
         raise ValueError("y is too short for the widest index")
     f_image = tuple(int(y[:w], 2) if w > 0 else 0 for w in widths)
@@ -169,6 +175,7 @@ def l25_maps(b, g, y, X: SigmaCover):
     Decoder: entry k in the |J_n| = g(n) block contributes the value its bits
     spell at the n-th width window, when defined and in range.
     """
+    _one_per_index(b, g, y)
     if any(v < 2 for v in b) or any(v < 1 for v in g):
         raise ValueError("need b >= 2 and g >= 1 pointwise")
     widths = [_ceil_log2(bn) for bn in b]
@@ -215,6 +222,7 @@ def l26_maps(c, h, hprime, S: Slalom, phi):
     phi(i) is a family of at most hprime(i) nonempty <=h(i)-cells; its union
     misses some point of the arena because h(i)*hprime(i) < c(i).
     """
+    _one_per_index(c, h, hprime, S.cells, phi)
     for i in range(len(c)):
         if h[i] < 1:
             raise ValueError("need h >= 1")
@@ -244,6 +252,7 @@ def l27_maps(c, h, S_cells, y):
     The decoder materializes, per index, every nonempty <=h(i)-cell missing
     y(i); feasible only for small arenas.
     """
+    _one_per_index(c, h, S_cells, y)
     for i in range(len(c)):
         if c[i] < 2 or h[i] < 1:
             raise ValueError("need c >= 2 and h >= 1")
@@ -276,6 +285,7 @@ def ed_blocks(c: int, h: int) -> list[tuple[int, int]]:
 def ed_maps(c, h, x, y):
     """Block-evasion maps: the arena is cut into ceil(c/h') consecutive
     blocks; guessing a block vs avoiding a point."""
+    _one_per_index(c, h, x, y)
     f_cells = []
     g_image = []
     for i in range(len(c)):

@@ -6,7 +6,7 @@ bounds at some exponential height, where a tower of height k with bounds
 [lo, hi] encloses a value v with exp2^k(lo) <= v <= exp2^k(hi).  All rounding
 is directed (lower bounds round down, upper bounds round up), so every
 comparison that resolves is sound.  Comparisons that do not resolve report
-Unknown; callers must raise the precision or fail, never guess.
+Unknown at the fixed DEFAULT_PRECISION; callers report or fail, never guess.
 
 This module alone decides which values stay exact.  The tower operations
 also take plain ints, and on two of them return a plain int: add and sub
@@ -259,49 +259,49 @@ def tower(v) -> LogTower:
 
 
 def _canonical(height: int, low: Fraction, high: Fraction,
-               prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP) -> LogTower:
+               cap: int = HEIGHT_CAP) -> LogTower:
     while height > 0 and high <= DEMOTION_LIMIT:
-        low = _pow2_bounds(low, prec)[0]
-        high = _pow2_bounds(high, prec)[1]
+        low = _pow2_bounds(low, DEFAULT_PRECISION)[0]
+        high = _pow2_bounds(high, DEFAULT_PRECISION)[1]
         height -= 1
     while low > PROMOTION_THRESHOLD:
         if height + 1 > cap:
             raise TowerOverflowError(f"height cap {cap} exceeded")
-        low, high = _log2_interval(low, high, prec)
+        low, high = _log2_interval(low, high)
         height += 1
     return LogTower(height, low, high)
 
 
-def _log2_interval(low: Fraction, high: Fraction, prec: int):
+def _log2_interval(low: Fraction, high: Fraction):
     """(lower bound of log2(low), upper bound of log2(high)); a point
     interval takes one log2."""
-    lb = _log2_bounds(low, prec)
-    hb = lb if high == low else _log2_bounds(high, prec)
+    lb = _log2_bounds(low, DEFAULT_PRECISION)
+    hb = lb if high == low else _log2_bounds(high, DEFAULT_PRECISION)
     return lb[0], hb[1]
 
 
-def _promote(t: LogTower, prec: int, cap: int) -> LogTower:
+def _promote(t: LogTower, cap: int) -> LogTower:
     if t.height + 1 > cap:
         raise TowerOverflowError(f"height cap {cap} exceeded")
-    lo, hi = _log2_interval(t.low, t.high, prec)
+    lo, hi = _log2_interval(t.low, t.high)
     return LogTower(t.height + 1, lo, hi)
 
 
-def _align(x: LogTower, y: LogTower, prec: int, cap: int):
+def _align(x: LogTower, y: LogTower, cap: int):
     while x.height < y.height:
-        x = _promote(x, prec, cap)
+        x = _promote(x, cap)
     while y.height < x.height:
-        y = _promote(y, prec, cap)
+        y = _promote(y, cap)
     return x, y
 
 
-def _align_soft(x: LogTower, y: LogTower, prec: int, cap: int):
+def _align_soft(x: LogTower, y: LogTower, cap: int):
     """Promote the shorter tower while its bounds stay in log2's domain
     (low > 1); heights may still differ on return."""
     while x.height < y.height and x.low > 1:
-        x = _promote(x, prec, cap)
+        x = _promote(x, cap)
     while y.height < x.height and y.low > 1:
-        y = _promote(y, prec, cap)
+        y = _promote(y, cap)
     return x, y
 
 
@@ -320,45 +320,44 @@ def _dominates(tall: LogTower, short: LogTower, margin: int = 0) -> bool:
     return margin <= 2 and tall.low >= 2
 
 
-def tower_log2(x, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP) -> LogTower:
+def tower_log2(x, *, cap: int = HEIGHT_CAP) -> LogTower:
     x = tower(x)
     if x.height >= 1:
-        return _canonical(x.height - 1, x.low, x.high, prec, cap)
-    lo, hi = _log2_interval(x.low, x.high, prec)
-    return _canonical(0, lo, hi, prec, cap)
+        return _canonical(x.height - 1, x.low, x.high, cap)
+    lo, hi = _log2_interval(x.low, x.high)
+    return _canonical(0, lo, hi, cap)
 
 
-def tower_exp2(x, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP):
+def tower_exp2(x, *, cap: int = HEIGHT_CAP):
     if isinstance(x, int) and 0 <= x <= EXACT_BIT_LIMIT:
         return 1 << x
     x = tower(x)
     if x.height + 1 > cap:
         raise TowerOverflowError(f"height cap {cap} exceeded")
-    return _canonical(x.height + 1, x.low, x.high, prec, cap)
+    return _canonical(x.height + 1, x.low, x.high, cap)
 
 
 def _is_zero(t: LogTower) -> bool:
     return t.height == 0 and t.low == t.high == 0
 
 
-def tower_add(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP):
+def tower_add(a, b, *, cap: int = HEIGHT_CAP):
     if _ints(a, b):
         return a + b
     x, y = tower(a), tower(b)
     if x.height == 0 and y.height == 0:
-        return _canonical(0, x.low + y.low, x.high + y.high, prec, cap)
+        return _canonical(0, x.low + y.low, x.high + y.high, cap)
     if _is_zero(x):
         return y
     if _is_zero(y):
         return x
-    x, y = _align_soft(x, y, prec, cap)
+    x, y = _align_soft(x, y, cap)
     if x.height != y.height:
         short, tall = (x, y) if x.height < y.height else (y, x)
         if _dominates(tall, short):
             # the short summand is below the tall one: sum <= 2 * tall
             slack = _double_slack(tall.height, tall.high)
-            return _canonical(tall.height, tall.low, tall.high + slack,
-                              prec, cap)
+            return _canonical(tall.height, tall.low, tall.high + slack, cap)
         raise TowerDomainError("cannot add across an unresolved height gap")
     h = x.height
     lo = max(x.low, y.low)
@@ -368,10 +367,10 @@ def tower_add(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP):
         slack = Fraction(2, 2 ** min(int(gap), 126))
     else:
         slack = _double_slack(h, top)
-    return _canonical(h, lo, top + slack, prec, cap)
+    return _canonical(h, lo, top + slack, cap)
 
 
-def tower_sub(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP):
+def tower_sub(a, b, *, cap: int = HEIGHT_CAP):
     if _ints(a, b):
         if a < b:
             raise TowerDomainError("negative difference")
@@ -380,23 +379,23 @@ def tower_sub(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP):
     if x.height == 0 and y.height == 0:
         if x.low - y.high < 0:
             raise TowerDomainError("negative difference")
-        return _canonical(0, x.low - y.high, x.high - y.low, prec, cap)
+        return _canonical(0, x.low - y.high, x.high - y.low, cap)
     if _is_zero(y):
         return x
-    x, y = _align_soft(x, y, prec, cap)
+    x, y = _align_soft(x, y, cap)
     if x.height != y.height:
         if x.height > y.height and _dominates(x, y, margin=1):
             # the subtrahend is below half of x: difference >= x / 2
             lo = x.low - _half_slack(x.height, x.low)
-            return _canonical(x.height, lo, x.high, prec, cap)
+            return _canonical(x.height, lo, x.high, cap)
         raise TowerDomainError("cannot subtract across an unresolved height gap")
     if y.high > x.low - 1:
         raise TowerDomainError("difference bounds too close to subtract soundly")
     lo = x.low - _half_slack(x.height, x.low)
-    return _canonical(x.height, lo, x.high, prec, cap)
+    return _canonical(x.height, lo, x.high, cap)
 
 
-def tower_mul(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP):
+def tower_mul(a, b, *, cap: int = HEIGHT_CAP):
     if _ints(a, b) and _bits(a) + _bits(b) <= EXACT_BIT_LIMIT:
         return a * b
     x, y = tower(a), tower(b)
@@ -406,24 +405,24 @@ def tower_mul(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP):
         bits = (x.high.numerator.bit_length() + y.high.numerator.bit_length()
                 + x.high.denominator.bit_length() + y.high.denominator.bit_length())
         if bits <= EXACT_BIT_LIMIT:
-            return _canonical(0, x.low * y.low, x.high * y.high, prec, cap)
-    lx = tower_log2(x, prec=prec, cap=cap)
-    ly = tower_log2(y, prec=prec, cap=cap)
-    return tower_exp2(tower_add(lx, ly, prec=prec, cap=cap), prec=prec, cap=cap)
+            return _canonical(0, x.low * y.low, x.high * y.high, cap)
+    lx = tower_log2(x, cap=cap)
+    ly = tower_log2(y, cap=cap)
+    return tower_exp2(tower_add(lx, ly, cap=cap), cap=cap)
 
 
-def tower_div(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP) -> LogTower:
+def tower_div(a, b, *, cap: int = HEIGHT_CAP) -> LogTower:
     x, y = tower(a), tower(b)
     if x.height == 0 and y.height == 0:
         if y.low <= 0:
             raise TowerDomainError("division by a bound interval touching zero")
-        return _canonical(0, x.low / y.high, x.high / y.low, prec, cap)
-    lx = tower_log2(x, prec=prec, cap=cap)
-    ly = tower_log2(y, prec=prec, cap=cap)
-    return tower_exp2(tower_sub(lx, ly, prec=prec, cap=cap), prec=prec, cap=cap)
+        return _canonical(0, x.low / y.high, x.high / y.low, cap)
+    lx = tower_log2(x, cap=cap)
+    ly = tower_log2(y, cap=cap)
+    return tower_exp2(tower_sub(lx, ly, cap=cap), cap=cap)
 
 
-def tower_pow(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP):
+def tower_pow(a, b, *, cap: int = HEIGHT_CAP):
     if _ints(a, b) and b >= 0:
         v = _exact_pow(a, b)
         if v is not None:
@@ -436,21 +435,21 @@ def tower_pow(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP):
         v = _exact_pow(int(x.low), int(y.low))
         if v is not None:
             v = Fraction(v)
-            return _canonical(0, v, v, prec, cap)
-    lx = tower_log2(x, prec=prec, cap=cap)
-    return tower_exp2(tower_mul(y, lx, prec=prec, cap=cap), prec=prec, cap=cap)
+            return _canonical(0, v, v, cap)
+    lx = tower_log2(x, cap=cap)
+    return tower_exp2(tower_mul(y, lx, cap=cap), cap=cap)
 
 
-def tower_cmp(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP + 4) -> Cmp:
+def tower_cmp(a, b, *, cap: int = HEIGHT_CAP + 4) -> Cmp:
     """Sound three-way comparison; Unknown when the intervals overlap."""
     if _ints(a, b):
         return Cmp.EQUAL if a == b else Cmp.LESS if a < b else Cmp.GREATER
     if a is b:
         return Cmp.EQUAL
     x, y = tower(a), tower(b)
-    x = _canonical(x.height, x.low, x.high, prec, cap)
-    y = _canonical(y.height, y.low, y.high, prec, cap)
-    x, y = _align_soft(x, y, prec, cap)
+    x = _canonical(x.height, x.low, x.high, cap)
+    y = _canonical(y.height, y.low, y.high, cap)
+    x, y = _align_soft(x, y, cap)
     if x.height != y.height:
         if x.height < y.height:
             return Cmp.LESS if _dominates(y, x, margin=1) else Cmp.UNKNOWN
@@ -466,16 +465,16 @@ def tower_cmp(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP + 4)
     return Cmp.UNKNOWN
 
 
-def tower_le(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP + 4):
-    """Sound <=: True / False, or None when undecidable at this precision."""
+def tower_le(a, b, *, cap: int = HEIGHT_CAP + 4):
+    """Sound <=: True / False, or None when the enclosures overlap."""
     if _ints(a, b):
         return a <= b
     if a is b:
         return True
     x, y = tower(a), tower(b)
-    x = _canonical(x.height, x.low, x.high, prec, cap)
-    y = _canonical(y.height, y.low, y.high, prec, cap)
-    x, y = _align_soft(x, y, prec, cap)
+    x = _canonical(x.height, x.low, x.high, cap)
+    y = _canonical(y.height, y.low, y.high, cap)
+    x, y = _align_soft(x, y, cap)
     if x.height != y.height:
         if x.height < y.height:
             return True if _dominates(y, x) else None
@@ -493,7 +492,7 @@ def tower_le(a, b, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP + 4):
 _OPS = {"const", "add", "mul", "pow", "sub", "div", "subset_count_bound"}
 
 
-def tower_eval(expr, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP) -> LogTower:
+def tower_eval(expr, *, cap: int = HEIGHT_CAP) -> LogTower:
     """Evaluate an expression tree to a rigorous tower enclosure.
 
     Nodes are {"op": name, "args": [...]}; constants may appear directly as
@@ -508,37 +507,36 @@ def tower_eval(expr, *, prec: int = DEFAULT_PRECISION, cap: int = HEIGHT_CAP) ->
         raise ValueError(f"unknown op {op!r}")
     if op == "const":
         return tower(int(expr["value"]))
-    args = [tower_eval(e, prec=prec, cap=cap) for e in expr["args"]]
+    args = [tower_eval(e, cap=cap) for e in expr["args"]]
     if op == "add":
         out = args[0]
         for t in args[1:]:
-            out = tower_add(out, t, prec=prec, cap=cap)
+            out = tower_add(out, t, cap=cap)
         return out
     if op == "mul":
         out = args[0]
         for t in args[1:]:
-            out = tower_mul(out, t, prec=prec, cap=cap)
+            out = tower_mul(out, t, cap=cap)
         return out
     if op == "sub":
-        return tower_sub(args[0], args[1], prec=prec, cap=cap)
+        return tower_sub(args[0], args[1], cap=cap)
     if op == "div":
-        return tower_div(args[0], args[1], prec=prec, cap=cap)
+        return tower_div(args[0], args[1], cap=cap)
     if op == "pow":
-        return tower_pow(args[0], args[1], prec=prec, cap=cap)
+        return tower_pow(args[0], args[1], cap=cap)
     # subset_count_bound(m, k): enclosure of |[m]^{<=k}|, which is 2^m for
     # k >= m; otherwise 2^min(m, k) <= sum <= (k + 1) m^k
     m, k = args
-    c = tower_cmp(m, k, prec=prec, cap=cap)
+    c = tower_cmp(m, k, cap=cap)
     if m.is_exact_int and (k.is_exact_int or c in (Cmp.LESS, Cmp.EQUAL)):
         mi = int(m.low)
         v = _exact_subset_count(mi, int(k.low) if k.is_exact_int else mi)
         if v is not None:
             return tower(v)
     j = k if c is Cmp.GREATER else m if c is not Cmp.UNKNOWN else tower(0)
-    lo = tower_exp2(j, prec=prec, cap=cap)
-    hi = tower_mul(tower_add(k, 1, prec=prec, cap=cap),
-                   tower_pow(m, k, prec=prec, cap=cap), prec=prec, cap=cap)
-    lo, hi = _align(lo, hi, prec, cap)
+    lo = tower_exp2(j, cap=cap)
+    hi = tower_mul(tower_add(k, 1, cap=cap), tower_pow(m, k, cap=cap), cap=cap)
+    lo, hi = _align(lo, hi, cap)
     return LogTower(lo.height, lo.low, hi.high)
 
 

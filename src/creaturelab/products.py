@@ -107,6 +107,8 @@ class ProductCondition:
 
     @staticmethod
     def from_json(obj) -> "ProductCondition":
+        if not all(isinstance(obj[k], dict) for k in ("families", "coords", "parts")):
+            raise ValueError("families, coords and parts must be JSON objects")
         fams = {fam: ParamTriple(tuple(v["c"]), tuple(v["h"]), tuple(v["d"]))
                 for fam, v in obj["families"].items()}
         owner = {xi: v["owner"] for xi, v in obj["coords"].items()}
@@ -259,13 +261,12 @@ class ProductNameOracle(NameOracle):
     base: ProductCondition
 
 
-def branch_key(p: ProductCondition, branch: tuple,
-               coords=None) -> str:
-    """Canonical string key of a product branch (optionally restricted)."""
-    keep = [pos for pos, xi in enumerate(p.support)
-            if coords is None or xi in coords]
-    space = BranchSpace([p.parts[p.support[pos]] for pos in keep], p.horizon, True)
-    return space.key(tuple(branch[pos] for pos in keep))
+def branch_key(p: ProductCondition, branch: tuple, coords=None) -> str:
+    """Canonical string key of a product branch, or with ``coords`` of a
+    branch over the support's coordinates in ``coords`` alone (a
+    RestrictedName cell key)."""
+    parts = [p.parts[xi] for xi in p.support if coords is None or xi in coords]
+    return BranchSpace(parts, p.horizon, True).key(tuple(branch))
 
 
 def _check_product_compat(p: ProductCondition, nu: ProductNameOracle):
@@ -374,7 +375,7 @@ class RestrictedName:
 
 
 def restricted_localize(p: ProductCondition, nu_x: ProductNameOracle,
-                        C, a, e, count_mode: str = "exact"):
+                        C, a, e):
     """Build q <= p and a name phi for a slalom over (a, e), read only from
     the C coordinates, catching x at every level.
 
@@ -391,6 +392,8 @@ def restricted_localize(p: ProductCondition, nu_x: ProductNameOracle,
         raise PreconditionError("condition does not read the name early")
     C = tuple(sorted(set(C) & set(p.support)))
     N = p.horizon
+    if min(len(a), len(e)) < N:
+        raise PreconditionError("a and e need an entry per level")
     for k in range(N):
         if any(v not in range(a[k]) for v in nu_x.profile[k]):
             raise PreconditionError(f"profile leaves range(a) at level {k}")
@@ -407,7 +410,7 @@ def restricted_localize(p: ProductCondition, nu_x: ProductNameOracle,
             # the level is decided by a foreign coordinate: shrink its cell
             triple = p.space.triple_of(p.support[j])
             _localize_split(space, nu_x, k, j,
-                            subset_count(triple.c[k], triple.h[k], count_mode),
+                            subset_count(triple.c[k], triple.h[k]),
                             e[k], triple.d[k], a[k])
         # collect the surviving values per restricted branch
         cell = {}

@@ -1,8 +1,14 @@
 import hashlib
+import io
 import json
+import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from random import Random
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from creaturelab import toys
 from creaturelab.cli import main
@@ -19,8 +25,11 @@ def run(tmp_path, sub, payload, *flags):
     return code, body
 
 
+_CREATURE = {"arena": 4, "cap": 2, "members": [[0, 1], [2, 3]]}
+
+
 def test_norm_roundtrip(tmp_path):
-    payload = {"creature": {"arena": 4, "cap": 2, "members": [[0, 1], [2, 3]]}}
+    payload = {"creature": _CREATURE}
     code, body = run(tmp_path, "norm", payload)
     assert code == 0
     assert json.loads(body) == {"norm": 1}
@@ -160,6 +169,46 @@ def test_unknown_family_count_mode_exits_2(tmp_path, capsys):
     assert code == 2 and body == ""
     assert "Traceback" not in err and "'nope'" in err
 
+
+@pytest.mark.parametrize("payload, message", [
+    ({"creature": _CREATURE, "bogus": 1}, "unknown field 'bogus'"),
+    ({}, "missing field 'creature'"),
+], ids=["unknown", "missing"])
+def test_unknown_or_missing_field_exits_2(tmp_path, capsys, payload, message):
+    code, body = run(tmp_path, "norm", payload)
+    assert code == 2 and body == ""
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub, payload, flags", [
+    ("suite", {}, ["--mode", "norm", "--seed", "1"]),
+    ("family", {"d0": 3, "depth": 2}, ["--mode", "tree"]),
+], ids=["suite", "family"])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_cap_below_one_exits_2(tmp_path, capsys, sub, payload, flags, cap):
+    code, body = run(tmp_path, sub, payload, *flags, "--cap", cap)
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert "Traceback" not in err and "--cap" in err
+
+
+def test_flag_beats_the_json_field(tmp_path):
+    toy = run(tmp_path, "family", {"seed": 4}, "--mode", "toy")
+    assert run(tmp_path, "family", {"seed": 3}, "--mode", "toy", "--seed", "4") == toy
+    assert run(tmp_path, "family", {"seed": 3}, "--mode", "toy") != toy
+    reading = _INPUTS["check-reading-timely"]
+    assert run(tmp_path, "check-reading", dict(reading, mode="nonsense"),
+               "--mode", "timely") == run(tmp_path, "check-reading", reading)
+
+
+def test_short_cells_list_exits_2(tmp_path, capsys):
+    cond = dict(_COND, cells=_COND["cells"][:2])
+    code, body = run(tmp_path, "poss", {"condition": cond, "k": 0})
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert "Traceback" not in err and "one creature per level" in err
+
+
 # SHA-256 of the CLI output and the exit code, pinned before the
 # exact-arithmetic fast paths (power-of-two powers by shift, log2 quotients
 # from the top bits) landed
@@ -213,9 +262,14 @@ _GOLDEN = [
 # subcommand; check-reading has a timely and an early input, and maps one
 # input per mode, named "maps-<mode>")
 _INPUTS = json.loads((Path(__file__).parent / "golden_inputs.json").read_text())
-_GOLDEN += [("maps" if name.startswith("maps-") else
-             name.removesuffix("-timely").removesuffix("-early"),
-             _INPUTS[name], [], 0, digest) for name, digest in [
+
+
+def _subcommand(name):
+    return ("maps" if name.startswith("maps-") else
+            name.removesuffix("-timely").removesuffix("-early"))
+
+
+_GOLDEN += [(_subcommand(name), _INPUTS[name], [], 0, digest) for name, digest in [
     ("poss", "9ea57b43ecfa569299d008f9c02d1a8d67c32f598b64d9db1380436856596724"),
     ("catch", "0963e4055fe0b9642570d88164627f64fcef50b43a49da5f6bf46893c7cddc08"),
     ("fuse", "b89b2a5de48027c48c282ee8cad7ea52079e414e57ed40430be39335491ac29c"),
@@ -290,3 +344,53 @@ def test_toy_instances_are_pinned():
     digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
     assert digest == \
         "fb62064a6458ce6d783a9ebac93234e59a1e2ab93c0c99b14704f2edb1977aad"
+
+
+# small JSON to put in place of a value: ints, short lists, strings, null
+_SMALL = st.one_of(st.none(), st.integers(-3, 12), st.text(max_size=3),
+                   st.lists(st.integers(-3, 12), max_size=3))
+
+
+def _replaced(draw, value):
+    """value with one part of it, at any depth, replaced by small JSON."""
+    if isinstance(value, (dict, list)) and value and draw(st.booleans()):
+        at = draw(st.sampled_from(sorted(value) if isinstance(value, dict)
+                                  else range(len(value))))
+        value = dict(value) if isinstance(value, dict) else list(value)
+        value[at] = _replaced(draw, value[at])
+        return value
+    return draw(_SMALL)
+
+
+@st.composite
+def _mutated_inputs(draw):
+    """A golden input with one field dropped, added or replaced."""
+    name = draw(st.sampled_from(sorted(_INPUTS)))
+    payload = dict(_INPUTS[name])
+    how = draw(st.sampled_from(["drop", "add", "replace"]))
+    if how == "add":
+        payload[draw(st.text(max_size=3))] = draw(_SMALL)
+    else:
+        key = draw(st.sampled_from(sorted(payload)))
+        if how == "drop":
+            del payload[key]
+        else:
+            payload[key] = _replaced(draw, payload[key])
+    return _subcommand(name), payload
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_mutated_inputs())
+def test_mutated_inputs_keep_the_exit_contract(case):
+    sub, payload = case
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(payload))
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([sub])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""

@@ -97,6 +97,21 @@ if main({argv!r}) != 0:
     assert _loaded(code) == expect
 
 
+def test_brute_leaves_fractions_unloaded(tmp_path):
+    (tmp_path / "in.json").write_text(json.dumps({"R": _SYSTEM}))
+    argv = ["brute", "--input", str(tmp_path / "in.json"),
+            "--output", str(tmp_path / "out.json")]
+    probe = f"""
+import sys
+from creaturelab.cli import main
+print(main({argv!r}), "fractions" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=_SRC))
+    assert out.stdout.split() == ["0", "False"]
+
+
 def test_namespace_is_pinned():
     assert sorted(creaturelab.__all__) == _NAMES
     assert set(_NAMES) <= set(dir(creaturelab))

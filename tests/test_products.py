@@ -170,6 +170,17 @@ def test_branch_key_is_canonical_and_distinct():
     assert len(keys) == len(product_branches(p))
 
 
+def test_branch_key_of_a_restricted_branch():
+    """With coords, branch_key keys a branch over just those coordinates,
+    as the cells of a RestrictedName are keyed."""
+    p = product_instance(Random(12))
+    for b in product_branches(p):
+        assert branch_key(p, b, p.support) == branch_key(p, b)
+        for j, xi in enumerate(p.support):
+            single = ProductCondition(p.space, {xi: p.parts[xi]})
+            assert branch_key(p, (b[j],), (xi,)) == branch_key(single, (b[j],))
+
+
 def test_product_json_roundtrip():
     rng = Random(13)
     p = product_instance(rng)
