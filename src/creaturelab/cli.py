@@ -451,7 +451,7 @@ def main(argv=None) -> int:
     ap.add_argument("--input", help="JSON input path (default: stdin)")
     ap.add_argument("--output", help="JSON output path (default: stdout)")
     ap.add_argument("--seed", type=int, help="the field seed (randomized suites)")
-    ap.add_argument("--mode", help="the field mode (maps/family/suite)")
+    ap.add_argument("--mode", help="the field mode (maps/family/suite/...)")
     ap.add_argument("--cap", type=int,
                     help="the field cap: tower height cap, or suite instance count")
     try:
