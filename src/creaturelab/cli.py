@@ -25,11 +25,19 @@ _OPS = {}
 _FLAGS = ("mode", "seed", "cap")
 
 
+def _non_integer(literal):
+    raise ValueError(f"{literal} in the JSON input is not an integer "
+                     "(give a fraction as a string, such as \"1/2\")")
+
+
 def _load(ns):
+    """The JSON input, in which a number with a fraction or an exponent,
+    NaN or Infinity is an input error."""
+    hooks = {"parse_float": _non_integer, "parse_constant": _non_integer}
     if ns.input:
         with open(ns.input) as fh:
-            return json.load(fh)
-    return json.load(sys.stdin)
+            return json.load(fh, **hooks)
+    return json.load(sys.stdin, **hooks)
 
 
 def _emit(ns, obj) -> None:

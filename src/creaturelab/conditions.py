@@ -25,6 +25,14 @@ class PreconditionError(ValueError):
     """An operation's entry contract failed; carries level/clause details."""
 
 
+def _splits(columns) -> list[tuple[int, int]]:
+    """(level, column) of every split, a cell with more than one member, in
+    columns of per-level cells: levels ascending, columns in order within a
+    level."""
+    return sorted([(k, j) for j, cells in enumerate(columns)
+                   for k, cell in enumerate(cells) if len(cell.members) > 1])
+
+
 @dataclass(frozen=True)
 class ParamTriple:
     c: tuple[int, ...]
@@ -62,7 +70,7 @@ class TruncCondition:
         return self.params.horizon
 
     def split_levels(self) -> list[int]:
-        return [n for n, cell in enumerate(self.cells) if len(cell.members) > 1]
+        return [k for k, _ in _splits([self.cells])]
 
     def s(self, n: int) -> int:
         """Level of the n-th split."""
@@ -113,15 +121,16 @@ class BranchSpace:
     condition is the one-coordinate case and its branches are plain
     per-level tuples.  Each position holds its cell, the cell's members in
     canonical order (``pools``) and the member -> index map of that order
-    (``index``).  A ``nested`` space shows branches to callers as
-    per-coordinate tuples, as products do.
+    (``index``).  A space with ``coords``, the product coordinates its parts
+    stand for, shows branches to callers as per-coordinate tuples; a single
+    condition's space has none.
     """
 
-    def __init__(self, parts, horizon: int, nested: bool):
+    def __init__(self, parts, horizon: int, coords=None):
         self.parts = list(parts)
         self.N = horizon
         self.W = len(self.parts)
-        self.nested = nested
+        self.coords = coords
         self.cells = [cell for part in self.parts for cell in part.cells]
         self.pools = [cell.sorted_members() for cell in self.cells]
         self.index = [{t: i for i, t in enumerate(pool)} for pool in self.pools]
@@ -130,8 +139,8 @@ class BranchSpace:
     def of(cls, p) -> "BranchSpace":
         """A condition's space, or a product's over its support."""
         if isinstance(p, TruncCondition):
-            return cls([p], p.horizon, False)
-        return cls([p.parts[xi] for xi in p.support], p.horizon, True)
+            return cls([p], p.horizon)
+        return cls([p.parts[xi] for xi in p.support], p.horizon, p.support)
 
     def set_cell(self, x: int, cell: Creature) -> None:
         self.cells[x] = cell
@@ -140,19 +149,16 @@ class BranchSpace:
 
     def conditions(self) -> list[TruncCondition]:
         """Each coordinate's condition over the current cells."""
-        N = self.N
-        return [TruncCondition(part.params, tuple(self.cells[j * N:(j + 1) * N]))
-                for j, part in enumerate(self.parts)]
+        return [TruncCondition(part.params, tuple(cells))
+                for part, cells in zip(self.parts, self.nest(self.cells, self.N))]
 
     def below(self, k: int) -> list[int]:
         """Positions of the levels < k of every coordinate, in branch order."""
         return [j * self.N + i for j in range(self.W) for i in range(k)]
 
     def splits(self) -> list[tuple[int, int]]:
-        """(level, coordinate) of every cell with several members, levels
-        ascending, coordinates in order within a level."""
-        return [(k, j) for k in range(self.N) for j in range(self.W)
-                if len(self.pools[j * self.N + k]) > 1]
+        """(level, coordinate) of every split of the current cells."""
+        return _splits(self.nest(self.cells, self.N))
 
     def count(self, k: int) -> int:
         return prod(len(self.pools[x]) for x in self.below(k + 1))
@@ -187,14 +193,14 @@ class BranchSpace:
                 raise PreconditionError(f"branches disagree on the first {n} values")
         return out
 
-    def nest(self, flat: tuple, w: int) -> tuple:
-        """Per-coordinate tuples of a flat selection of w levels per
-        coordinate."""
+    def nest(self, flat, w: int) -> tuple:
+        """Per-coordinate slices of a flat selection (or of the cells) of w
+        levels per coordinate."""
         return tuple(flat[j * w:(j + 1) * w] for j in range(self.W))
 
     def flat(self, branch: tuple) -> tuple:
-        return tuple(itertools.chain.from_iterable(branch)) if self.nested \
-            else branch
+        return branch if self.coords is None else \
+            tuple(itertools.chain.from_iterable(branch))
 
     def key(self, branch: tuple) -> str:
         """Canonical string key of a branch: per coordinate the comma-joined
@@ -372,9 +378,10 @@ def catch_real(p: TruncCondition, x, n0: int = 0):
 @dataclass
 class NameOracle:
     """Deterministic total map from full branches of ``base`` to value
-    tuples, one value per level, drawn from ``profile``."""
+    tuples, one value per level, drawn from ``profile``.  A product's
+    branches are, per coordinate of its support, a tuple of members."""
 
-    base: TruncCondition
+    base: TruncCondition | ProductCondition
     profile: tuple[tuple, ...]
     fn: object
 
@@ -392,7 +399,8 @@ class NameOracle:
         out = self._cache.get(flat)
         if out is None:
             space = self._space
-            out = tuple(self.fn(space.nest(flat, space.N) if space.nested else flat))
+            out = tuple(self.fn(flat if space.coords is None
+                                else space.nest(flat, space.N)))
             if len(out) != space.N:
                 raise ValueError("oracle must return one value per level")
             if not all(map(operator.contains, self.profile, out)):
@@ -416,13 +424,18 @@ def branch_slalom(p: TruncCondition, branch: tuple) -> Slalom:
     return Slalom(p.params.c, p.params.h, tuple(branch))
 
 
-def _check_compat(p: TruncCondition, nu: NameOracle):
-    base = nu.base
-    if p.params != base.params:
+def _check_compat(p, nu: NameOracle) -> BranchSpace:
+    """p's branch space, once p (a condition or a product) is checked to
+    extend the oracle's base: the same coordinates and parameters, and
+    cells that shrink pointwise."""
+    space, base = BranchSpace.of(p), nu._space
+    if space.coords != base.coords:
+        raise PreconditionError("oracle base support differs")
+    if [t.params for t in space.parts] != [t.params for t in base.parts]:
         raise PreconditionError("oracle base parameters differ")
-    if not all(p.cells[n].members <= base.cells[n].members
-               for n in range(p.horizon)):
+    if not all(c.members <= b.members for c, b in zip(space.cells, base.cells)):
         raise PreconditionError("condition is not an extension of the oracle base")
+    return space
 
 
 def check_reading(p: TruncCondition, nu: NameOracle, mode: str) -> bool:
@@ -431,8 +444,7 @@ def check_reading(p: TruncCondition, nu: NameOracle, mode: str) -> bool:
     timely: selections up to each split level n fix the first n values;
     early: selections strictly below every level n fix the first n values.
     """
-    _check_compat(p, nu)
-    return _reads(BranchSpace.of(p), nu, mode)
+    return _reads(_check_compat(p, nu), nu, mode)
 
 
 def _reads(space: BranchSpace, nu: NameOracle, mode: str) -> bool:
@@ -462,8 +474,7 @@ def _factors(pairs, positions, n) -> bool:
 def early_read(p: TruncCondition, nu: NameOracle) -> TruncCondition:
     """Shrink split cells so that the name's prefix is decided strictly
     below every level, one bigness application per prior possibility."""
-    _check_compat(p, nu)
-    space = BranchSpace.of(p)
+    space = _check_compat(p, nu)
     if not _reads(space, nu, "timely"):
         raise PreconditionError("condition does not read the name timely")
     d = p.params.d
@@ -505,16 +516,18 @@ def _refine_reading(space: BranchSpace, nu: NameOracle) -> None:
 
 
 def _localize_split(space: BranchSpace, nu: NameOracle, k: int, j: int,
-                    cdh: int, e: int, d: int, a: int):
+                    e: int, a: int) -> None:
     """Localise at coordinate j's split at level k, below which there are m
-    possibilities.  Wide subcase (2m * cdh <= e, cdh the cell's subset
-    count): keep the cell and return None.  Narrow subcase (2m * a <= d):
-    range-refine the cell once per possibility so that each keeps at most
-    e // m decided values, and return the values kept per possibility."""
+    possibilities, with the colors d and the subset count cdh of that
+    coordinate's cell.  Wide subcase (2m * cdh <= e): keep the cell.  Narrow
+    subcase (2m * a <= d): range-refine the cell once per possibility so
+    that each keeps at most e // m decided values."""
+    params = space.parts[j].params
+    c, h, d = params.c[k], params.h[k], params.d[k]
     etas = space.poss(k - 1)
     m = len(etas)
-    if 2 * m * cdh <= e:
-        return None
+    if 2 * m * subset_count(c, h) <= e:
+        return
     if 2 * m * a > d:
         raise PreconditionError(f"clause ii fails at split level {k}")
     kcap = e // m
@@ -523,36 +536,71 @@ def _localize_split(space: BranchSpace, nu: NameOracle, k: int, j: int,
     x = j * space.N + k
     fixed = space.below(k) + [x]
     M = space.cells[x]
-    kept = []
     for eta in etas:
         valmap = {t: space.decided(nu, fixed, eta + (t,), k + 1)[k]
                   for t in M.sorted_members()}
         M = range_refine(M, valmap.__getitem__, kcap, d, a)
-        kept.append({valmap[t] for t in M.members})
     space.set_cell(x, M)
-    return kept
+
+
+def _localization_space(p, nu: NameOracle, a, e) -> BranchSpace:
+    """p's branch space, once the entry clauses both localisations share
+    hold: p extends the oracle's base and reads the name early, and a and e
+    have an entry per level, with the profile inside range(a)."""
+    space = _check_compat(p, nu)
+    if not _reads(space, nu, "early"):
+        raise PreconditionError("condition does not read the name early")
+    if min(len(a), len(e)) < space.N:
+        raise PreconditionError("a and e need an entry per level")
+    for k in range(space.N):
+        if any(v not in range(a[k]) for v in nu.profile[k]):
+            raise PreconditionError(f"profile leaves range(a) at level {k}")
+    return space
+
+
+def _localize(space: BranchSpace, nu: NameOracle, a, e, k0: int,
+              coords) -> list[dict]:
+    """Localise the name to width e at every level >= k0, as read from the
+    coordinates at the indices ``coords`` of the space.
+
+    Every split at a level >= k0 owned outside those coordinates is refined
+    in level order.  Returns phi: per level, a map from each restricted
+    branch (the member tuples of those coordinates) to the set of values
+    the name takes on the branches through it.
+    """
+    for k, j in space.splits():
+        if k >= k0 and j not in coords:
+            _localize_split(space, nu, k, j, e[k], a[k])
+    N = space.N
+    rows = [(tuple(b[j * N:(j + 1) * N] for j in coords), nu._values(b))
+            for b in space.branches()]
+    phi = [{} for _ in range(N)]
+    for key, v in rows:
+        for cell, value in zip(phi, v):
+            cell.setdefault(key, set()).add(value)
+    for k in range(k0, N):
+        widest = max(map(len, phi[k].values()))
+        if widest > e[k]:
+            raise PreconditionError(f"clause i fails at level {k}: {widest} values")
+    phi = [{key: frozenset(vals) for key, vals in cell.items()} for cell in phi]
+    for key, v in rows:
+        if any(value not in cell[key] for cell, value in zip(phi, v)):
+            raise AssertionError("a branch escapes the localisation")
+    return phi
 
 
 def localize(p: TruncCondition, nu: NameOracle, a, e, k0: int = 0):
     """Build q <= p and a slalom phi over (a, e) catching the name at every
-    level >= k0, per-level by decided-value collection or range refinement.
+    level >= k0: each cell of phi is the set of values the name takes on
+    q's branches, split cells having been range-refined where needed.
 
     Returns (q, phi) with phi a Slalom whose width bound is e (widened below
     k0 if the threshold is positive).
     """
     from .connections import Slalom
-    _check_compat(p, nu)
-    space = BranchSpace.of(p)
-    if not _reads(space, nu, "early"):
-        raise PreconditionError("condition does not read the name early")
-    N = p.horizon
-    if min(len(a), len(e)) < N:
-        raise PreconditionError("a and e need an entry per level")
-    c, h, d = p.params.c, p.params.h, p.params.d
-    for k in range(N):
-        if any(v not in range(a[k]) for v in nu.profile[k]):
-            raise PreconditionError(f"profile leaves range(a) at level {k}")
-    cdh = [subset_count(c[k], h[k]) for k in range(N)]
+    space = _localization_space(p, nu, a, e)
+    N, d = p.horizon, p.params.d
+    cdh = [subset_count(c, h) for c, h in zip(p.params.c, p.params.h)]
     for n in range(k0, N):
         if prod(a[:n]) > d[n]:
             raise PreconditionError(f"clause L1 fails at level {n}: prod a > d")
@@ -560,22 +608,6 @@ def localize(p: TruncCondition, nu: NameOracle, a, e, k0: int = 0):
             raise PreconditionError(f"clause L1 fails at level {n}: prod c-count > e")
         if poss_count(p, n - 1) > e[n]:
             raise PreconditionError(f"clause iii fails at level {n}")
-    split_set = set(p.split_levels())
-
-    phi = []
-    for k in range(N):
-        etas = space.poss(k - 1)
-        if k < k0:
-            phi.append(frozenset(nu._values(b)[k] for b in space.branches()))
-        elif k not in split_set:
-            phi.append(frozenset(space.decided(nu, space.below(k), eta, k + 1)[k]
-                                 for eta in etas))
-        else:
-            kept = _localize_split(space, nu, k, 0, cdh[k], e[k], d[k], a[k])
-            if kept is None:  # wide subcase: collect every decided value
-                kept = [{space.decided(nu, space.below(k + 1), eta1, k + 1)[k]
-                         for eta1 in space.poss(k)}]
-            phi.append(frozenset().union(*kept))
-    q = space.conditions()[0]
+    phi = [cell[()] for cell in _localize(space, nu, a, e, k0, ())]
     widths = tuple(max(e[k], len(phi[k])) if k < k0 else e[k] for k in range(N))
-    return q, Slalom(tuple(a), widths, tuple(phi))
+    return space.conditions()[0], Slalom(tuple(a), widths, tuple(phi))

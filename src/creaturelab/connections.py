@@ -91,6 +91,7 @@ def build_partition(lengths) -> IntervalPartition:
 
 def gch_profile(c, h, horizon: int) -> tuple[int, ...]:
     """Step profile: floor(log2 c(n)) repeated h(n) times, cut at horizon."""
+    _one_per_index(c, h)
     if any(v < 2 for v in c) or any(v < 1 for v in h):
         raise ValueError("need c >= 2 and h >= 1 pointwise")
     out = []
@@ -103,6 +104,7 @@ def gch_profile(c, h, horizon: int) -> tuple[int, ...]:
 
 def fbg_profile(b, g, horizon: int) -> tuple[int, ...]:
     """Cumulative profile: sum of ceil(log2 b(l)) for l <= n, repeated g(n) times."""
+    _one_per_index(b, g)
     if any(v < 2 for v in b) or any(v < 1 for v in g):
         raise ValueError("need b >= 2 and g >= 1 pointwise")
     out = []

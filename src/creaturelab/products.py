@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from math import prod
 
 from .conditions import (BranchSpace, NameOracle, ParamTriple,
-                         PreconditionError, TruncCondition, _check_level,
-                         _frozen_through, _factors, _fuse, _localize_split,
-                         _reads, _refine_reading, _singleton, and_restrict,
+                         PreconditionError, TruncCondition, _check_compat,
+                         _check_level, _frozen_through, _factors, _fuse,
+                         _localization_space, _localize, _reads,
+                         _refine_reading, _singleton, _splits, and_restrict,
                          catch_real, order_check, poss_count)
-from .numeric import subset_count
 
 
 @dataclass(frozen=True)
@@ -77,18 +77,18 @@ class ProductCondition:
         return self.space.horizon
 
     def splitters(self, level: int) -> list[str]:
-        return [xi for xi in self.support
-                if len(self.parts[xi].cells[level].members) > 1]
+        return [xi for k, xi in self.split_levels() if k == level]
 
     def is_modest(self) -> bool:
-        return all(len(self.splitters(level)) <= 1
-                   for level in range(self.horizon))
+        levels = [k for k, _ in self.split_levels()]
+        return len(levels) == len(set(levels))
 
     def split_levels(self) -> list[tuple[int, str]]:
         """(level, owning coordinate) per product split, ascending; only
         meaningful on modest conditions."""
-        return [(level, xi) for level in range(self.horizon)
-                for xi in self.splitters(level)]
+        support = self.support
+        return [(k, support[j]) for k, j in
+                _splits([self.parts[xi].cells for xi in support])]
 
     def with_part(self, xi: str, part: TruncCondition) -> "ProductCondition":
         parts = dict(self.parts)
@@ -165,11 +165,6 @@ def product_poss_count(p: ProductCondition, k: int) -> int:
 def product_branches(p: ProductCondition) -> list[tuple]:
     space = BranchSpace.of(p)
     return [space.nest(b, space.N) for b in space.branches()]
-
-
-def _with_space(p: ProductCondition, space: BranchSpace) -> ProductCondition:
-    """p with the (refined) cells of its branch space."""
-    return ProductCondition(p.space, dict(zip(p.support, space.conditions())))
 
 
 def product_restrict(p: ProductCondition, eta: tuple) -> ProductCondition:
@@ -252,37 +247,24 @@ def schedule_plan(n: int) -> dict:
 # names over products
 
 
-@dataclass
-class ProductNameOracle(NameOracle):
-    """Total map from full product branches of ``base`` (per coordinate of
-    the support, a tuple of members) to value tuples, one value per level,
-    drawn from ``profile``."""
-
-    base: ProductCondition
+# a name over a product is a NameOracle whose base is the product
+ProductNameOracle = NameOracle
 
 
 def branch_key(p: ProductCondition, branch: tuple, coords=None) -> str:
     """Canonical string key of a product branch, or with ``coords`` of a
     branch over the support's coordinates in ``coords`` alone (a
     RestrictedName cell key)."""
-    parts = [p.parts[xi] for xi in p.support if coords is None or xi in coords]
-    return BranchSpace(parts, p.horizon, True).key(tuple(branch))
-
-
-def _check_product_compat(p: ProductCondition, nu: ProductNameOracle):
-    base = nu.base
-    if p.support != base.support:
-        raise PreconditionError("oracle base support differs")
-    if not product_order_check(p, base):
-        raise PreconditionError("condition is not an extension of the oracle base")
+    coords = tuple(xi for xi in p.support if coords is None or xi in coords)
+    return BranchSpace([p.parts[xi] for xi in coords], p.horizon,
+                       coords).key(tuple(branch))
 
 
 def product_check_reading(p: ProductCondition, nu: ProductNameOracle,
                           mode: str) -> bool:
     """timely: all selections up to each product split level k fix the first
     k values; early: selections strictly below every level fix the prefix."""
-    _check_product_compat(p, nu)
-    return _reads(BranchSpace.of(p), nu, mode)
+    return _reads(_check_compat(p, nu), nu, mode)
 
 
 def product_early_read(p: ProductCondition,
@@ -290,23 +272,21 @@ def product_early_read(p: ProductCondition,
     """Shrink each product split's owning cell by bigness so the name's
     prefix is decided strictly below every level; other coordinates are
     untouched."""
-    _check_product_compat(p, nu)
+    space = _check_compat(p, nu)
     if not p.is_modest():
         raise PreconditionError("condition is not modest")
-    space = BranchSpace.of(p)
     if not _reads(space, nu, "timely"):
         raise PreconditionError("condition does not read the name timely")
     _refine_reading(space, nu)
     if not _reads(space, nu, "early"):
         raise PreconditionError("early agreement failed after refinement")
-    return _with_space(p, space)
+    return ProductCondition(p.space, dict(zip(p.support, space.conditions())))
 
 
 def bounding_extract(q: ProductCondition, nu: ProductNameOracle) -> tuple:
     """f(k) = max of the values the name can take at level k; every branch
     is re-verified to stay below f pointwise."""
-    _check_product_compat(q, nu)
-    space = BranchSpace.of(q)
+    space = _check_compat(q, nu)
     if not (_reads(space, nu, "early") or _reads(space, nu, "timely")):
         raise PreconditionError("condition reads the name neither early nor timely")
     vals = [nu._values(b) for b in space.branches()]
@@ -321,27 +301,20 @@ def bounding_extract(q: ProductCondition, nu: ProductNameOracle) -> tuple:
 # catching and restricted localisation
 
 
-def _depends_only_on(p: ProductCondition, nu: ProductNameOracle,
-                     coords) -> bool:
-    """Does the name factor through the given coordinates' branches?"""
-    space, N = BranchSpace.of(p), p.horizon
-    return _factors(((b, nu._values(b)) for b in space.branches()),
-                    [j * N + i for j, xi in enumerate(p.support) if xi in coords
-                     for i in range(N)], None)
-
-
 def product_catch(p: ProductCondition, nu_x: ProductNameOracle, B, xi: str,
                   n0: int = 0):
     """Freeze coordinate xi at some level k >= n0 of norm >= 1 to a member
     containing the (B-decided) value x(k); the B coordinates collapse to
     their first canonical branch so x is fully decided."""
-    _check_product_compat(p, nu_x)
+    space, N = _check_compat(p, nu_x), p.horizon
     B = set(B)
     if xi in B:
         raise PreconditionError("target coordinate cannot carry the name")
     if xi not in p.support:
         raise PreconditionError(f"coordinate {xi!r} outside the support")
-    if not _depends_only_on(p, nu_x, B):
+    if not _factors(((b, nu_x._values(b)) for b in space.branches()),
+                    [j * N + i for j, beta in enumerate(p.support) if beta in B
+                     for i in range(N)], None):
         raise PreconditionError(
             "dependence leak: the name reads coordinates outside B")
     parts = dict(p.parts)
@@ -384,47 +357,11 @@ def restricted_localize(p: ProductCondition, nu_x: ProductNameOracle,
     values survive, by the same wide/narrow refinement as the single-poset
     localisation with colors d_beta(k) and range a(k).
     """
-    _check_product_compat(p, nu_x)
     if not p.is_modest():
         raise PreconditionError("condition is not modest")
-    space = BranchSpace.of(p)
-    if not _reads(space, nu_x, "early"):
-        raise PreconditionError("condition does not read the name early")
+    space = _localization_space(p, nu_x, a, e)
     C = tuple(sorted(set(C) & set(p.support)))
-    N = p.horizon
-    if min(len(a), len(e)) < N:
-        raise PreconditionError("a and e need an entry per level")
-    for k in range(N):
-        if any(v not in range(a[k]) for v in nu_x.profile[k]):
-            raise PreconditionError(f"profile leaves range(a) at level {k}")
-    cidx = [j for j, xi in enumerate(p.support) if xi in C]
-
-    def restricted(b):
-        return tuple(b[j * N:(j + 1) * N] for j in cidx)
-    split_owner = dict(space.splits())
-
-    phi = []
-    for k in range(N):
-        j = split_owner.get(k)
-        if j is not None and p.support[j] not in C:
-            # the level is decided by a foreign coordinate: shrink its cell
-            triple = p.space.triple_of(p.support[j])
-            _localize_split(space, nu_x, k, j,
-                            subset_count(triple.c[k], triple.h[k]),
-                            e[k], triple.d[k], a[k])
-        # collect the surviving values per restricted branch
-        cell = {}
-        for b in space.branches():
-            cell.setdefault(restricted(b), set()).add(nu_x._values(b)[k])
-        for key, vals in cell.items():
-            if len(vals) > e[k]:
-                raise PreconditionError(
-                    f"clause i fails at level {k}: {len(vals)} values")
-        phi.append({key: frozenset(vals) for key, vals in cell.items()})
-
-    name = RestrictedName(C, tuple(e), tuple(phi))
-    for b in space.branches():
-        v, key = nu_x._values(b), restricted(b)
-        if any(v[k] not in name.cells[k][key] for k in range(N)):
-            raise AssertionError("a branch escapes the restricted name")
-    return _with_space(p, space), name
+    phi = _localize(space, nu_x, a, e, 0,
+                    [j for j, xi in enumerate(p.support) if xi in C])
+    q = ProductCondition(p.space, dict(zip(p.support, space.conditions())))
+    return q, RestrictedName(C, tuple(e), tuple(phi))

@@ -2,8 +2,9 @@
 connection-pair checking.
 
 For a system <X, Y, rel>, b is the least size of a subset of X that no single
-y bounds, and d the least size of a subset of Y that bounds every x.  Both
-are found by exhaustive subset search, so sizes are capped.
+y bounds, and d the least size of a subset of Y that bounds every x; b is d
+of the dual system.  d is found by exhaustive subset search, so sizes are
+capped.
 """
 
 from __future__ import annotations
@@ -51,34 +52,22 @@ def brute_characteristics(R: FinRelSystem):
 
     b = least |B|, B subset of X, such that no y relates every member of B;
     INF if one y relates all of X.  d = least |D|, D subset of Y, such that
-    every x relates some member of D; INF if some x relates nothing.
+    every x relates some member of D; INF if some x relates nothing.  b is
+    d of the dual: D subset of X dominates there exactly when no y relates
+    every member of D.
     """
     if R.x_size > SIZE_CAP or R.y_size > SIZE_CAP:
         raise ValueError("system exceeds the exhaustive size cap")
+    return _dominating_number(dual(R)), _dominating_number(R)
+
+
+def _dominating_number(R: FinRelSystem):
     xs, ys = range(R.x_size), range(R.y_size)
-
-    b = INF
-    for size in range(1, R.x_size + 1):
-        found = False
-        for B in itertools.combinations(xs, size):
-            if not any(all(R.rel[x][y] for x in B) for y in ys):
-                found = True
-                break
-        if found:
-            b = size
-            break
-
-    d = INF
     for size in range(1, R.y_size + 1):
-        found = False
-        for D in itertools.combinations(ys, size):
-            if all(any(R.rel[x][y] for y in D) for x in xs):
-                found = True
-                break
-        if found:
-            d = size
-            break
-    return b, d
+        if any(all(any(R.rel[x][y] for y in D) for x in xs)
+               for D in itertools.combinations(ys, size)):
+            return size
+    return INF
 
 
 def leq_card(u, v) -> bool:

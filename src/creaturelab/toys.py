@@ -92,7 +92,6 @@ def _table_oracle(rng: Random, p, profile, dep_cut):
     """x(k) drawn from a random table over the member indices of the levels
     below dep_cut(k) in every coordinate of p (a condition or a product)."""
     from .conditions import BranchSpace, NameOracle
-    from .products import ProductNameOracle
     space = BranchSpace.of(p)
     cuts = [space.below(dep_cut(k)) for k in range(p.horizon)]
     tables = [{key: rng.choice(profile[k]) for key in itertools.product(
@@ -103,7 +102,7 @@ def _table_oracle(rng: Random, p, profile, dep_cut):
         idx = [m[t] for m, t in zip(space.index, space.flat(branch))]
         return tuple(table[tuple(idx[x] for x in xs)]
                      for table, xs in zip(tables, cuts))
-    return (ProductNameOracle if space.nested else NameOracle)(p, profile, fn)
+    return NameOracle(p, profile, fn)
 
 
 def reading_instance(rng: Random, max_horizon: int = 5,

@@ -10,7 +10,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from creaturelab import toys
+from creaturelab import cli, toys
 from creaturelab.cli import main
 from creaturelab.conditions import branches
 from creaturelab.products import product_branches
@@ -149,6 +149,57 @@ def test_thin_with_float_d_exits_2(tmp_path, capsys):
     assert code == 2 and body == ""
     assert "Traceback" not in err and "integer" in err
 
+
+@pytest.mark.parametrize("sub, payload", [
+    ("gch", {"c": [4, 4, 8, 8], "h": [1, 1], "horizon": 2}),
+    ("fbg", {"b": [4, 4, 8], "g": [1], "horizon": 1}),
+], ids=["gch", "fbg"])
+def test_profile_of_lists_of_different_lengths_exits_2(tmp_path, capsys, sub,
+                                                       payload):
+    code, body = run(tmp_path, sub, payload)
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert "Traceback" not in err and "differ in length" in err
+
+
+@pytest.mark.parametrize("sub, text, literal", [
+    ("gch", '{"c": [4.5, 4], "h": [1, 1], "horizon": 2}', "4.5"),
+    ("gch", '{"c": [4, 4], "h": [1, 1], "horizon": 2e0}', "2e0"),
+    ("gch", '{"c": [4, NaN], "h": [1, 1], "horizon": 2}', "NaN"),
+    ("partition", '{"lengths": [1, -Infinity]}', "-Infinity"),
+    ("lognorm", '{"creature": {"arena": 4, "cap": 2, "members": [[0, 1]]}, '
+                '"d": 2, "t": 0.5}', "0.5"),
+], ids=["fraction", "exponent", "nan", "infinity", "lognorm-t"])
+def test_non_integral_json_number_exits_2(tmp_path, capsys, sub, text, literal):
+    inp = tmp_path / "in.json"
+    inp.write_text(text)
+    assert main([sub, "--input", str(inp)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert f"{literal} in the JSON input is not an integer" in err
+
+
+@pytest.mark.parametrize("name", ["check-reading-early", "early-read", "localize",
+                                  "product-early-read", "bound", "product-catch",
+                                  "restricted-localize"])
+def test_condition_outside_its_oracle_base_exits_2(tmp_path, capsys,
+                                                   monkeypatch, name):
+    """The CLI builds each oracle over its input condition, so the oracle
+    here is moved onto a base whose first split cell keeps one member."""
+    named = cli._named
+
+    def narrowed(kind, oracle_kind, condition, oracle):
+        p, nu = named(kind, oracle_kind, condition, oracle)
+        base = json.loads(json.dumps(condition))
+        cells = [cell for part in base.get("parts", {"": base}).values()
+                 for cell in part["cells"]]
+        del next(cell for cell in cells if len(cell) > 1)[1:]
+        return p, oracle_kind(kind.from_json(base), nu.profile, nu.eval)
+    monkeypatch.setattr(cli, "_named", narrowed)
+    code, body = run(tmp_path, _subcommand(name), _INPUTS[name])
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert "Traceback" not in err and "extension of the oracle base" in err
 
 
 def test_exact_family_count_past_the_bit_budget_exits_2(tmp_path, capsys):
@@ -346,9 +397,10 @@ def test_toy_instances_are_pinned():
         "fb62064a6458ce6d783a9ebac93234e59a1e2ab93c0c99b14704f2edb1977aad"
 
 
-# small JSON to put in place of a value: ints, short lists, strings, null
-_SMALL = st.one_of(st.none(), st.integers(-3, 12), st.text(max_size=3),
-                   st.lists(st.integers(-3, 12), max_size=3))
+# small JSON to put in place of a value: ints, floats (NaN and infinities
+# too), short lists, strings, null
+_SMALL = st.one_of(st.none(), st.integers(-3, 12), st.floats(),
+                   st.text(max_size=3), st.lists(st.integers(-3, 12), max_size=3))
 
 
 def _replaced(draw, value):

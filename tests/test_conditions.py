@@ -194,6 +194,31 @@ def test_localize_slalom_width_and_membership():
             assert all(v[k] in phi.cells[k] for k in range(p.horizon))
 
 
+@pytest.mark.parametrize("k0", [0, 1, 2])
+def test_localize_cells_are_the_values_of_the_branches_of_q(k0):
+    """Each slalom cell holds exactly the values the name takes on q's
+    branches: no value of a member a later refinement removed."""
+    for seed in range(300):
+        p, nu, a, e = localize_instance(Random(seed))
+        q, phi = localize(p, nu, a, e, k0)
+        vals = [nu.eval(b) for b in branches(q)]
+        assert [set(cell) for cell in phi.cells] == \
+            [{v[k] for v in vals} for k in range(p.horizon)], seed
+
+
+def test_a_condition_outside_its_oracle_base_is_rejected():
+    base = and_restrict(P3, (frozenset({1}),))
+    nu = NameOracle(base, ((0,), (0,), (0,)), lambda b: (0, 0, 0))
+    for op in (lambda: check_reading(P3, nu, "early"),
+               lambda: early_read(P3, nu),
+               lambda: localize(P3, nu, (1, 1, 1), (4, 4, 4))):
+        with pytest.raises(PreconditionError, match="extension of the oracle base"):
+            op()
+    other = _cond([(3, 1, [[0], [1]]), (4, 2, [[0, 1]]), (4, 2, [[0]])])
+    with pytest.raises(PreconditionError, match="parameters differ"):
+        check_reading(other, NameOracle(P3, nu.profile, nu.fn), "early")
+
+
 def test_localize_rejects_window_violations():
     rng = Random(78)
     p, nu, a, e = localize_instance(rng)

@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from creaturelab.conditions import PreconditionError, TruncCondition
+from creaturelab.conditions import PreconditionError, TruncCondition, _singleton
 from creaturelab.creatures import Creature, norm
 from creaturelab.products import (
     ProductCondition,
@@ -161,6 +161,45 @@ def test_restricted_localize_invariance_and_membership():
                 assert len(cell) <= e[k]
                 # the cell is a function of the restricted branch alone
                 assert seen.setdefault((k, key), cell) == cell
+
+
+def test_restricted_cells_are_the_values_of_the_branches_of_q():
+    """Each cell of phi holds exactly the values the name takes on the
+    branches of q through its restricted branch."""
+    for seed in range(300):
+        p, nu, C, a, e = restricted_instance(Random(seed))
+        q, name = restricted_localize(p, nu, C, a, e)
+        cidx = [i for i, xi in enumerate(q.support) if xi in name.coords]
+        want = [{} for _ in range(q.horizon)]
+        for b in product_branches(q):
+            for cell, v in zip(want, nu.eval(b)):
+                cell.setdefault(tuple(b[i] for i in cidx), set()).add(v)
+        assert [{key: set(vals) for key, vals in cell.items()}
+                for cell in name.cells] == want, seed
+
+
+def test_a_product_outside_its_oracle_base_is_rejected():
+    p, nu, B, xi = product_catch_instance(Random(9))
+    level, coord = p.split_levels()[0]
+    part = p.parts[coord]
+    cells = list(part.cells)
+    cells[level] = _singleton(cells[level])
+    narrow = ProductNameOracle(
+        p.with_part(coord, TruncCondition(part.params, tuple(cells))),
+        nu.profile, nu.eval)
+    for op in (lambda: product_check_reading(p, narrow, "early"),
+               lambda: product_early_read(p, narrow),
+               lambda: bounding_extract(p, narrow),
+               lambda: product_catch(p, narrow, B, xi),
+               lambda: restricted_localize(p, narrow, B, (9,) * 3, (9,) * 3)):
+        with pytest.raises(PreconditionError, match="extension of the oracle base"):
+            op()
+    smaller = ProductCondition(p.space, {xi: p.parts[xi]})
+    with pytest.raises(PreconditionError, match="support differs"):
+        product_check_reading(p, ProductNameOracle(smaller, nu.profile, nu.fn),
+                              "early")
+    with pytest.raises(PreconditionError, match="support differs"):
+        product_check_reading(p.parts[xi], nu, "early")
 
 
 def test_branch_key_is_canonical_and_distinct():
