@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import prod
 
 from .creatures import (Creature, bigness_refine, lognorm_value_cmp, norm,
@@ -122,8 +122,8 @@ class BranchSpace:
     per-level tuples.  Each position holds its cell, the cell's members in
     canonical order (``pools``) and the member -> index map of that order
     (``index``).  A space with ``coords``, the product coordinates its parts
-    stand for, shows branches to callers as per-coordinate tuples; a single
-    condition's space has none.
+    stand for, shows selections to callers as per-coordinate tuples
+    (``shape``); a single condition's space has none.
     """
 
     def __init__(self, parts, horizon: int, coords=None):
@@ -147,10 +147,14 @@ class BranchSpace:
         self.pools[x] = cell.sorted_members()
         self.index[x] = {t: i for i, t in enumerate(self.pools[x])}
 
-    def conditions(self) -> list[TruncCondition]:
-        """Each coordinate's condition over the current cells."""
-        return [TruncCondition(part.params, tuple(cells))
-                for part, cells in zip(self.parts, self.nest(self.cells, self.N))]
+    def rebuild(self, p):
+        """p's kind over the current cells: the condition, or p's product
+        with each support coordinate's condition replaced."""
+        conds = [TruncCondition(part.params, tuple(cells))
+                 for part, cells in zip(self.parts, self.nest(self.cells, self.N))]
+        if self.coords is None:
+            return conds[0]
+        return replace(p, parts=dict(zip(self.coords, conds)))
 
     def below(self, k: int) -> list[int]:
         """Positions of the levels < k of every coordinate, in branch order."""
@@ -161,16 +165,18 @@ class BranchSpace:
         return _splits(self.nest(self.cells, self.N))
 
     def count(self, k: int) -> int:
+        """The number of selections of one member per level <= k of every
+        coordinate."""
+        if not -1 <= k < self.N:
+            raise ValueError(f"k = {k} is not a level in [-1, {self.N - 1}]")
         return prod(len(self.pools[x]) for x in self.below(k + 1))
 
     def poss(self, k: int) -> list[tuple]:
         """Flat selections of one member per level <= k of every
         coordinate, levels ascending within each coordinate."""
-        _check_level(k, self.N)
-        pools = [self.pools[x] for x in self.below(k + 1)]
-        if prod(len(pool) for pool in pools) > POSS_CAP:
+        if self.count(k) > POSS_CAP:
             raise ValueError("possibility enumeration cap exceeded")
-        return list(itertools.product(*pools))
+        return list(itertools.product(*[self.pools[x] for x in self.below(k + 1)]))
 
     def branches(self) -> list[tuple]:
         if self.count(self.N - 1) > BRANCH_CAP:
@@ -198,6 +204,12 @@ class BranchSpace:
         levels per coordinate."""
         return tuple(flat[j * w:(j + 1) * w] for j in range(self.W))
 
+    def shape(self, flat: tuple, w: int) -> tuple:
+        """The caller's shape of a flat selection of w levels per
+        coordinate: itself for a condition, per-coordinate tuples for a
+        product."""
+        return flat if self.coords is None else self.nest(flat, w)
+
     def flat(self, branch: tuple) -> tuple:
         return branch if self.coords is None else \
             tuple(itertools.chain.from_iterable(branch))
@@ -212,27 +224,28 @@ class BranchSpace:
         return "|".join([",".join(idx[j * N:(j + 1) * N]) for j in range(self.W)])
 
 
-def possibilities(p: TruncCondition, k: int) -> list[tuple]:
+# The branch and reading operations below take a condition or a product; a
+# product's selections and branches are tuples aligned with its sorted
+# support, one per coordinate.
+
+
+def possibilities(p, k: int) -> list[tuple]:
     """All selections of one member per level up to and including k.
 
     k = -1 yields the single empty selection.
     """
-    return BranchSpace.of(p).poss(k)
+    space = BranchSpace.of(p)
+    return [space.shape(sel, k + 1) for sel in space.poss(k)]
 
 
-def poss_count(p: TruncCondition, k: int) -> int:
+def poss_count(p, k: int) -> int:
     """|possibilities(p, k)| without enumerating."""
-    _check_level(k, p.horizon)
-    return prod(len(cell.members) for cell in p.cells[:k + 1])
+    return BranchSpace.of(p).count(k)
 
 
-def _check_level(k: int, horizon: int) -> None:
-    if not -1 <= k < horizon:
-        raise ValueError(f"k = {k} is not a level in [-1, {horizon - 1}]")
-
-
-def branches(p: TruncCondition) -> list[tuple]:
-    return BranchSpace.of(p).branches()
+def branches(p) -> list[tuple]:
+    space = BranchSpace.of(p)
+    return [space.shape(b, space.N) for b in space.branches()]
 
 
 def and_restrict(p: TruncCondition, eta: tuple) -> TruncCondition:
@@ -357,6 +370,8 @@ def thin(p: TruncCondition, gbound) -> TruncCondition:
 
 def catch_real(p: TruncCondition, x, n0: int = 0):
     """Freeze some level k >= n0 of norm >= 1 to a member containing x(k)."""
+    if n0 < 0:
+        raise ValueError(f"the start level n0 = {n0} is negative")
     for k in range(n0, p.horizon):
         covered = frozenset().union(*p.cells[k].members)
         if len(covered) == p.cells[k].arena:  # norm >= 1
@@ -399,8 +414,7 @@ class NameOracle:
         out = self._cache.get(flat)
         if out is None:
             space = self._space
-            out = tuple(self.fn(flat if space.coords is None
-                                else space.nest(flat, space.N)))
+            out = tuple(self.fn(space.shape(flat, space.N)))
             if len(out) != space.N:
                 raise ValueError("oracle must return one value per level")
             if not all(map(operator.contains, self.profile, out)):
@@ -438,7 +452,7 @@ def _check_compat(p, nu: NameOracle) -> BranchSpace:
     return space
 
 
-def check_reading(p: TruncCondition, nu: NameOracle, mode: str) -> bool:
+def check_reading(p, nu: NameOracle, mode: str) -> bool:
     """Does p decide the name's prefix at (timely) or before (early) each cut?
 
     timely: selections up to each split level n fix the first n values;
@@ -471,29 +485,23 @@ def _factors(pairs, positions, n) -> bool:
     return True
 
 
-def early_read(p: TruncCondition, nu: NameOracle) -> TruncCondition:
-    """Shrink split cells so that the name's prefix is decided strictly
-    below every level, one bigness application per prior possibility."""
-    space = _check_compat(p, nu)
-    if not _reads(space, nu, "timely"):
-        raise PreconditionError("condition does not read the name timely")
-    d = p.params.d
-    for n in p.split_levels():
-        if poss_count(p, n - 1) >= d[n]:
-            raise PreconditionError(f"|poss| >= d at split level {n}")
-    for n in range(p.horizon):
-        if prod(len(a) for a in nu.profile[:n]) > d[n]:
-            raise PreconditionError(f"value-space product exceeds d at level {n}")
-    _refine_reading(space, nu)
-    return space.conditions()[0]
-
-
-def _refine_reading(space: BranchSpace, nu: NameOracle) -> None:
+def early_read(p, nu: NameOracle):
     """Shrink every split cell by bigness, one application per possibility
     below it, so that the name's prefix is decided strictly below every
-    level.  Both bounds are checked at each split on the partly refined
-    space."""
-    for k, j in space.splits():
+    level; other cells are untouched.
+
+    p must be modest and read the name timely, and at each split k of the
+    partly refined space there must be fewer than d(k) possibilities below
+    k and at most d(k) value prefixes of length k.  The result is checked
+    to read the name early.
+    """
+    space = _check_compat(p, nu)
+    splits = space.splits()
+    if len({k for k, _ in splits}) < len(splits):
+        raise PreconditionError("condition is not modest")
+    if not _reads(space, nu, "timely"):
+        raise PreconditionError("condition does not read the name timely")
+    for k, j in splits:
         d = space.parts[j].params.d[k]
         if space.count(k - 1) >= d:
             raise PreconditionError(f"|poss| >= d at split level {k}")
@@ -513,6 +521,9 @@ def _refine_reading(space: BranchSpace, nu: NameOracle) -> None:
                 raise PreconditionError(f"more decision classes than d at level {k}")
             _, M = bigness_refine(M, lambda t: index[prefix_of[t]], d)
         space.set_cell(x, M)
+    if not _reads(space, nu, "early"):
+        raise PreconditionError("early agreement failed after refinement")
+    return space.rebuild(p)
 
 
 def _localize_split(space: BranchSpace, nu: NameOracle, k: int, j: int,
@@ -582,11 +593,7 @@ def _localize(space: BranchSpace, nu: NameOracle, a, e, k0: int,
         widest = max(map(len, phi[k].values()))
         if widest > e[k]:
             raise PreconditionError(f"clause i fails at level {k}: {widest} values")
-    phi = [{key: frozenset(vals) for key, vals in cell.items()} for cell in phi]
-    for key, v in rows:
-        if any(value not in cell[key] for cell, value in zip(phi, v)):
-            raise AssertionError("a branch escapes the localisation")
-    return phi
+    return [{key: frozenset(vals) for key, vals in cell.items()} for cell in phi]
 
 
 def localize(p: TruncCondition, nu: NameOracle, a, e, k0: int = 0):
@@ -598,6 +605,8 @@ def localize(p: TruncCondition, nu: NameOracle, a, e, k0: int = 0):
     k0 if the threshold is positive).
     """
     from .connections import Slalom
+    if k0 < 0:
+        raise ValueError(f"the start level k0 = {k0} is negative")
     space = _localization_space(p, nu, a, e)
     N, d = p.horizon, p.params.d
     cdh = [subset_count(c, h) for c, h in zip(p.params.c, p.params.h)]
@@ -606,8 +615,8 @@ def localize(p: TruncCondition, nu: NameOracle, a, e, k0: int = 0):
             raise PreconditionError(f"clause L1 fails at level {n}: prod a > d")
         if prod(cdh[:n]) > e[n]:
             raise PreconditionError(f"clause L1 fails at level {n}: prod c-count > e")
-        if poss_count(p, n - 1) > e[n]:
+        if space.count(n - 1) > e[n]:
             raise PreconditionError(f"clause iii fails at level {n}")
     phi = [cell[()] for cell in _localize(space, nu, a, e, k0, ())]
     widths = tuple(max(e[k], len(phi[k])) if k < k0 else e[k] for k in range(N))
-    return space.conditions()[0], Slalom(tuple(a), widths, tuple(phi))
+    return space.rebuild(p), Slalom(tuple(a), widths, tuple(phi))

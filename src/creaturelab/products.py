@@ -10,14 +10,13 @@ total functions of full product branches, checked exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 from .conditions import (BranchSpace, NameOracle, ParamTriple,
                          PreconditionError, TruncCondition, _check_compat,
-                         _check_level, _frozen_through, _factors, _fuse,
-                         _localization_space, _localize, _reads,
-                         _refine_reading, _singleton, _splits, and_restrict,
-                         catch_real, order_check, poss_count)
+                         _frozen_through, _factors, _fuse, _localization_space,
+                         _localize, _reads, _singleton, _splits, and_restrict,
+                         branches, catch_real, check_reading, early_read,
+                         order_check, poss_count, possibilities)
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ class ProductCondition:
 
 
 # ---------------------------------------------------------------------------
-# modesty and possibilities
+# modesty
 
 
 def modest_refine(p: ProductCondition) -> ProductCondition:
@@ -147,24 +146,6 @@ def modest_refine(p: ProductCondition) -> ProductCondition:
     if not out.is_modest():
         raise PreconditionError("refinement failed to reach modesty")
     return out
-
-
-def product_possibilities(p: ProductCondition, k: int) -> list[tuple]:
-    """Selections of one member per level <= k for every coordinate, as
-    tuples aligned with sorted support.  k = -1 yields one possibility."""
-    space = BranchSpace.of(p)
-    return [space.nest(sel, k + 1) for sel in space.poss(k)]
-
-
-def product_poss_count(p: ProductCondition, k: int) -> int:
-    """|product_possibilities(p, k)|: the product of the parts' counts."""
-    _check_level(k, p.horizon)
-    return prod(poss_count(part, k) for part in p.parts.values())
-
-
-def product_branches(p: ProductCondition) -> list[tuple]:
-    space = BranchSpace.of(p)
-    return [space.nest(b, space.N) for b in space.branches()]
 
 
 def product_restrict(p: ProductCondition, eta: tuple) -> ProductCondition:
@@ -247,8 +228,14 @@ def schedule_plan(n: int) -> dict:
 # names over products
 
 
-# a name over a product is a NameOracle whose base is the product
+# a name over a product is a NameOracle whose base is the product, and the
+# branch and reading operations of conditions take a product as well
 ProductNameOracle = NameOracle
+product_possibilities = possibilities
+product_poss_count = poss_count
+product_branches = branches
+product_check_reading = check_reading
+product_early_read = early_read
 
 
 def branch_key(p: ProductCondition, branch: tuple, coords=None) -> str:
@@ -260,41 +247,13 @@ def branch_key(p: ProductCondition, branch: tuple, coords=None) -> str:
                        coords).key(tuple(branch))
 
 
-def product_check_reading(p: ProductCondition, nu: ProductNameOracle,
-                          mode: str) -> bool:
-    """timely: all selections up to each product split level k fix the first
-    k values; early: selections strictly below every level fix the prefix."""
-    return _reads(_check_compat(p, nu), nu, mode)
-
-
-def product_early_read(p: ProductCondition,
-                       nu: ProductNameOracle) -> ProductCondition:
-    """Shrink each product split's owning cell by bigness so the name's
-    prefix is decided strictly below every level; other coordinates are
-    untouched."""
-    space = _check_compat(p, nu)
-    if not p.is_modest():
-        raise PreconditionError("condition is not modest")
-    if not _reads(space, nu, "timely"):
-        raise PreconditionError("condition does not read the name timely")
-    _refine_reading(space, nu)
-    if not _reads(space, nu, "early"):
-        raise PreconditionError("early agreement failed after refinement")
-    return ProductCondition(p.space, dict(zip(p.support, space.conditions())))
-
-
 def bounding_extract(q: ProductCondition, nu: ProductNameOracle) -> tuple:
-    """f(k) = max of the values the name can take at level k; every branch
-    is re-verified to stay below f pointwise."""
+    """f(k) = max of the values the name can take at level k."""
     space = _check_compat(q, nu)
     if not (_reads(space, nu, "early") or _reads(space, nu, "timely")):
         raise PreconditionError("condition reads the name neither early nor timely")
     vals = [nu._values(b) for b in space.branches()]
-    f = tuple(max(v[k] for v in vals) for k in range(q.horizon))
-    for v in vals:
-        if any(v[k] > f[k] for k in range(q.horizon)):
-            raise AssertionError("a branch exceeds the extracted bound")
-    return f
+    return tuple(max(v[k] for v in vals) for k in range(q.horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -363,5 +322,4 @@ def restricted_localize(p: ProductCondition, nu_x: ProductNameOracle,
     C = tuple(sorted(set(C) & set(p.support)))
     phi = _localize(space, nu_x, a, e, 0,
                     [j for j, xi in enumerate(p.support) if xi in C])
-    q = ProductCondition(p.space, dict(zip(p.support, space.conditions())))
-    return q, RestrictedName(C, tuple(e), tuple(phi))
+    return space.rebuild(p), RestrictedName(C, tuple(e), tuple(phi))

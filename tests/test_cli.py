@@ -126,6 +126,16 @@ def test_catch_with_short_x_exits_2(tmp_path, capsys):
     assert "Traceback" not in err and "x has no entry for level 0" in err
 
 
+@pytest.mark.parametrize("name, field, level", [
+    ("catch", "n0", -2), ("product-catch", "n0", -1), ("localize", "k0", -1),
+], ids=["catch", "product-catch", "localize"])
+def test_negative_start_level_exits_2(tmp_path, capsys, name, field, level):
+    code, body = run(tmp_path, name, dict(_INPUTS[name], **{field: level}))
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert "Traceback" not in err and f"start level {field} = {level}" in err
+
+
 def test_poss_with_negative_level_exits_2(tmp_path, capsys):
     code, body = run(tmp_path, "poss", {"condition": _COND, "k": -5})
     err = capsys.readouterr().err
@@ -414,11 +424,33 @@ def _replaced(draw, value):
     return draw(_SMALL)
 
 
+def _fields(flags):
+    """Command-line flags as the JSON fields they give."""
+    return {flag[2:]: int(value) if flag == "--cap" else value
+            for flag, value in zip(flags[::2], flags[1::2])}
+
+
+# the golden inputs, and the family rows of _GOLDEN with their flags as fields
+_FUZZED = [(_subcommand(name), payload) for name, payload in sorted(_INPUTS.items())]
+_FUZZED += [(sub, dict(payload, **_fields(flags)))
+            for sub, payload, flags, *_ in _GOLDEN if sub == "family"]
+
+# per subcommand that can exit 1, the witness its report carries
+_WITNESS = {
+    "order": lambda r: r["extends"] is False,
+    "check-reading": lambda r: r["reads"] is False,
+    "tukey": lambda r: r["result"] == "counterexample" and "x" in r and "yp" in r,
+    "maps": lambda r: "violation" in r["transfer"],
+    "family": lambda r: r["summary"]["fail"] + r["summary"]["unknown"] > 0
+    and any(e["status"] != "pass" for e in r["certificate"]),
+}
+
+
 @st.composite
 def _mutated_inputs(draw):
     """A golden input with one field dropped, added or replaced."""
-    name = draw(st.sampled_from(sorted(_INPUTS)))
-    payload = dict(_INPUTS[name])
+    sub, payload = draw(st.sampled_from(_FUZZED))
+    payload = dict(payload)
     how = draw(st.sampled_from(["drop", "add", "replace"]))
     if how == "add":
         payload[draw(st.text(max_size=3))] = draw(_SMALL)
@@ -428,10 +460,10 @@ def _mutated_inputs(draw):
             del payload[key]
         else:
             payload[key] = _replaced(draw, payload[key])
-    return _subcommand(name), payload
+    return sub, payload
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=400, derandomize=True, deadline=None)
 @given(_mutated_inputs())
 def test_mutated_inputs_keep_the_exit_contract(case):
     sub, payload = case
@@ -446,3 +478,8 @@ def test_mutated_inputs_keep_the_exit_contract(case):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == ""
+    else:
+        report = json.loads(out.getvalue())
+        assert isinstance(report, dict) and out.getvalue().count("\n") == 1
+        if code == 1:
+            assert _WITNESS[sub](report), report

@@ -127,6 +127,13 @@ def test_catch_real_freezes_a_covering_level():
         catch_real(p, [2, 0], n0=1)
 
 
+@pytest.mark.parametrize("n0", [-1, -2])
+def test_catch_real_rejects_a_negative_start_level(n0):
+    p = _cond([(3, 1, [[0], [1], [2]]), (4, 2, [[0, 1]]), (3, 1, [[0], [1], [2]])])
+    with pytest.raises(ValueError, match=f"start level n0 = {n0} is negative"):
+        catch_real(p, [2, 0, 1], n0)
+
+
 def test_name_oracle_from_table_and_profile_guard():
     table = {}
     for i, b in enumerate(branches(P3)):
@@ -173,6 +180,22 @@ def test_early_read_decides_strictly_below_each_level():
             assert lhs <= rhs
 
 
+def test_early_read_checks_its_bounds_at_the_splits_of_the_refined_condition():
+    """With every d halved, the value space below level 2 (four prefixes)
+    exceeds d = 2 there, but level 2 is not a split: the bounds hold at the
+    one split, level 1, so early_read returns a q, which reads early."""
+    p, nu = reading_instance(Random(2))
+    p = TruncCondition(ParamTriple(p.params.c, p.params.h,
+                                   tuple(max(2, d // 2) for d in p.params.d)),
+                       p.cells)
+    nu = NameOracle(p, nu.profile, nu.fn)
+    assert p.split_levels() == [1] and p.params.d == (2, 2, 2)
+    q = early_read(p, nu)
+    assert check_reading(q, nu, "early")
+    assert all(q.cells[i].members <= p.cells[i].members
+               for i in range(p.horizon))
+
+
 def test_early_read_rejects_untimely_names():
     # x(0) reads the level-2 choice, above the level-1 split
     prof = ((0, 1), (0,), (0,))
@@ -217,6 +240,13 @@ def test_a_condition_outside_its_oracle_base_is_rejected():
     other = _cond([(3, 1, [[0], [1]]), (4, 2, [[0, 1]]), (4, 2, [[0]])])
     with pytest.raises(PreconditionError, match="parameters differ"):
         check_reading(other, NameOracle(P3, nu.profile, nu.fn), "early")
+
+
+@pytest.mark.parametrize("k0", [-1, -3])
+def test_localize_rejects_a_negative_start_level(k0):
+    p, nu, a, e = localize_instance(Random(5))
+    with pytest.raises(ValueError, match=f"start level k0 = {k0} is negative"):
+        localize(p, nu, a, e, k0)
 
 
 def test_localize_rejects_window_violations():

@@ -104,6 +104,21 @@ def test_product_early_read_and_norm_bookkeeping():
         done += 1
 
 
+def test_product_early_read_rejects_a_product_that_is_not_modest():
+    p, _ = product_reading_instance(Random(6))
+    level, coord = p.split_levels()[0]
+    other = next(xi for xi in p.support if xi != coord)
+    part = p.parts[other]
+    cells = list(part.cells)
+    cells[level] = Creature.of(cells[level].arena, cells[level].cap, [[0], [1]])
+    busy = p.with_part(other, TruncCondition(part.params, tuple(cells)))
+    assert not busy.is_modest()
+    N = busy.horizon
+    nu = ProductNameOracle(busy, ((0,),) * N, lambda b: (0,) * N)
+    with pytest.raises(PreconditionError, match="not modest"):
+        product_early_read(busy, nu)
+
+
 def test_bounding_extract_dominates_every_branch():
     rng = Random(8)
     for _ in range(30):
@@ -124,6 +139,14 @@ def test_product_catch_freezes_the_value():
         assert len(q.parts[xi].cells[k].members) == 1
         for b in product_branches(q):
             assert nu.eval(b)[k] in b[pos][k]
+
+
+@pytest.mark.parametrize("n0", [-1, -2, -3])
+def test_product_catch_rejects_a_negative_start_level(n0):
+    for seed in range(20):
+        p, nu, B, xi = product_catch_instance(Random(seed))
+        with pytest.raises(ValueError, match=f"start level n0 = {n0} is negative"):
+            product_catch(p, nu, B, xi, n0)
 
 
 def test_product_catch_rejects_dependence_leak():
