@@ -323,8 +323,8 @@ def _tree(lib, d0=3, depth=2, cap=None):
     return fam, fam.bounding
 
 
-def _single(lib, n0_minus, d0, depth=2, count_mode="power-bound", cap=None):
-    return lib.build_single(n0_minus, d0, depth, count_mode,
+def _single(lib, n0_minus, d0, depth=2, cap=None):
+    return lib.build_single(n0_minus, d0, depth,
                             cap=_cap(cap, lib.FAMILY_HEIGHT_CAP))
 
 

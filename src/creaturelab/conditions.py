@@ -150,11 +150,8 @@ class BranchSpace:
     def rebuild(self, p):
         """p's kind over the current cells: the condition, or p's product
         with each support coordinate's condition replaced."""
-        conds = [TruncCondition(part.params, tuple(cells))
-                 for part, cells in zip(self.parts, self.nest(self.cells, self.N))]
-        if self.coords is None:
-            return conds[0]
-        return replace(p, parts=dict(zip(self.coords, conds)))
+        return _assemble(p, dict(zip(self.coords or (0,),
+                                     self.nest(self.cells, self.N))))
 
     def below(self, k: int) -> list[int]:
         """Positions of the levels < k of every coordinate, in branch order."""
@@ -248,84 +245,112 @@ def branches(p) -> list[tuple]:
     return [space.shape(b, space.N) for b in space.branches()]
 
 
-def and_restrict(p: TruncCondition, eta: tuple) -> TruncCondition:
-    """Freeze the levels covered by eta to its selections."""
-    cells = list(p.cells)
-    for level, sel in enumerate(eta):
-        sel = frozenset(sel)
-        if sel not in p.cells[level].members:
-            raise ValueError(f"selection at level {level} is not a member")
-        cells[level] = Creature(p.cells[level].arena, p.cells[level].cap,
-                                frozenset({sel}))
-    return TruncCondition(p.params, tuple(cells))
+def _parts(p) -> dict:
+    """p's conditions by coordinate, in support order; a condition is its
+    own single coordinate, 0."""
+    if isinstance(p, TruncCondition):
+        return {0: p}
+    return {xi: p.parts[xi] for xi in p.support}
 
 
-def order_check(q: TruncCondition, p: TruncCondition, mode="plain") -> bool:
-    """q extends p: cells shrink pointwise.  Mode ("at_n", n) additionally
-    freezes everything up to and including q's n-th split (the whole horizon
-    if q has no n-th split)."""
-    if q.params != p.params:
-        raise ValueError("parameter mismatch")
-    if not all(q.cells[i].members <= p.cells[i].members
-               for i in range(q.horizon)):
+def _assemble(p, cells: dict):
+    """p's kind over a coordinate -> cells map: the condition, or p's
+    product with those coordinates' conditions as its parts."""
+    if isinstance(p, TruncCondition):
+        return TruncCondition(p.params, tuple(cells[0]))
+    return replace(p, parts={xi: TruncCondition(p.space.triple_of(xi), tuple(cs))
+                             for xi, cs in cells.items()})
+
+
+def and_restrict(p, eta: tuple):
+    """Freeze the levels covered by eta to its selections (for a product,
+    per coordinate of the support)."""
+    cells = {xi: list(part.cells) for xi, part in _parts(p).items()}
+    for xi, sels in zip(cells, (eta,) if isinstance(p, TruncCondition) else eta):
+        if len(sels) > p.horizon:
+            raise ValueError(f"eta selects {len(sels)} levels, beyond the "
+                             f"horizon {p.horizon}")
+        for level, sel in enumerate(sels):
+            sel, cell = frozenset(sel), cells[xi][level]
+            if sel not in cell.members:
+                raise ValueError(f"selection at level {level} is not a member")
+            cells[xi][level] = Creature(cell.arena, cell.cap, frozenset({sel}))
+    return _assemble(p, cells)
+
+
+def order_check(q, p, mode="plain") -> bool:
+    """q extends p: q has p's coordinates, and on each of them the cells
+    shrink pointwise.  Mode ("at_n", n, F) additionally freezes, on each
+    coordinate of F that p has, every level up to and including q's n-th
+    split (the whole horizon if q has none); ("at_n", n) freezes all of
+    p's coordinates."""
+    qs, ps = _parts(q), _parts(p)
+    if not set(ps) <= set(qs):
         return False
+    for xi, part in ps.items():
+        if qs[xi].params != part.params:
+            raise ValueError("parameter mismatch")
+        if not all(a.members <= b.members for a, b in zip(qs[xi].cells, part.cells)):
+            return False
     if mode == "plain":
         return True
-    tag, n = mode
-    if tag != "at_n":
+    tag, n, *F = mode
+    if tag != "at_n" or len(F) > 1:
         raise ValueError(f"unknown mode {mode!r}")
-    return _frozen_through(q.split_levels(), n, q.horizon, [(q, p)])
+    if n < 0:
+        raise ValueError(f"the split index at_n = {n} is negative")
+    splits = _splits([part.cells for part in qs.values()])
+    top = splits[n][0] if n < len(splits) else q.horizon - 1
+    return all(qs[xi].cells[i].members == ps[xi].cells[i].members
+               for xi in (F[0] if F else ps) if xi in ps for i in range(top + 1))
 
 
-def _frozen_through(splits, n: int, horizon: int, pairs) -> bool:
-    """Does each pair (q, p) of conditions agree on every level up to and
-    including q's n-th split (the whole horizon if there is none)?"""
-    top = splits[n] if n < len(splits) else horizon - 1
-    return all(q.cells[i].members == p.cells[i].members
-               for q, p in pairs for i in range(top + 1))
-
-
-def fuse(chain) -> TruncCondition:
-    """Assemble one condition from a descending chain, taking levels in
-    (f(n-1), f(n)] from the n-th element, f(n) = its n-th split level."""
+def fuse(chain):
+    """Assemble one condition from a descending chain of conditions, or of
+    pairs (p_n, F_n) of a product and its frozen coordinates: levels in
+    (f(n-1), f(n)] come from link n, f(n) being its n-th split, and a
+    coordinate first frozen at link n takes nothing from earlier links.  A
+    condition's link freezes its one coordinate.  Frozen sets must not
+    shrink, each link must extend the previous one under its freeze, and
+    so must the fusion extend every link."""
     if not chain:
         raise ValueError("empty chain")
-    for n in range(len(chain) - 1):
-        if not order_check(chain[n + 1], chain[n], ("at_n", n)):
+    links = [(p, (0,)) if isinstance(p, TruncCondition) else p for p in chain]
+    for n in range(len(links) - 1):
+        (pn, Fn), (pm, Fm) = links[n], links[n + 1]
+        if not set(Fn) <= set(Fm):
+            raise PreconditionError(f"frozen sets shrink at stage {n + 1}")
+        if not order_check(pm, pn, ("at_n", n, Fn)):
             raise PreconditionError(f"chain link {n + 1} does not extend link {n} "
-                                    f"with the level-{n} freeze")
-    cells = _fuse([({0: p}, (0,), p.split_levels()) for p in chain],
-                  chain[0].horizon)
-    return TruncCondition(chain[0].params, cells[0])
-
-
-def _fuse(links, horizon: int) -> dict:
-    """Fusion of a chain of (parts, frozen coordinates, split levels), parts
-    mapping coordinates to conditions: levels in (f(n-1), f(n)] come from
-    link n, f(n) being its n-th split, and a coordinate first frozen at link
-    n takes nothing from earlier links.  Returns coordinate -> cells."""
-    L = len(links)
+                                    f"with the stage-{n} freeze")
+    parts = [_parts(pn) for pn, _ in links]
+    L, N = len(links), links[0][0].horizon
     f = [-1]
-    for n, (_, _, splits) in enumerate(links):
+    for n, pn in enumerate(parts):
+        splits = _splits([part.cells for part in pn.values()])
         if len(splits) <= n:
             raise PreconditionError(f"chain element {n} has fewer than {n + 1} splits")
-        f.append(splits[n])
+        f.append(splits[n][0])
     # the link owning each level's block; the tail above the last block
     # comes from the last link
     block = [next((n for n in range(L) if f[n] < k <= f[n + 1]), L - 1)
-             for k in range(horizon)]
+             for k in range(N)]
     entry = {}
-    for n, (_, frozen, _) in enumerate(links):
-        for xi in frozen:
+    for n, (_, Fn) in enumerate(links):
+        for xi in Fn:
             entry.setdefault(xi, n)
 
     def cell(xi, k):
         stage = max(block[k], entry.get(xi, L - 1))
-        while xi not in links[stage][0]:
+        while xi not in parts[stage]:
             stage += 1
-        return links[stage][0][xi].cells[k]
-    return {xi: tuple(cell(xi, k) for k in range(horizon))
-            for xi in sorted(set().union(*(parts for parts, _, _ in links)))}
+        return parts[stage][xi].cells[k]
+    q = _assemble(links[0][0], {xi: [cell(xi, k) for k in range(N)]
+                                for xi in sorted(set().union(*parts))})
+    for n, (pn, Fn) in enumerate(links):
+        if not order_check(q, pn, ("at_n", n, Fn)):
+            raise PreconditionError(f"fusion does not honour stage {n}")
+    return q
 
 
 def _singleton(cell: Creature) -> Creature:

@@ -97,8 +97,9 @@ def gch_profile(c, h, horizon: int) -> tuple[int, ...]:
     out = []
     for cn, hn in zip(c, h):
         out.extend([cn.bit_length() - 1] * hn)
-    if horizon > len(out):
-        raise ValueError("horizon exceeds the covered range")
+    if not 0 <= horizon <= len(out):
+        raise ValueError(f"horizon {horizon} is outside the covered range "
+                         f"[0, {len(out)}]")
     return tuple(out[:horizon])
 
 
@@ -112,8 +113,9 @@ def fbg_profile(b, g, horizon: int) -> tuple[int, ...]:
     for bn, gn in zip(b, g):
         acc += _ceil_log2(bn)
         out.extend([acc] * gn)
-    if horizon > len(out):
-        raise ValueError("horizon exceeds the covered range")
+    if not 0 <= horizon <= len(out):
+        raise ValueError(f"horizon {horizon} is outside the covered range "
+                         f"[0, {len(out)}]")
     return tuple(out[:horizon])
 
 
@@ -312,6 +314,8 @@ def ed_maps(c, h, x, y):
 def escape_measure(S: Slalom, window: tuple[int, int]) -> Fraction:
     """Product measure of "no index in the window lands in its cell"."""
     m, n = window
+    if not 0 <= m <= n <= len(S.c):
+        raise ValueError(f"window {window} needs 0 <= m <= n <= {len(S.c)}")
     out = Fraction(1)
     for i in range(m, n):
         if S.c[i] < 1:

@@ -16,8 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .numeric import (Cmp, tower_add, tower_cmp, tower_exp2, tower_le,
-                      tower_mul, tower_pow, tower_sub, tower_to_json, _bits,
-                      _exact_subset_count)
+                      tower_mul, tower_pow, tower_sub, tower_to_json, _bits)
 
 FAMILY_HEIGHT_CAP = 24
 
@@ -119,7 +118,7 @@ def _staircase(k: int, d, cap):
     return tower_pow(d, tower_mul(k + 1, d, cap=cap), cap=cap)
 
 
-def _stage_values(k: int, d, state, cap, count_mode, tree: bool):
+def _stage_values(k: int, d, state, cap, tree: bool):
     """One level of the recursion from d(k) and the running block state
     (min I_k, min J_k, sum of g+d below k)."""
     min_i, min_j, total = state
@@ -131,13 +130,7 @@ def _stage_values(k: int, d, state, cap, count_mode, tree: bool):
     b = tower_exp2(gd, cap=cap)
     c = tower_exp2(tower_add(g, total_next, cap=cap), cap=cap)
     ch = tower_pow(c, h, cap=cap)
-    if count_mode == "exact":
-        count = _exact_subset_count(c, h) if isinstance(c, int) \
-            and isinstance(h, int) else None
-        if count is None:
-            raise ValueError("exact subset counting infeasible at this level")
-        base = count - 1
-    elif tree:
+    if tree:
         # the larger of the two power bounds, so a also tops b^g
         bg = tower_pow(b, g, cap=cap)
         base = bg if tower_le(ch, bg, cap=cap) in (True, None) else ch
@@ -157,8 +150,7 @@ def _sub_offset(total, min_i, cap):
         return None
 
 
-def build_single(n0_minus: int, d0: int, depth: int = 2,
-                 count_mode: str = "power-bound", *,
+def build_single(n0_minus: int, d0: int, depth: int = 2, *,
                  cap: int = FAMILY_HEIGHT_CAP):
     """Evaluate the single-tuple recursion for k < depth.
 
@@ -167,8 +159,6 @@ def build_single(n0_minus: int, d0: int, depth: int = 2,
     """
     if not 2 < n0_minus < d0:
         raise ValueError("need 2 < n0_minus < d0")
-    if count_mode not in ("exact", "power-bound"):
-        raise ValueError(f"unknown count_mode {count_mode!r}")
     seqs = {name: [] for name in "adbgch"}
     f_records = []
     i_min, j_min = [0], [0]
@@ -176,7 +166,7 @@ def build_single(n0_minus: int, d0: int, depth: int = 2,
     d = d0
     state = (0, 0, 0)
     for k in range(depth):
-        vals = _stage_values(k, d, state, cap, count_mode, tree=False)
+        vals = _stage_values(k, d, state, cap, tree=False)
         for name in "bgch":
             seqs[name].append(vals[name])
         seqs["d"].append(d)
@@ -222,8 +212,7 @@ def build_tree(d0: int = 3, depth: int = 2, *, cap: int = FAMILY_HEIGHT_CAP):
             else:
                 d = tower_mul(k + 1, nodes[prev_label].a, cap=cap)
                 d_from = prev_label
-            vals = _stage_values(k, d, state[t[:-1]], cap, "power-bound",
-                                 tree=True)
+            vals = _stage_values(k, d, state[t[:-1]], cap, tree=True)
             nodes[t] = TreeNode(t, k, d, vals["h"], vals["g"], vals["b"],
                                 vals["c"], vals["a"], d_from)
             next_state[t] = vals["state"]
@@ -377,8 +366,8 @@ def toy_family(seed: int, horizon: int = 3) -> dict:
     waived (true staircase magnitudes are infeasible for exhaustive tests).
     """
     from random import Random
-    if horizon > 6:
-        raise ValueError("toy horizon capped at 6")
+    if not 1 <= horizon <= 6:
+        raise ValueError(f"toy horizon {horizon} is outside [1, 6]")
     rng = Random(seed)
     c = [rng.randint(2, 3)]
     for k in range(1, horizon):

@@ -43,19 +43,11 @@ class Cmp(enum.Enum):
     UNKNOWN = "unknown"
 
 
-def subset_count(m: int, k: int, mode: str = "exact") -> int:
-    """Number of subsets of an m-set of size at most k.
-
-    In "power-bound" mode returns m**k instead, a valid upper substitute
-    for every k != 1.
-    """
+def subset_count(m: int, k: int) -> int:
+    """Number of subsets of an m-set of size at most k."""
     if m < 0 or k < 0:
         raise ValueError("subset_count needs non-negative arguments")
-    if mode == "exact":
-        return sum(comb(m, i) for i in range(min(m, k) + 1))
-    if mode == "power-bound":
-        return m ** k
-    raise ValueError(f"unknown mode {mode!r}")
+    return sum(comb(m, i) for i in range(min(m, k) + 1))
 
 
 def _bits(x: int) -> int:
@@ -74,7 +66,7 @@ def _exact_subset_count(m: int, k: int):
         return 1 << m if m <= EXACT_BIT_LIMIT else None
     if _bits(m) * k * (k + 1) // 2 > EXACT_BIT_LIMIT:
         return None
-    return subset_count(m, k, "exact")
+    return subset_count(m, k)
 
 
 def _is_pow2(n: int) -> bool:

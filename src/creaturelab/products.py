@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 from .conditions import (BranchSpace, NameOracle, ParamTriple,
                          PreconditionError, TruncCondition, _check_compat,
-                         _frozen_through, _factors, _fuse, _localization_space,
-                         _localize, _reads, _singleton, _splits, and_restrict,
-                         branches, catch_real, check_reading, early_read,
+                         _factors, _localization_space, _localize, _reads,
+                         _singleton, _splits, and_restrict, branches,
+                         catch_real, check_reading, early_read, fuse,
                          order_check, poss_count, possibilities)
 
 
@@ -148,68 +148,16 @@ def modest_refine(p: ProductCondition) -> ProductCondition:
     return out
 
 
-def product_restrict(p: ProductCondition, eta: tuple) -> ProductCondition:
-    """Freeze the levels covered by the product possibility eta."""
-    parts = dict(p.parts)
-    for xi, sel in zip(p.support, eta):
-        parts[xi] = and_restrict(parts[xi], sel)
-    return ProductCondition(p.space, parts)
-
-
-def product_order_check(q: ProductCondition, p: ProductCondition,
-                        mode="plain") -> bool:
-    """q extends p coordinate-wise on supp(p) (supports may grow).  Mode
-    ("at_n", n, F) freezes, for each coordinate in F, all levels up to and
-    including q's n-th product split (the whole horizon if q has none)."""
-    if not set(p.support) <= set(q.support):
-        return False
-    if not all(order_check(q.parts[xi], p.parts[xi]) for xi in p.support):
-        return False
-    if mode == "plain":
-        return True
-    tag, n, F = mode
-    if tag != "at_n":
-        raise ValueError(f"unknown mode {mode!r}")
-    return _frozen_through([k for k, _ in q.split_levels()], n, q.horizon,
-                           [(q.parts[xi], p.parts[xi]) for xi in F
-                            if xi in p.support])
-
-
 # ---------------------------------------------------------------------------
-# fusion and scheduling
-
-
-def product_fuse(chain) -> ProductCondition:
-    """Assemble one condition from a chain of (p_n, F_n): level blocks
-    (f(n-1), f(n)] come from p_n, where f(n) is its n-th product split;
-    coordinates entering at stage n_xi contribute from that stage onward."""
-    if not chain:
-        raise ValueError("empty chain")
-    for n in range(len(chain) - 1):
-        pn, Fn = chain[n]
-        if not set(Fn) <= set(chain[n + 1][1]):
-            raise PreconditionError(f"frozen sets shrink at stage {n + 1}")
-        if not product_order_check(chain[n + 1][0], pn, ("at_n", n, Fn)):
-            raise PreconditionError(
-                f"chain link {n + 1} does not extend link {n} "
-                f"with the stage-{n} freeze")
-    space = chain[0][0].space
-    cells = _fuse([(pn.parts, Fn, [k for k, _ in pn.split_levels()])
-                   for pn, Fn in chain], space.horizon)
-    q = ProductCondition(space, {xi: TruncCondition(space.triple_of(xi), cs)
-                                 for xi, cs in cells.items()})
-    for n, (pn, Fn) in enumerate(chain):
-        if not product_order_check(q, pn, ("at_n", n, Fn)):
-            raise PreconditionError(f"fusion does not honour stage {n}")
-    return q
+# scheduling
 
 
 def schedule_plan(n: int) -> dict:
     """Stage-by-stage split ownership: stage j+1 preserves the old splits,
     revisits coordinates 0..j once each, then gives coordinate j+1 its first
     split and j+1 further ones.  |L_j| = (j+1)^2."""
-    if n > 10:
-        raise ValueError("bookkeeping scale capped at 10")
+    if not 0 <= n <= 10:
+        raise ValueError(f"n = {n} is outside the bookkeeping scale [0, 10]")
     owners = [0]
     m = [0]
     sizes = [1]
@@ -229,8 +177,12 @@ def schedule_plan(n: int) -> dict:
 
 
 # a name over a product is a NameOracle whose base is the product, and the
-# branch and reading operations of conditions take a product as well
+# restriction, order, fusion, branch and reading operations of conditions
+# take a product as well
 ProductNameOracle = NameOracle
+product_restrict = and_restrict
+product_order_check = order_check
+product_fuse = fuse
 product_possibilities = possibilities
 product_poss_count = poss_count
 product_branches = branches

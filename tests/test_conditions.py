@@ -101,6 +101,35 @@ def test_fuse_takes_blocks_from_the_chain():
         fuse([_cond([(3, 1, [[0]])])])  # no split at all
 
 
+def test_fuse_result_extends_every_link_under_its_freeze():
+    # link n + 1 keeps every level up to its own n-th split, so the blocks
+    # agree along the chain and the fusion is its last link
+    base = _cond([(3, 1, [[0], [1], [2]])] * 4)
+    second = TruncCondition(base.params, base.cells[:3] + (
+        Creature.of(3, 1, [[0], [1]]),))
+    third = TruncCondition(base.params, second.cells[:2] + (
+        Creature.of(3, 1, [[1], [2]]), second.cells[3]))
+    chain = [base, second, third]
+    fused = fuse(chain)
+    assert fused == third
+    for n, link in enumerate(chain):
+        assert order_check(fused, link, ("at_n", n))
+    with pytest.raises(PreconditionError, match="with the stage-1 freeze"):
+        fuse([base, second, TruncCondition(base.params, (
+            base.cells[0], Creature.of(3, 1, [[1], [2]])) + second.cells[2:])])
+
+
+def test_and_restrict_rejects_an_eta_beyond_the_horizon():
+    eta = (frozenset({1}), frozenset({0, 1}), frozenset({0}), frozenset({0}))
+    with pytest.raises(ValueError, match="eta selects 4 levels, beyond the horizon 3"):
+        and_restrict(P3, eta)
+
+
+def test_order_check_rejects_a_negative_split_index():
+    with pytest.raises(ValueError, match="at_n = -1 is negative"):
+        order_check(P3, P3, ("at_n", -1))
+
+
 def test_thin_respects_gbound_and_staircase():
     base = _cond([(3, 1, [[0], [1], [2]]),
                   (3, 1, [[0], [1], [2]]),

@@ -2,9 +2,11 @@ from random import Random
 
 import pytest
 
-from creaturelab.conditions import PreconditionError, TruncCondition, _singleton
+from creaturelab.conditions import (ParamTriple, PreconditionError,
+                                    TruncCondition, _singleton)
 from creaturelab.creatures import Creature, norm
 from creaturelab.products import (
+    CoordinateSpace,
     ProductCondition,
     ProductNameOracle,
     bounding_extract,
@@ -18,6 +20,7 @@ from creaturelab.products import (
     product_order_check,
     product_poss_count,
     product_possibilities,
+    product_restrict,
     restricted_localize,
     schedule_plan,
 )
@@ -260,3 +263,66 @@ def test_product_fuse_preserves_frozen_blocks():
         assert product_order_check(fused, p)
         return
     pytest.skip("no instance with two product splits")
+
+
+_T5 = ParamTriple((3,) * 5, (1,) * 5, (3,) * 5)
+_XY = CoordinateSpace.of({"x": "A", "y": "B"}, {"A": _T5, "B": _T5})
+_A, _S, _S1 = [[0], [1]], [[0]], [[1]]  # a split cell and two singletons
+
+
+def _prod(**parts):
+    """A product over _XY from per-coordinate lists of member lists."""
+    return ProductCondition(_XY, {xi: TruncCondition(_T5, tuple(
+        Creature.of(3, 1, members) for members in cells))
+        for xi, cells in parts.items()})
+
+
+def test_product_fuse_of_a_chain_with_growing_support_and_frozen_sets():
+    # y enters the support at link 1 and the frozen sets at link 2, so it
+    # takes every level from link 2; x, frozen from link 0, takes level 0
+    # (block 0) from link 0; link 1 shrinks x's level 4, link 2 y's level 3
+    chain = [(_prod(x=[_A, _S, _A, _S, _A]), ("x",)),
+             (_prod(x=[_A, _S, _A, _S, _S1], y=[_S, _A, _S, _A, _S]), ("x",)),
+             (_prod(x=[_A, _S, _A, _S, _S1], y=[_S, _A, _S, _S, _S]), ("x", "y"))]
+    q = product_fuse(chain)
+    assert q == chain[2][0]
+    for n, (pn, Fn) in enumerate(chain):
+        assert product_order_check(q, pn, ("at_n", n, Fn))
+    assert product_fuse(chain[:2]) == chain[1][0]
+    with pytest.raises(PreconditionError, match="frozen sets shrink at stage 2"):
+        product_fuse(chain[:2] + [(chain[2][0], ("y",))])
+
+
+def test_product_fuse_rejects_a_fusion_that_does_not_extend_a_link():
+    # link 1's 0th split is y's level 0, so its freeze covers only level 0,
+    # and it shrinks x at level 1; the fusion takes x's level 1 (block 0)
+    # from link 0, which is not below link 1
+    chain = [(_prod(x=[_S, _A, _A, _S, _S]), ("x",)),
+             (_prod(x=[_S, _S1, _A, _S, _S], y=[_A, _S, _S, _S, _S]), ("x", "y"))]
+    assert product_order_check(chain[1][0], chain[0][0], ("at_n", 0, ("x",)))
+    with pytest.raises(PreconditionError, match="fusion does not honour stage 1"):
+        product_fuse(chain)
+
+
+def test_product_order_check_with_the_two_tuple_freezes_every_coordinate():
+    for seed in range(20):
+        p = product_instance(Random(seed), horizon=4)
+        (level, coord), *_ = p.split_levels()
+        part = p.parts[coord]
+        cells = list(part.cells)
+        cells[level] = _singleton(cells[level])
+        q = p.with_part(coord, TruncCondition(part.params, tuple(cells)))
+        for n in range(4):
+            assert product_order_check(q, p, ("at_n", n)) == \
+                product_order_check(q, p, ("at_n", n, p.support))
+        # q's n-th split lies above the frozen level once q has any
+        assert not product_order_check(q, p, ("at_n", 0))
+        assert product_order_check(q, p, ("at_n", 0, ()))
+
+
+def test_product_restrict_rejects_an_eta_beyond_the_horizon():
+    p = product_instance(Random(0))
+    eta = product_possibilities(p, p.horizon - 1)[0]
+    too_long = (eta[0] + (eta[0][0],), eta[1])
+    with pytest.raises(ValueError, match="eta selects 4 levels, beyond the horizon 3"):
+        product_restrict(p, too_long)
