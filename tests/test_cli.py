@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from random import Random
@@ -209,6 +210,18 @@ def test_condition_outside_its_oracle_base_exits_2(tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == 2 and body == ""
     assert "Traceback" not in err and "extension of the oracle base" in err
+
+
+def test_exact_family_count_past_the_bit_budget_exits_2(tmp_path, capsys):
+    # the level-1 exact count would sum 257 binomials of a 131,077-bit c;
+    # the exact mode is gone, so the request is refused as an unknown field
+    payload = {"n0_minus": 3, "d0": 4, "depth": 1, "count_mode": "exact"}
+    start = time.perf_counter()
+    code, body = run(tmp_path, "family", payload, "--mode", "build")
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2 and body == "" and elapsed < 1.0
+    assert "Traceback" not in err and "unknown field 'count_mode'" in err
 
 
 def test_unknown_family_count_mode_exits_2(tmp_path, capsys):
