@@ -74,10 +74,17 @@ def _call(fn, lib, fields):
     return fn(lib, **fields)
 
 
+def _ints(**fields) -> None:
+    """Raise naming the first field that is not an integer (a bool is not)."""
+    for field, value in fields.items():
+        if type(value) is not int:
+            raise ValueError(f"the field {field} must be an integer, got {value!r}")
+
+
 def _cap(cap, default) -> int:
     if cap is None:
         return default
-    if not isinstance(cap, int) or cap < 1:
+    if type(cap) is not int or cap < 1:
         raise ValueError(f"--cap must be an integer >= 1, got {cap!r}")
     return cap
 
@@ -87,8 +94,7 @@ def _named(kind, oracle_kind, condition, oracle):
     p, table = kind.from_json(condition), oracle["table"]
     if not isinstance(table, dict):
         raise ValueError("the oracle table must be a JSON object")
-    return p, oracle_kind.from_table(p, oracle["profile"],
-                                     {k: tuple(v) for k, v in table.items()})
+    return p, oracle_kind.from_table(p, oracle["profile"], table)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +325,13 @@ def _toy(lib, seed=0, horizon=3):
 
 
 def _tree(lib, d0=3, depth=2, cap=None):
+    _ints(d0=d0, depth=depth)
     fam = lib.build_tree(d0, depth, cap=_cap(cap, lib.FAMILY_HEIGHT_CAP))
     return fam, fam.bounding
 
 
 def _single(lib, n0_minus, d0, depth=2, cap=None):
+    _ints(n0_minus=n0_minus, d0=d0, depth=depth)
     return lib.build_single(n0_minus, d0, depth,
                             cap=_cap(cap, lib.FAMILY_HEIGHT_CAP))
 
@@ -356,8 +364,7 @@ def _verify(lib, kind="tree", corrupt=None, **fields):
 @_op("toys")
 def _suite(lib, mode, seed, cap=None):
     layer, check = _SUITES[mode]
-    if not isinstance(seed, int):
-        raise ValueError(f"--seed must be an integer, got {seed!r}")
+    _ints(seed=seed)
     mod = importlib.import_module(f".{layer}", __package__)
     rng, n = Random(seed), _cap(cap, 50)
     failures = []

@@ -119,11 +119,11 @@ class BranchSpace:
     A branch is one flat tuple of members in coordinate-major order:
     coordinate j's member at level k sits at position j*N + k, so a single
     condition is the one-coordinate case and its branches are plain
-    per-level tuples.  Each position holds its cell, the cell's members in
-    canonical order (``pools``) and the member -> index map of that order
-    (``index``).  A space with ``coords``, the product coordinates its parts
-    stand for, shows selections to callers as per-coordinate tuples
-    (``shape``); a single condition's space has none.
+    per-level tuples.  Each position holds its cell and the cell's members
+    in canonical order (``pools``).  A space with ``coords``, the product
+    coordinates its parts stand for, shows selections to callers as
+    per-coordinate tuples (``shape``); a single condition's space has none.
+    ``rows`` holds the (flat branch, values) pairs ``_read`` evaluates.
     """
 
     def __init__(self, parts, horizon: int, coords=None):
@@ -133,7 +133,7 @@ class BranchSpace:
         self.coords = coords
         self.cells = [cell for part in self.parts for cell in part.cells]
         self.pools = [cell.sorted_members() for cell in self.cells]
-        self.index = [{t: i for i, t in enumerate(pool)} for pool in self.pools]
+        self.rows = []
 
     @classmethod
     def of(cls, p) -> "BranchSpace":
@@ -143,9 +143,10 @@ class BranchSpace:
         return cls([p.parts[xi] for xi in p.support], p.horizon, p.support)
 
     def set_cell(self, x: int, cell: Creature) -> None:
+        """Put cell at position x, dropping the rows through other members."""
         self.cells[x] = cell
         self.pools[x] = cell.sorted_members()
-        self.index[x] = {t: i for i, t in enumerate(self.pools[x])}
+        self.rows = [row for row in self.rows if row[0][x] in cell.members]
 
     def rebuild(self, p):
         """p's kind over the current cells: the condition, or p's product
@@ -180,22 +181,6 @@ class BranchSpace:
             raise ValueError("branch enumeration cap exceeded")
         return self.poss(self.N - 1)
 
-    def decided(self, nu: "NameOracle", fixed, sel, n: int) -> tuple:
-        """The common first n values of the name over all branches taking
-        the members sel at the positions fixed; raises if they disagree
-        (the reading precondition was violated)."""
-        pools = list(self.pools)
-        for x, t in zip(fixed, sel):
-            pools[x] = (t,)
-        out = None
-        for branch in itertools.product(*pools):
-            pre = nu._values(branch)[:n]
-            if out is None:
-                out = pre
-            elif out != pre:
-                raise PreconditionError(f"branches disagree on the first {n} values")
-        return out
-
     def nest(self, flat, w: int) -> tuple:
         """Per-coordinate slices of a flat selection (or of the cells) of w
         levels per coordinate."""
@@ -210,15 +195,6 @@ class BranchSpace:
     def flat(self, branch: tuple) -> tuple:
         return branch if self.coords is None else \
             tuple(itertools.chain.from_iterable(branch))
-
-    def key(self, branch: tuple) -> str:
-        """Canonical string key of a branch: per coordinate the comma-joined
-        member indices, coordinates joined by '|'."""
-        idx = map(str, map(operator.getitem, self.index, self.flat(branch)))
-        if self.W == 1:
-            return ",".join(idx)
-        idx, N = list(idx), self.N
-        return "|".join([",".join(idx[j * N:(j + 1) * N]) for j in range(self.W)])
 
 
 # The branch and reading operations below take a condition or a product; a
@@ -439,21 +415,43 @@ class NameOracle:
         out = self._cache.get(flat)
         if out is None:
             space = self._space
-            out = tuple(self.fn(space.shape(flat, space.N)))
-            if len(out) != space.N:
-                raise ValueError("oracle must return one value per level")
-            if not all(map(operator.contains, self.profile, out)):
-                n = next(n for n, v in enumerate(out) if v not in self.profile[n])
-                raise ValueError(f"oracle value {out[n]!r} outside profile at level {n}")
+            out = self._checked(tuple(self.fn(space.shape(flat, space.N))))
             self._cache[flat] = out
+        return out
+
+    def _checked(self, out: tuple) -> tuple:
+        if len(out) != self._space.N:
+            raise ValueError("oracle must return one value per level")
+        if not all(map(operator.contains, self.profile, out)):
+            n = next(n for n, v in enumerate(out) if v not in self.profile[n])
+            raise ValueError(f"oracle value {out[n]!r} outside profile at level {n}")
         return out
 
     @classmethod
     def from_table(cls, base, profile, table: dict) -> "NameOracle":
-        """Table keyed by the canonical branch key (``BranchSpace.key``)."""
+        """Table keyed by ``products.branch_key`` (per coordinate the
+        comma-joined member indices, coordinates joined by '|'), parsed
+        once into flat branches whose values are checked at load."""
         nu = cls(base, tuple(tuple(a) for a in profile), None)
-        key = nu._space.key
-        nu.fn = lambda branch: table[key(branch)]
+        space, values = nu._space, nu._cache
+        # canonical: a branch key's separators, each index a member's (no "01")
+        member = [{str(i): t for i, t in enumerate(pool)} for pool in space.pools]
+        digits = str.maketrans("", "", "0123456789") if member else {}
+        sep = "|".join(["," * (space.N - 1)] * space.W)
+        for key, out in table.items():
+            idx = key.replace("|", ",").split(",") if member else []
+            flat = tuple(map(dict.get, member, idx))
+            if len(idx) != len(member) or None in flat or key.translate(digits) != sep:
+                raise ValueError(f"table key {key!r} is not a branch key of the base")
+            values[flat] = nu._checked(tuple(out))
+
+        def fn(branch):
+            from .products import branch_key
+            flat = space.flat(branch)
+            if flat not in values:
+                raise KeyError(branch_key(base, branch))
+            return values[flat]
+        nu.fn = fn
         return nu
 
 
@@ -463,10 +461,10 @@ def branch_slalom(p: TruncCondition, branch: tuple) -> Slalom:
     return Slalom(p.params.c, p.params.h, tuple(branch))
 
 
-def _check_compat(p, nu: NameOracle) -> BranchSpace:
-    """p's branch space, once p (a condition or a product) is checked to
-    extend the oracle's base: the same coordinates and parameters, and
-    cells that shrink pointwise."""
+def _read(p, nu: NameOracle) -> BranchSpace:
+    """p's branch space with its rows read from the oracle, once p (a
+    condition or a product) is checked to extend the oracle's base: the
+    same coordinates and parameters, and cells that shrink pointwise."""
     space, base = BranchSpace.of(p), nu._space
     if space.coords != base.coords:
         raise PreconditionError("oracle base support differs")
@@ -474,7 +472,21 @@ def _check_compat(p, nu: NameOracle) -> BranchSpace:
         raise PreconditionError("oracle base parameters differ")
     if not all(c.members <= b.members for c, b in zip(space.cells, base.cells)):
         raise PreconditionError("condition is not an extension of the oracle base")
+    space.rows = [(b, nu._values(b)) for b in space.branches()]
     return space
+
+
+def _groups(rows, positions, n) -> dict | None:
+    """The first n values (all if n is None) of the rows by their members at
+    the positions (a bare member for one position, as ``itemgetter`` gives
+    it), or None if two rows with the same members there disagree."""
+    key = operator.itemgetter(*positions) if positions else lambda b: ()
+    groups = {}
+    for b, v in rows:
+        pre = v[:n]
+        if groups.setdefault(key(b), pre) != pre:
+            return None
+    return groups
 
 
 def check_reading(p, nu: NameOracle, mode: str) -> bool:
@@ -483,31 +495,32 @@ def check_reading(p, nu: NameOracle, mode: str) -> bool:
     timely: selections up to each split level n fix the first n values;
     early: selections strictly below every level n fix the first n values.
     """
-    return _reads(_check_compat(p, nu), nu, mode)
+    return _reads(_read(p, nu), mode)
 
 
-def _reads(space: BranchSpace, nu: NameOracle, mode: str) -> bool:
-    brs = space.branches()
-    vals = [nu._values(b) for b in brs]
+def _reads(space: BranchSpace, mode: str) -> bool:
     if mode == "timely":
         cuts = [(n, n + 1) for n, _ in space.splits()]
     elif mode == "early":
         cuts = [(n, n) for n in range(1, space.N + 1)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return all(_factors(zip(brs, vals), space.below(cut), n) for n, cut in cuts)
+    return all(_groups(space.rows, space.below(cut), n) is not None
+               for n, cut in cuts)
 
 
-def _factors(pairs, positions, n) -> bool:
-    """Are the first n values (all if n is None) of the (flat branch,
-    values) pairs a function of the branch's members at the positions?"""
-    key = operator.itemgetter(*positions) if positions else lambda b: ()
-    seen = {}
-    for b, v in pairs:
-        pre = v[:n]
-        if seen.setdefault(key(b), pre) != pre:
-            return False
-    return True
+def _refine_split(space: BranchSpace, k: int, j: int, n: int, refine) -> None:
+    """Refine coordinate j's cell at level k once per possibility below k,
+    in enumeration order: refine(M, pre) takes the cell so far and each of
+    its members' first n values through that possibility."""
+    x = j * space.N + k
+    groups = _groups(space.rows, space.below(k) + [x], n)
+    if groups is None:
+        raise PreconditionError(f"branches disagree on the first {n} values")
+    M = space.cells[x]
+    for eta in space.poss(k - 1):
+        M = refine(M, {t: groups[eta + (t,) if k else t] for t in M.sorted_members()})
+    space.set_cell(x, M)
 
 
 def early_read(p, nu: NameOracle):
@@ -520,11 +533,11 @@ def early_read(p, nu: NameOracle):
     k and at most d(k) value prefixes of length k.  The result is checked
     to read the name early.
     """
-    space = _check_compat(p, nu)
+    space = _read(p, nu)
     splits = space.splits()
     if len({k for k, _ in splits}) < len(splits):
         raise PreconditionError("condition is not modest")
-    if not _reads(space, nu, "timely"):
+    if not _reads(space, "timely"):
         raise PreconditionError("condition does not read the name timely")
     for k, j in splits:
         d = space.parts[j].params.d[k]
@@ -532,59 +545,24 @@ def early_read(p, nu: NameOracle):
             raise PreconditionError(f"|poss| >= d at split level {k}")
         if prod(len(a) for a in nu.profile[:k]) > d:
             raise PreconditionError(f"value-space product exceeds d at level {k}")
-        x = j * space.N + k
-        fixed = space.below(k) + [x]
-        M = space.cells[x]
-        for eta in space.poss(k - 1):
-            members = M.sorted_members()
-            prefix_of = {t: space.decided(nu, fixed, eta + (t,), k)
-                         for t in members}
-            index = {}
-            for t in members:
-                index.setdefault(prefix_of[t], len(index))
-            if len(index) > d:
-                raise PreconditionError(f"more decision classes than d at level {k}")
-            _, M = bigness_refine(M, lambda t: index[prefix_of[t]], d)
-        space.set_cell(x, M)
-    if not _reads(space, nu, "early"):
+
+        # at most d classes: the prefixes lie in the value space checked above
+        def by_class(M, pre):
+            classes = list(dict.fromkeys(pre.values()))
+            return bigness_refine(M, lambda t: classes.index(pre[t]), d)[1]
+        _refine_split(space, k, j, k, by_class)
+    if not _reads(space, "early"):
         raise PreconditionError("early agreement failed after refinement")
     return space.rebuild(p)
 
 
-def _localize_split(space: BranchSpace, nu: NameOracle, k: int, j: int,
-                    e: int, a: int) -> None:
-    """Localise at coordinate j's split at level k, below which there are m
-    possibilities, with the colors d and the subset count cdh of that
-    coordinate's cell.  Wide subcase (2m * cdh <= e): keep the cell.  Narrow
-    subcase (2m * a <= d): range-refine the cell once per possibility so
-    that each keeps at most e // m decided values."""
-    params = space.parts[j].params
-    c, h, d = params.c[k], params.h[k], params.d[k]
-    etas = space.poss(k - 1)
-    m = len(etas)
-    if 2 * m * subset_count(c, h) <= e:
-        return
-    if 2 * m * a > d:
-        raise PreconditionError(f"clause ii fails at split level {k}")
-    kcap = e // m
-    if a > d * kcap:
-        raise PreconditionError(f"block bound fails at level {k}")
-    x = j * space.N + k
-    fixed = space.below(k) + [x]
-    M = space.cells[x]
-    for eta in etas:
-        valmap = {t: space.decided(nu, fixed, eta + (t,), k + 1)[k]
-                  for t in M.sorted_members()}
-        M = range_refine(M, valmap.__getitem__, kcap, d, a)
-    space.set_cell(x, M)
-
-
 def _localization_space(p, nu: NameOracle, a, e) -> BranchSpace:
-    """p's branch space, once the entry clauses both localisations share
-    hold: p extends the oracle's base and reads the name early, and a and e
-    have an entry per level, with the profile inside range(a)."""
-    space = _check_compat(p, nu)
-    if not _reads(space, nu, "early"):
+    """p's branch space read by the name, once the entry clauses both
+    localisations share hold: p extends the oracle's base and reads the
+    name early, and a and e have an entry per level, with the profile
+    inside range(a)."""
+    space = _read(p, nu)
+    if not _reads(space, "early"):
         raise PreconditionError("condition does not read the name early")
     if min(len(a), len(e)) < space.N:
         raise PreconditionError("a and e need an entry per level")
@@ -594,24 +572,35 @@ def _localization_space(p, nu: NameOracle, a, e) -> BranchSpace:
     return space
 
 
-def _localize(space: BranchSpace, nu: NameOracle, a, e, k0: int,
-              coords) -> list[dict]:
+def _localize(space: BranchSpace, a, e, k0: int, coords) -> list[dict]:
     """Localise the name to width e at every level >= k0, as read from the
     coordinates at the indices ``coords`` of the space.
 
-    Every split at a level >= k0 owned outside those coordinates is refined
-    in level order.  Returns phi: per level, a map from each restricted
-    branch (the member tuples of those coordinates) to the set of values
-    the name takes on the branches through it.
+    Every split at a level k >= k0 owned outside those coordinates is
+    refined in level order (m possibilities below k; d and the subset count
+    cdh of its cell): kept if 2m * cdh <= e (wide), else range-refined per
+    possibility to at most e // m values if 2m * a <= d (narrow).  Returns
+    phi: per level, a map from each restricted branch (the member tuples of
+    those coordinates) to the set of values the name takes through it.
     """
     for k, j in space.splits():
-        if k >= k0 and j not in coords:
-            _localize_split(space, nu, k, j, e[k], a[k])
+        if k < k0 or j in coords:
+            continue
+        params = space.parts[j].params
+        d, m = params.d[k], space.count(k - 1)
+        if 2 * m * subset_count(params.c[k], params.h[k]) <= e[k]:
+            continue
+        if 2 * m * a[k] > d:
+            raise PreconditionError(f"clause ii fails at split level {k}")
+        kcap = e[k] // m
+        if a[k] > d * kcap:
+            raise PreconditionError(f"block bound fails at level {k}")
+        _refine_split(space, k, j, k + 1, lambda M, pre: range_refine(
+            M, lambda t: pre[t][k], kcap, d, a[k]))
     N = space.N
-    rows = [(tuple(b[j * N:(j + 1) * N] for j in coords), nu._values(b))
-            for b in space.branches()]
     phi = [{} for _ in range(N)]
-    for key, v in rows:
+    for b, v in space.rows:
+        key = tuple(b[j * N:(j + 1) * N] for j in coords)
         for cell, value in zip(phi, v):
             cell.setdefault(key, set()).add(value)
     for k in range(k0, N):
@@ -642,6 +631,6 @@ def localize(p: TruncCondition, nu: NameOracle, a, e, k0: int = 0):
             raise PreconditionError(f"clause L1 fails at level {n}: prod c-count > e")
         if space.count(n - 1) > e[n]:
             raise PreconditionError(f"clause iii fails at level {n}")
-    phi = [cell[()] for cell in _localize(space, nu, a, e, k0, ())]
+    phi = [cell[()] for cell in _localize(space, a, e, k0, ())]
     widths = tuple(max(e[k], len(phi[k])) if k < k0 else e[k] for k in range(N))
     return space.rebuild(p), Slalom(tuple(a), widths, tuple(phi))

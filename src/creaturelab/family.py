@@ -159,6 +159,8 @@ def build_single(n0_minus: int, d0: int, depth: int = 2, *,
     """
     if not 2 < n0_minus < d0:
         raise ValueError("need 2 < n0_minus < d0")
+    if depth < 1:
+        raise ValueError("depth must be positive")
     seqs = {name: [] for name in "adbgch"}
     f_records = []
     i_min, j_min = [0], [0]

@@ -9,11 +9,11 @@ total functions of full product branches, checked exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .conditions import (BranchSpace, NameOracle, ParamTriple,
-                         PreconditionError, TruncCondition, _check_compat,
-                         _factors, _localization_space, _localize, _reads,
+                         PreconditionError, TruncCondition, _groups,
+                         _localization_space, _localize, _read, _reads,
                          _singleton, _splits, and_restrict, branches,
                          catch_real, check_reading, early_read, fuse,
                          order_check, poss_count, possibilities)
@@ -190,22 +190,24 @@ product_check_reading = check_reading
 product_early_read = early_read
 
 
-def branch_key(p: ProductCondition, branch: tuple, coords=None) -> str:
-    """Canonical string key of a product branch, or with ``coords`` of a
-    branch over the support's coordinates in ``coords`` alone (a
-    RestrictedName cell key)."""
-    coords = tuple(xi for xi in p.support if coords is None or xi in coords)
-    return BranchSpace([p.parts[xi] for xi in coords], p.horizon,
-                       coords).key(tuple(branch))
+def branch_key(p, branch: tuple, coords=None) -> str:
+    """Canonical table key of a branch of a condition or a product (the
+    key ``NameOracle.from_table`` reads), or with ``coords`` of a branch
+    over the support's coordinates in ``coords`` alone (a RestrictedName
+    cell key)."""
+    if coords is not None:
+        p = replace(p, parts={xi: p.parts[xi] for xi in p.support if xi in coords})
+    space = BranchSpace.of(p)
+    idx = [str(pool.index(t)) for pool, t in zip(space.pools, space.flat(tuple(branch)))]
+    return "|".join(map(",".join, space.nest(idx, space.N)))
 
 
 def bounding_extract(q: ProductCondition, nu: ProductNameOracle) -> tuple:
     """f(k) = max of the values the name can take at level k."""
-    space = _check_compat(q, nu)
-    if not (_reads(space, nu, "early") or _reads(space, nu, "timely")):
+    space = _read(q, nu)
+    if not (_reads(space, "early") or _reads(space, "timely")):
         raise PreconditionError("condition reads the name neither early nor timely")
-    vals = [nu._values(b) for b in space.branches()]
-    return tuple(max(v[k] for v in vals) for k in range(q.horizon))
+    return tuple(max(v[k] for _, v in space.rows) for k in range(q.horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -217,32 +219,25 @@ def product_catch(p: ProductCondition, nu_x: ProductNameOracle, B, xi: str,
     """Freeze coordinate xi at some level k >= n0 of norm >= 1 to a member
     containing the (B-decided) value x(k); the B coordinates collapse to
     their first canonical branch so x is fully decided."""
-    space, N = _check_compat(p, nu_x), p.horizon
-    B = set(B)
+    B, N = set(B), p.horizon
     if xi in B:
         raise PreconditionError("target coordinate cannot carry the name")
     if xi not in p.support:
         raise PreconditionError(f"coordinate {xi!r} outside the support")
-    if not _factors(((b, nu_x._values(b)) for b in space.branches()),
-                    [j * N + i for j, beta in enumerate(p.support) if beta in B
-                     for i in range(N)], None):
-        raise PreconditionError(
-            "dependence leak: the name reads coordinates outside B")
-    parts = dict(p.parts)
+    space = _read(p, nu_x)
+    at = {beta: j * N for j, beta in enumerate(p.support)}
+    if _groups(space.rows, [x for beta in at if beta in B
+                            for x in range(at[beta], at[beta] + N)], None) is None:
+        raise PreconditionError("dependence leak: the name reads coordinates outside B")
     for beta in B:
-        part = parts[beta]
-        parts[beta] = TruncCondition(part.params,
-                                     tuple(map(_singleton, part.cells)))
-    q = ProductCondition(p.space, parts)
-    space = BranchSpace.of(q)
-    x = nu_x._values(tuple(pool[0] for pool in space.pools))
-    caught, k = catch_real(q.parts[xi], x, n0)
-    at = q.support.index(xi) * q.horizon + k
-    space.set_cell(at, caught.cells[k])
-    for b in space.branches():
-        if nu_x._values(b)[k] not in b[at]:
+        for x in range(at[beta], at[beta] + N):
+            space.set_cell(x, _singleton(space.cells[x]))
+    caught, k = catch_real(p.parts[xi], space.rows[0][1], n0)
+    space.set_cell(at[xi] + k, caught.cells[k])
+    for b, v in space.rows:
+        if v[k] not in b[at[xi] + k]:
             raise AssertionError(f"a branch escapes the caught member at level {k}")
-    return q.with_part(xi, caught), k
+    return space.rebuild(p), k
 
 
 @dataclass
@@ -272,6 +267,5 @@ def restricted_localize(p: ProductCondition, nu_x: ProductNameOracle,
         raise PreconditionError("condition is not modest")
     space = _localization_space(p, nu_x, a, e)
     C = tuple(sorted(set(C) & set(p.support)))
-    phi = _localize(space, nu_x, a, e, 0,
-                    [j for j, xi in enumerate(p.support) if xi in C])
+    phi = _localize(space, a, e, 0, [j for j, xi in enumerate(p.support) if xi in C])
     return space.rebuild(p), RestrictedName(C, tuple(e), tuple(phi))

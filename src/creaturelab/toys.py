@@ -89,18 +89,18 @@ def _random_cells(rng: Random, horizon: int, max_branches: int):
 
 
 def _table_oracle(rng: Random, p, profile, dep_cut):
-    """x(k) drawn from a random table over the member indices of the levels
-    below dep_cut(k) in every coordinate of p (a condition or a product)."""
+    """x(k) drawn from a random table over the members of the levels below
+    dep_cut(k) in every coordinate of p (a condition or a product)."""
     from .conditions import BranchSpace, NameOracle
     space = BranchSpace.of(p)
     cuts = [space.below(dep_cut(k)) for k in range(p.horizon)]
     tables = [{key: rng.choice(profile[k]) for key in itertools.product(
-                   *(range(len(space.pools[x])) for x in xs))}
+                   *(space.pools[x] for x in xs))}
               for k, xs in enumerate(cuts)]
 
     def fn(branch):
-        idx = [m[t] for m, t in zip(space.index, space.flat(branch))]
-        return tuple(table[tuple(idx[x] for x in xs)]
+        flat = space.flat(branch)
+        return tuple(table[tuple(flat[x] for x in xs)]
                      for table, xs in zip(tables, cuts))
     return NameOracle(p, profile, fn)
 
@@ -259,7 +259,7 @@ def product_reading_instance(rng: Random, horizon: int = 3):
 def product_catch_instance(rng: Random, horizon: int = 3):
     """(p, nu_x, B, xi): nu_x reads only the B coordinate, and xi has a
     norm->=1 level (full union) to catch at."""
-    from .conditions import BranchSpace, TruncCondition, _singleton
+    from .conditions import TruncCondition, _singleton
     from .products import ProductNameOracle
     p = product_instance(rng, horizon)
     xi, beta = ("x", "y") if rng.random() < 0.5 else ("y", "x")
@@ -278,13 +278,11 @@ def product_catch_instance(rng: Random, horizon: int = 3):
     c_xi = p.parts[xi].params.c
     profile = tuple(tuple(range(c_xi[k])) for k in range(horizon))
     pos_b = p.support.index(beta)
-    index = BranchSpace.of(p.parts[beta]).index
-    tables = [{i: rng.randrange(c_xi[k])
-               for i in range(len(index[k]))} for k in range(horizon)]
+    tables = [{t: rng.randrange(c_xi[k]) for t in cell.sorted_members()}
+              for k, cell in enumerate(p.parts[beta].cells)]
 
     def fn(branch):
-        bb = branch[pos_b]
-        return tuple(tables[k][index[k][bb[k]]] for k in range(horizon))
+        return tuple(tables[k][t] for k, t in enumerate(branch[pos_b]))
     return p, ProductNameOracle(p, profile, fn), {beta}, xi
 
 

@@ -235,6 +235,29 @@ def test_unknown_family_count_mode_exits_2(tmp_path, capsys):
         assert "Traceback" not in err and "unknown field 'count_mode'" in err
 
 
+@pytest.mark.parametrize("mode, payload, message", [
+    ("verify", {"depth": "2"}, "the field depth must be an integer, got '2'"),
+    ("build", {"n0_minus": 3, "d0": 4, "depth": False},
+     "the field depth must be an integer, got False"),
+    ("build", {"n0_minus": "3", "d0": 4}, "the field n0_minus must be an integer"),
+    ("build", {"n0_minus": 3, "d0": True}, "the field d0 must be an integer"),
+    ("tree", {"d0": [3]}, "the field d0 must be an integer"),
+    ("tree", {"d0": 3, "depth": 2, "cap": True}, "--cap must be an integer >= 1"),
+    ("verify", {"kind": "single", "n0_minus": 3, "d0": 4, "cap": "9"},
+     "--cap must be an integer >= 1"),
+    ("build", {"n0_minus": 3, "d0": 4, "depth": 0}, "depth must be positive"),
+    ("verify", {"kind": "single", "n0_minus": 3, "d0": 4, "depth": -1},
+     "depth must be positive"),
+], ids=["depth-string", "depth-false", "n0_minus-string", "d0-true", "d0-list",
+        "cap-true", "cap-string", "single-depth-0", "single-depth-negative"])
+def test_family_integer_field_of_a_wrong_type_or_range_exits_2(tmp_path, capsys, mode,
+                                                              payload, message):
+    code, body = run(tmp_path, "family", payload, "--mode", mode)
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert "Traceback" not in err and message in err
+
+
 @pytest.mark.parametrize("payload, message", [
     ({"creature": _CREATURE, "bogus": 1}, "unknown field 'bogus'"),
     ({}, "missing field 'creature'"),
@@ -335,6 +358,15 @@ def _subcommand(name):
 
 
 _SLALOM = {"c": [4, 4, 4], "h": [1, 1, 1], "cells": [[0], [1], [2]]}
+
+
+def test_table_key_outside_the_base_exits_2(tmp_path, capsys):
+    payload = json.loads(json.dumps(_INPUTS["check-reading-timely"]))
+    payload["oracle"]["table"]["9,0,0"] = [0, 0, 0]
+    code, body = run(tmp_path, "check-reading", payload)
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert "Traceback" not in err and "table key '9,0,0' is not a branch key" in err
 
 
 @pytest.mark.parametrize("sub, payload, flags, message", [
@@ -463,18 +495,21 @@ def _replaced(draw, value):
 
 def _fields(flags):
     """Command-line flags as the JSON fields they give."""
-    return {flag[2:]: int(value) if flag == "--cap" else value
+    return {flag[2:]: value if flag == "--mode" else int(value)
             for flag, value in zip(flags[::2], flags[1::2])}
 
 
-# the golden inputs, and the family rows of _GOLDEN with their flags as fields
+# the golden inputs, and the family and suite rows of _GOLDEN with their
+# flags as fields; a suite of 12 instances takes a few hundredths of a second
 _FUZZED = [(_subcommand(name), payload) for name, payload in sorted(_INPUTS.items())]
 _FUZZED += [(sub, dict(payload, **_fields(flags)))
             for sub, payload, flags, *_ in _GOLDEN if sub == "family"]
+_FUZZED += [(sub, dict(_fields(flags), cap=12))
+            for sub, _, flags, *_ in _GOLDEN if sub == "suite"]
 
 
-def test_every_subcommand_but_suite_is_fuzzed():
-    assert set(cli._OPS) - {sub for sub, _ in _FUZZED} == {"suite"}
+def test_every_subcommand_is_fuzzed():
+    assert set(cli._OPS) == {sub for sub, _ in _FUZZED}
 
 
 # per subcommand that can exit 1, the witness its report carries
@@ -485,6 +520,7 @@ _WITNESS = {
     "maps": lambda r: "violation" in r["transfer"],
     "family": lambda r: r["summary"]["fail"] + r["summary"]["unknown"] > 0
     and any(e["status"] != "pass" for e in r["certificate"]),
+    "suite": lambda r: len(r["failures"]) > 0,
 }
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 from random import Random
 
 import pytest
@@ -23,6 +24,7 @@ from creaturelab.conditions import (
     validate,
 )
 from creaturelab.creatures import Creature, full_creature, norm
+from creaturelab.products import branch_key
 from creaturelab.toys import localize_instance, reading_instance
 
 
@@ -175,6 +177,43 @@ def test_name_oracle_from_table_and_profile_guard():
     bad = NameOracle(P3, ((0,), (0,), (0,)), lambda b: (9, 0, 0))
     with pytest.raises(ValueError):
         bad.eval(branches(P3)[0])
+
+
+_P3_PROFILE = [(0, 1), (0,), (0, 1, 2)]
+
+
+def _p3_table():
+    return {branch_key(P3, b): (0, 0, 0) for b in branches(P3)}
+
+
+@pytest.mark.parametrize("key", [
+    "0,0", "0,0,0,0", "0|0,0", "0,0|0", "0,0,", "a,0,0", "0,0,x", "-1,0,0",
+    "2,0,0", "9,0,0", "0,1,0", "01,0,0", " 0,0,0", "+1,0,0", ""])
+def test_from_table_rejects_a_key_that_is_not_a_branch_key(key):
+    table = dict(_p3_table(), **{key: (0, 0, 0)})
+    with pytest.raises(ValueError, match=re.escape(f"table key {key!r} is not a "
+                                                   "branch key of the base")):
+        NameOracle.from_table(P3, _P3_PROFILE, table)
+
+
+@pytest.mark.parametrize("value, message", [
+    ((0, 0, 3), "oracle value 3 outside profile at level 2"),
+    ((0, 0), "one value per level"),
+], ids=["outside-profile", "short"])
+def test_from_table_checks_every_value_at_load(value, message):
+    table = _p3_table()
+    table["1,0,2"] = value
+    with pytest.raises(ValueError, match=message):
+        NameOracle.from_table(P3, _P3_PROFILE, table)
+
+
+def test_a_branch_missing_from_the_table_raises_its_key():
+    table = _p3_table()
+    del table["1,0,2"]
+    nu = NameOracle.from_table(P3, _P3_PROFILE, table)
+    assert nu.eval(branches(P3)[0]) == (0, 0, 0)
+    with pytest.raises(KeyError, match="'1,0,2'"):
+        check_reading(P3, nu, "timely")
 
 
 Q3 = _cond([(3, 1, [[0]]),

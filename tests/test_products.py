@@ -3,7 +3,8 @@ from random import Random
 import pytest
 
 from creaturelab.conditions import (ParamTriple, PreconditionError,
-                                    TruncCondition, _singleton)
+                                    TruncCondition, _singleton, check_reading,
+                                    early_read, localize)
 from creaturelab.creatures import Creature, norm
 from creaturelab.products import (
     CoordinateSpace,
@@ -25,9 +26,11 @@ from creaturelab.products import (
     schedule_plan,
 )
 from creaturelab.toys import (
+    localize_instance,
     product_catch_instance,
     product_instance,
     product_reading_instance,
+    reading_instance,
     restricted_instance,
 )
 
@@ -244,6 +247,40 @@ def test_branch_key_of_a_restricted_branch():
         for j, xi in enumerate(p.support):
             single = ProductCondition(p.space, {xi: p.parts[xi]})
             assert branch_key(p, (b[j],), (xi,)) == branch_key(single, (b[j],))
+
+
+def _outcome(op, *args):
+    try:
+        return op(*args)
+    except PreconditionError as ex:
+        return str(ex)
+
+
+def test_a_table_oracle_reads_as_its_function():
+    """Each seeded instance's name, turned into a table keyed by
+    branch_key, gives every reading operation the results (and errors) of
+    the function it came from, on the instance and on its early read."""
+    for seed in range(12):
+        rng = Random(seed)
+        p, nu = reading_instance(rng)
+        q, mu, a, e = localize_instance(rng)
+        s, sig = product_reading_instance(rng)
+        t, tau, B, xi = product_catch_instance(rng)
+        u, ups, C, a3, e3 = restricted_instance(rng)
+        cases = [(check_reading, p, nu, "timely"), (early_read, p, nu),
+                 (check_reading, q, mu, "early"), (localize, q, mu, a, e),
+                 (localize, q, mu, a, e, 1), (early_read, s, sig),
+                 (bounding_extract, s, sig), (product_catch, t, tau, B, xi),
+                 (product_catch, t, tau, B, xi, 1), (bounding_extract, t, tau), (restricted_localize, u, ups, C, a3, e3),
+                 (early_read, u, ups)]
+        for op, cond, fn, *args in cases:
+            table = ProductNameOracle.from_table(cond, fn.profile, {
+                branch_key(cond, b): fn.eval(b) for b in product_branches(cond)})
+            got = _outcome(op, cond, table, *args)
+            assert got == _outcome(op, cond, fn, *args), (seed, op.__name__)
+            if op is early_read and not isinstance(got, str):
+                assert check_reading(got, table, "early") is True
+                assert check_reading(got, fn, "early") is True
 
 
 def test_product_json_roundtrip():
