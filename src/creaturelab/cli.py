@@ -129,6 +129,7 @@ def _range_refine(lib, creature, f, k, d, m):
 
 @_op("conditions")
 def _poss(lib, condition, k):
+    _ints(k=k)
     p = lib.TruncCondition.from_json(condition)
     count = lib.poss_count(p, k)
     out = {"count": count}
@@ -321,6 +322,7 @@ def _family(lib, mode="build", **fields):
 
 
 def _toy(lib, seed=0, horizon=3):
+    _ints(seed=seed, horizon=horizon)
     return 0, lib.toy_family(seed, horizon)
 
 

@@ -123,7 +123,10 @@ class BranchSpace:
     in canonical order (``pools``).  A space with ``coords``, the product
     coordinates its parts stand for, shows selections to callers as
     per-coordinate tuples (``shape``); a single condition's space has none.
-    ``rows`` holds the (flat branch, values) pairs ``_read`` evaluates.
+    ``values``, per level, holds the name's value on every branch (``_read``
+    fills it) by the branch's mixed-radix rank: one digit per position, its
+    member's index in the pool, in level-major ``order``.  So the branches
+    that agree below a level are contiguous blocks of one size.
     """
 
     def __init__(self, parts, horizon: int, coords=None):
@@ -133,7 +136,8 @@ class BranchSpace:
         self.coords = coords
         self.cells = [cell for part in self.parts for cell in part.cells]
         self.pools = [cell.sorted_members() for cell in self.cells]
-        self.rows = []
+        self.order = [j * horizon + k for k in range(horizon) for j in range(self.W)]
+        self.values = []
 
     @classmethod
     def of(cls, p) -> "BranchSpace":
@@ -143,10 +147,14 @@ class BranchSpace:
         return cls([p.parts[xi] for xi in p.support], p.horizon, p.support)
 
     def set_cell(self, x: int, cell: Creature) -> None:
-        """Put cell at position x, dropping the rows through other members."""
+        """Put cell, whose members are among those at x, at position x,
+        dropping the branches through the other members."""
+        stride = prod(len(self.pools[y]) for y in self.order[self.order.index(x) + 1:])
+        keep = [t in cell.members for t in self.pools[x] for _ in range(stride)]
+        self.values = [list(itertools.compress(col, keep * (len(col) // len(keep))))
+                       for col in self.values]
         self.cells[x] = cell
         self.pools[x] = cell.sorted_members()
-        self.rows = [row for row in self.rows if row[0][x] in cell.members]
 
     def rebuild(self, p):
         """p's kind over the current cells: the condition, or p's product
@@ -180,6 +188,33 @@ class BranchSpace:
         if self.count(self.N - 1) > BRANCH_CAP:
             raise ValueError("branch enumeration cap exceeded")
         return self.poss(self.N - 1)
+
+    def ranks(self, positions: list) -> list[int]:
+        """The ranks of the selections of a member at each of the positions
+        (the first slowest), every other position at its first member."""
+        stride, s = {}, 1
+        for x in reversed(self.order):
+            stride[x], s = s, s * len(self.pools[x])
+        return list(map(sum, itertools.product(
+            *[range(0, len(self.pools[x]) * stride[x], stride[x]) for x in positions])))
+
+    def grouped(self, positions: list) -> tuple[list, int]:
+        """The value columns enumerated with the positions first, in order,
+        and the size of the blocks of branches that agree there."""
+        rest = [x for x in self.order if x not in positions]
+        size = prod(len(self.pools[x]) for x in rest)
+        if positions == self.order[:len(positions)]:
+            return self.values, size
+        perm = self.ranks(positions + rest)
+        return [list(map(col.__getitem__, perm)) for col in self.values], size
+
+    def decides(self, positions: list, cols=slice(None)) -> bool:
+        """Do the members at the positions fix the value columns ``cols``:
+        does every block of branches that agree there repeat its head?"""
+        values, size = self.grouped(positions)
+        sizes = itertools.repeat(size)
+        return all(col == list(itertools.chain.from_iterable(
+            map(itertools.repeat, col[::size], sizes))) for col in values[cols])
 
     def nest(self, flat, w: int) -> tuple:
         """Per-coordinate slices of a flat selection (or of the cells) of w
@@ -430,27 +465,30 @@ class NameOracle:
     @classmethod
     def from_table(cls, base, profile, table: dict) -> "NameOracle":
         """Table keyed by ``products.branch_key`` (per coordinate the
-        comma-joined member indices, coordinates joined by '|'), parsed
-        once into flat branches whose values are checked at load."""
+        comma-joined member indices, coordinates joined by '|'), looked up
+        among the base's keys, enumerated with its branches; each distinct
+        value is checked once."""
         nu = cls(base, tuple(tuple(a) for a in profile), None)
-        space, values = nu._space, nu._cache
-        # canonical: a branch key's separators, each index a member's (no "01")
-        member = [{str(i): t for i, t in enumerate(pool)} for pool in space.pools]
-        digits = str.maketrans("", "", "0123456789") if member else {}
-        sep = "|".join(["," * (space.N - 1)] * space.W)
-        for key, out in table.items():
-            idx = key.replace("|", ",").split(",") if member else []
-            flat = tuple(map(dict.get, member, idx))
-            if len(idx) != len(member) or None in flat or key.translate(digits) != sep:
-                raise ValueError(f"table key {key!r} is not a branch key of the base")
-            values[flat] = nu._checked(tuple(out))
+        space, N = nu._space, nu._space.N
+        ends = (([","] * (N - 1) + ["|"]) * space.W)[:-1] + [""]
+        labels = [[f"{i}{e}" for i in range(len(m))] for m, e in zip(space.pools, ends)]
+        index = dict(zip(map("".join, itertools.product(*labels)), space.branches()))
+        try:
+            flats = list(map(index.__getitem__, table))
+            values = list(map(tuple, table.values()))
+            for out in set(values):
+                nu._checked(out)
+        except (KeyError, TypeError, ValueError):
+            # name the first bad entry, its key first; unhashable values may pass
+            for key, out in table.items():
+                if key not in index:
+                    raise ValueError(f"table key {key!r} is not a branch key of the base")
+                nu._checked(tuple(out))
+        nu._cache.update(zip(flats, values))
 
         def fn(branch):
             from .products import branch_key
-            flat = space.flat(branch)
-            if flat not in values:
-                raise KeyError(branch_key(base, branch))
-            return values[flat]
+            raise KeyError(branch_key(base, branch))
         nu.fn = fn
         return nu
 
@@ -472,21 +510,12 @@ def _read(p, nu: NameOracle) -> BranchSpace:
         raise PreconditionError("oracle base parameters differ")
     if not all(c.members <= b.members for c, b in zip(space.cells, base.cells)):
         raise PreconditionError("condition is not an extension of the oracle base")
-    space.rows = [(b, nu._values(b)) for b in space.branches()]
+    rows = [nu._cache.get(b) or nu._values(b) for b in space.branches()]
+    if space.W > 1:  # stored in level-major order
+        ranks = space.ranks(range(len(space.cells)))
+        rows = [row for _, row in sorted(zip(ranks, rows))]
+    space.values = list(map(list, zip(*rows)))
     return space
-
-
-def _groups(rows, positions, n) -> dict | None:
-    """The first n values (all if n is None) of the rows by their members at
-    the positions (a bare member for one position, as ``itemgetter`` gives
-    it), or None if two rows with the same members there disagree."""
-    key = operator.itemgetter(*positions) if positions else lambda b: ()
-    groups = {}
-    for b, v in rows:
-        pre = v[:n]
-        if groups.setdefault(key(b), pre) != pre:
-            return None
-    return groups
 
 
 def check_reading(p, nu: NameOracle, mode: str) -> bool:
@@ -505,21 +534,26 @@ def _reads(space: BranchSpace, mode: str) -> bool:
         cuts = [(n, n) for n in range(1, space.N + 1)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return all(_groups(space.rows, space.below(cut), n) is not None
-               for n, cut in cuts)
+    # each cut only splits the blocks of the one before: check a column at its first
+    done = itertools.accumulate([0] + [n for n, _ in cuts], max)
+    return all(space.decides(space.order[:cut * space.W], slice(lo, n))
+               for (n, cut), lo in zip(cuts, done))
 
 
 def _refine_split(space: BranchSpace, k: int, j: int, n: int, refine) -> None:
     """Refine coordinate j's cell at level k once per possibility below k,
     in enumeration order: refine(M, pre) takes the cell so far and each of
-    its members' first n values through that possibility."""
-    x = j * space.N + k
-    groups = _groups(space.rows, space.below(k) + [x], n)
-    if groups is None:
+    its members' first n values through that possibility.  The space is
+    modest, so the branches through one possibility and one member form a
+    block of the levels <= k, read at its head."""
+    x, cols = j * space.N + k, space.values[:n]
+    if not space.decides(space.order[:(k + 1) * space.W], slice(n)):
         raise PreconditionError(f"branches disagree on the first {n} values")
+    pool, heads = space.pools[x], space.ranks(space.below(k) + [x])
     M = space.cells[x]
-    for eta in space.poss(k - 1):
-        M = refine(M, {t: groups[eta + (t,) if k else t] for t in M.sorted_members()})
+    for e in range(0, len(heads), len(pool)):
+        M = refine(M, {t: tuple(col[r] for col in cols)
+                       for t, r in zip(pool, heads[e:e + len(pool)]) if t in M.members})
     space.set_cell(x, M)
 
 
@@ -598,16 +632,17 @@ def _localize(space: BranchSpace, a, e, k0: int, coords) -> list[dict]:
         _refine_split(space, k, j, k + 1, lambda M, pre: range_refine(
             M, lambda t: pre[t][k], kcap, d, a[k]))
     N = space.N
-    phi = [{} for _ in range(N)]
-    for b, v in space.rows:
-        key = tuple(b[j * N:(j + 1) * N] for j in coords)
-        for cell, value in zip(phi, v):
-            cell.setdefault(key, set()).add(value)
+    at = [j * N + i for j in coords for i in range(N)]
+    cols, size = space.grouped(at)
+    keys = list(itertools.product(*[itertools.product(*space.pools[j * N:(j + 1) * N])
+                                    for j in coords]))
+    phi = [{key: frozenset(col[b * size:(b + 1) * size]) for b, key in enumerate(keys)}
+           for col in cols]
     for k in range(k0, N):
         widest = max(map(len, phi[k].values()))
         if widest > e[k]:
             raise PreconditionError(f"clause i fails at level {k}: {widest} values")
-    return [{key: frozenset(vals) for key, vals in cell.items()} for cell in phi]
+    return phi
 
 
 def localize(p: TruncCondition, nu: NameOracle, a, e, k0: int = 0):

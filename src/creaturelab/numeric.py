@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, isqrt
 
 PROMOTION_THRESHOLD = 2 ** 64  # promote to the next height above this
@@ -26,6 +27,7 @@ DEMOTION_LIMIT = 64            # drop a height when the upper bound is <= this
 HEIGHT_CAP = 8
 DEFAULT_PRECISION = 96         # fractional bits carried by log2/pow2 bounds
 EXACT_BIT_LIMIT = 1 << 26      # largest integer we materialize exactly
+LOG2_MEMO_BITS = 512           # log2 memoises operands of at most this many bits
 
 
 class TowerOverflowError(ArithmeticError):
@@ -147,6 +149,16 @@ def _shifted_quotient(n: int, s: int, d: int, keep: int) -> int:
 
 
 def _log2_bounds(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
+    """Directed bounds of log2(x) with prec fractional bits.  Promotions
+    meet the same small operands again and again, so those are memoised; a
+    longer operand costs more to hash than its log2 (a stopgap until the
+    bounds are dyadic)."""
+    if x.numerator.bit_length() + x.denominator.bit_length() <= LOG2_MEMO_BITS:
+        return _log2_memo(x, prec)
+    return _log2_kernel(x, prec)
+
+
+def _log2_kernel(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     n, d = x.numerator, x.denominator
     if n <= 0:
         raise TowerDomainError("log2 of a non-positive value")
@@ -162,6 +174,9 @@ def _log2_bounds(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     t2 = _shifted_quotient(d, prec + e + 1, n, keep)
     hi = e + 1 - Fraction(_sq_chain_floor(t2, prec), 1 << prec)
     return Fraction(lo), Fraction(hi)
+
+
+_log2_memo = lru_cache(maxsize=1024)(_log2_kernel)
 
 
 def _exp2_frac(m: int, s: int, prec: int, up: bool) -> Fraction:

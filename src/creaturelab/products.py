@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .conditions import (BranchSpace, NameOracle, ParamTriple,
-                         PreconditionError, TruncCondition, _groups,
+                         PreconditionError, TruncCondition,
                          _localization_space, _localize, _read, _reads,
                          _singleton, _splits, and_restrict, branches,
                          catch_real, check_reading, early_read, fuse,
@@ -207,7 +207,7 @@ def bounding_extract(q: ProductCondition, nu: ProductNameOracle) -> tuple:
     space = _read(q, nu)
     if not (_reads(space, "early") or _reads(space, "timely")):
         raise PreconditionError("condition reads the name neither early nor timely")
-    return tuple(max(v[k] for _, v in space.rows) for k in range(q.horizon))
+    return tuple(map(max, space.values))
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +224,20 @@ def product_catch(p: ProductCondition, nu_x: ProductNameOracle, B, xi: str,
         raise PreconditionError("target coordinate cannot carry the name")
     if xi not in p.support:
         raise PreconditionError(f"coordinate {xi!r} outside the support")
+    outside = sorted(map(repr, B - set(p.support)))
+    if outside:
+        raise ValueError(f"the B coordinate {outside[0]} is outside the support")
     space = _read(p, nu_x)
-    at = {beta: j * N for j, beta in enumerate(p.support)}
-    if _groups(space.rows, [x for beta in at if beta in B
-                            for x in range(at[beta], at[beta] + N)], None) is None:
+    fixed = [j * N + k for j, xj in enumerate(p.support) if xj in B for k in range(N)]
+    if not space.decides(fixed):
         raise PreconditionError("dependence leak: the name reads coordinates outside B")
-    for beta in B:
-        for x in range(at[beta], at[beta] + N):
-            space.set_cell(x, _singleton(space.cells[x]))
-    caught, k = catch_real(p.parts[xi], space.rows[0][1], n0)
-    space.set_cell(at[xi] + k, caught.cells[k])
-    for b, v in space.rows:
-        if v[k] not in b[at[xi] + k]:
-            raise AssertionError(f"a branch escapes the caught member at level {k}")
+    for x in fixed:
+        space.set_cell(x, _singleton(space.cells[x]))
+    caught, k = catch_real(p.parts[xi], [col[0] for col in space.values], n0)
+    space.set_cell(p.support.index(xi) * N + k, caught.cells[k])
+    t, = caught.cells[k].members
+    if not all(v in t for v in space.values[k]):
+        raise AssertionError(f"a branch escapes the caught member at level {k}")
     return space.rebuild(p), k
 
 

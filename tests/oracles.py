@@ -68,3 +68,28 @@ def single_family_level0(d0):
     c = 2 ** (2 * g + d)          # exponent g + (g + d)
     a = c ** h + 1
     return {"d": d, "h": h, "g": g, "b": b, "c": c, "a": a}
+
+
+def branches_direct(coords):
+    """Every branch of a condition given per coordinate as per-level member
+    lists: per coordinate, a tuple of one member per level."""
+    return list(itertools.product(*[itertools.product(*levels) for levels in coords]))
+
+
+def reads_direct(coords, name, mode):
+    """Does the condition read the name (a function of branches) timely or
+    early?  From the definition, over pairs of branches: at every cut, two
+    branches equal below the cut in every coordinate have the same first n
+    values.  Early reading cuts below every level n (n = 1..N); timely
+    reading cuts just above every split level n (a level where some
+    coordinate has more than one member) and compares n values."""
+    N = len(coords[0])
+    if mode == "early":
+        cuts = [(n, n) for n in range(1, N + 1)]
+    else:
+        cuts = [(n, n + 1) for n in range(N) if any(len(c[n]) > 1 for c in coords)]
+    rows = [(b, tuple(name(b))) for b in branches_direct(coords)]
+    return all(u[:n] == v[:n]
+               for (a, u), (b, v) in itertools.combinations(rows, 2)
+               for n, cut in cuts
+               if all(x[:cut] == y[:cut] for x, y in zip(a, b)))

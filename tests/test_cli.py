@@ -370,6 +370,38 @@ def test_table_key_outside_the_base_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("sub, payload, flags, message", [
+    ("family", {"seed": True, "horizon": True}, ["--mode", "toy"],
+     "the field seed must be an integer, got True"),
+    ("family", {"seed": 3, "horizon": "4"}, ["--mode", "toy"],
+     "the field horizon must be an integer, got '4'"),
+    ("poss", {"condition": _COND, "k": "1"}, [], "the field k must be an integer, got '1'"),
+], ids=["toy-booleans", "toy-horizon-string", "poss-k-string"])
+def test_field_of_a_wrong_type_exits_2(tmp_path, capsys, sub, payload, flags, message):
+    code, body = run(tmp_path, sub, payload, *flags)
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert "Traceback" not in err and message in err
+
+
+def test_product_catch_with_a_B_coordinate_outside_the_support_exits_2(tmp_path, capsys):
+    payload = dict(_INPUTS["product-catch"], B=["z"])
+    code, body = run(tmp_path, "product-catch", payload)
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert "Traceback" not in err
+    assert "ValueError: the B coordinate 'z' is outside the support" in err
+
+
+def test_table_value_of_a_list_exits_2(tmp_path, capsys):
+    payload = json.loads(json.dumps(_INPUTS["check-reading-timely"]))
+    payload["oracle"]["table"]["1,0,0"] = [[1], 0, 0]
+    code, body = run(tmp_path, "check-reading", payload)
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert "ValueError: oracle value [1] outside profile at level 0" in err
+
+
+@pytest.mark.parametrize("sub, payload, flags, message", [
     ("and", dict(_INPUTS["and"], eta=_INPUTS["and"]["eta"] + [[0]] * 5), [],
      "eta selects 7 levels"),
     ("order", dict(_INPUTS["order"], mode={"at_n": -1}), [], "at_n = -1 is negative"),

@@ -199,12 +199,44 @@ def test_from_table_rejects_a_key_that_is_not_a_branch_key(key):
 @pytest.mark.parametrize("value, message", [
     ((0, 0, 3), "oracle value 3 outside profile at level 2"),
     ((0, 0), "one value per level"),
-], ids=["outside-profile", "short"])
+    (([0], 0, 0), re.escape("oracle value [0] outside profile at level 0")),
+], ids=["outside-profile", "short", "list"])
 def test_from_table_checks_every_value_at_load(value, message):
     table = _p3_table()
     table["1,0,2"] = value
     with pytest.raises(ValueError, match=message):
         NameOracle.from_table(P3, _P3_PROFILE, table)
+
+
+def test_from_table_names_the_first_bad_entry_in_table_order():
+    bad_value, bad_key = ("0,0,1", (0, 0, 7)), ("2,0,0", (0, 0, 0))
+    for first, second, message in [(bad_value, bad_key, "oracle value 7"),
+                                   (bad_key, bad_value, "table key '2,0,0'")]:
+        table = _p3_table()
+        del table[bad_value[0]]
+        table.update([first, second])
+        with pytest.raises(ValueError, match=message):
+            NameOracle.from_table(P3, _P3_PROFILE, table)
+    table = _p3_table()
+    table["0,0,1"] = 5
+    with pytest.raises(TypeError):
+        NameOracle.from_table(P3, _P3_PROFILE, table)
+
+
+def test_from_table_takes_values_equal_to_unhashable_profile_entries():
+    profile = [(0, 1), ([0], [1]), (0, 1, 2)]
+    table = {key: (0, [0], 0) for key in _p3_table()}
+    nu = NameOracle.from_table(P3, profile, table)
+    assert check_reading(P3, nu, "early")
+    table["1,0,2"] = (0, [2], 0)
+    with pytest.raises(ValueError, match=re.escape("oracle value [2] outside profile at level 1")):
+        NameOracle.from_table(P3, profile, table)
+
+
+def test_from_table_rejects_a_base_above_the_branch_cap():
+    full = _cond([(6, 3, [m for m in itertools.combinations(range(6), 3)])] * 4)
+    with pytest.raises(ValueError, match="branch enumeration cap exceeded"):
+        NameOracle.from_table(full, [(0,)] * 4, {})
 
 
 def test_a_branch_missing_from_the_table_raises_its_key():
