@@ -112,19 +112,30 @@ def _lognorm(lib, creature, d, t):
     return 0, {"cmp": lib.lognorm_cmp(lib.Creature.from_json(creature), d, Fraction(t))}
 
 
+def _per_member(M, field, values) -> dict:
+    """The field's list, one value per member of M in canonical order, keyed
+    by member."""
+    members = M.sorted_members()
+    if type(values) is not list or len(values) != len(members):
+        got = f"{len(values)} entries" if type(values) is list else repr(values)
+        raise ValueError(f"the field {field} must list one value per member: "
+                         f"{len(members)} members, got {got}")
+    return dict(zip(members, values))
+
+
 @_op("creatures")
 def _bigness(lib, creature, colors, d):
     M = lib.Creature.from_json(creature)
-    table = dict(zip(M.sorted_members(), colors))
-    color, refined = lib.bigness_refine(M, lambda m: table[m], d)
+    table = _per_member(M, "colors", colors)
+    color, refined = lib.bigness_refine(M, table.__getitem__, d)
     return 0, {"color": color, "refined": refined.to_json()}
 
 
 @_op("creatures")
 def _range_refine(lib, creature, f, k, d, m):
     M = lib.Creature.from_json(creature)
-    fvals = dict(zip(M.sorted_members(), f))
-    return 0, {"refined": lib.range_refine(M, lambda t: fvals[t], k, d, m).to_json()}
+    fvals = _per_member(M, "f", f)
+    return 0, {"refined": lib.range_refine(M, fvals.__getitem__, k, d, m).to_json()}
 
 
 @_op("conditions")

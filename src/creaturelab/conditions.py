@@ -483,7 +483,11 @@ class NameOracle:
             for key, out in table.items():
                 if key not in index:
                     raise ValueError(f"table key {key!r} is not a branch key of the base")
-                nu._checked(tuple(out))
+                try:
+                    out = tuple(out)
+                except TypeError:
+                    raise TypeError(f"table value {out!r} at key {key!r} is not a list") from None
+                nu._checked(out)
         nu._cache.update(zip(flats, values))
 
         def fn(branch):

@@ -39,8 +39,12 @@ class Creature:
         return Creature(arena, cap, frozenset(frozenset(m) for m in members))
 
     def sorted_members(self) -> list[frozenset[int]]:
-        """Members in a canonical deterministic order."""
-        return sorted(self.members, key=lambda m: (len(m), sorted(m)))
+        """Members in a canonical deterministic order: by size, then by the
+        sorted elements.  The key is one integer, len(m) * 2^arena minus the
+        sum of 2^(arena-1-v) over m: an element outweighs all larger ones."""
+        a = self.arena
+        w = [-(1 << (a - 1 - v)) for v in range(a)]
+        return sorted(self.members, key=lambda m: sum(map(w.__getitem__, m), len(m) << a))
 
     def to_json(self) -> dict:
         return {"arena": self.arena, "cap": self.cap,
@@ -63,27 +67,35 @@ def norm(M: Creature) -> int:
     """Largest k such that every subset of the arena of size <= k is
     contained in some member.
 
-    For k = 1, 2, ... the k-subsets of the members (as bitmasks) are
-    collected until they number C(arena, k); the first k that falls short
-    gives k - 1.
+    Coverage of k-subsets is monotone in k, so k runs down from the largest
+    member size.  A k fails at once when the members hold fewer k-subsets,
+    counted with repeats, than the C(arena, k) needed; otherwise the
+    members of size k and then the k-subsets of the larger ones, largest
+    first, are collected until they number C(arena, k).
     """
-    if M.arena > ARENA_LIMIT:
-        raise ValueError(f"arena {M.arena} exceeds the exhaustive-cost limit")
-    members = sorted(([1 << v for v in m] for m in M.members),
-                     key=len, reverse=True)
-    top = min(M.arena, len(members[0]))
-    for k in range(1, top + 1):
-        need = comb(M.arena, k)
-        seen = set()
-        for bits in members:
-            if len(bits) < k:
-                break
-            seen.update(map(sum, itertools.combinations(bits, k)))
+    return _norm(M.arena, M.members)
+
+
+def _norm(arena: int, members) -> int:
+    """norm of the creature on range(arena) with these (checked) members."""
+    if arena > ARENA_LIMIT:
+        raise ValueError(f"arena {arena} exceeds the exhaustive-cost limit")
+    top = len(max(members, key=len))
+    by_size = [[] for _ in range(top + 1)]
+    for m in members:
+        by_size[len(m)].append(m)
+    for k in range(top, 0, -1):
+        need = comb(arena, k)
+        if sum(comb(s, k) * len(by_size[s]) for s in range(k, top + 1)) < need:
+            continue
+        seen = set(by_size[k])
+        for m in itertools.chain(*by_size[:k:-1]):
             if len(seen) == need:
                 break
-        if len(seen) < need:
-            return k - 1
-    return top
+            seen.update(map(frozenset, itertools.combinations(m, k)))
+        if len(seen) == need:
+            return k
+    return 0
 
 
 def lognorm_cmp(M: Creature, d: int, t) -> str:
@@ -123,8 +135,9 @@ def lognorm_value_cmp(norm_value: int, d: int, t) -> str:
 def bigness_refine(M: Creature, coloring, d: int):
     """Pick the color class of maximal norm (ties: smallest color).
 
-    ``coloring`` maps each member to a color below d.  The returned class
-    M* satisfies norm(M)+1 <= d*(norm(M*)+1) by pigeonhole.
+    ``coloring`` maps each member to a color below d; it is called on the
+    members in canonical order.  The returned class M* satisfies
+    norm(M)+1 <= d*(norm(M*)+1) by pigeonhole.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -134,13 +147,10 @@ def bigness_refine(M: Creature, coloring, d: int):
         if not 0 <= color < d:
             raise ValueError(f"color {color} out of range")
         classes.setdefault(color, []).append(m)
-    best_color, best_norm, best = None, -1, None
-    for color in sorted(classes):
-        cl = Creature.of(M.arena, M.cap, classes[color])
-        n = norm(cl)
-        if n > best_norm:
-            best_color, best_norm, best = color, n, cl
-    return best_color, best
+    best = max(sorted(classes), key=lambda c: _norm(M.arena, classes[c]))
+    refined = object.__new__(Creature)  # its members were checked in M
+    refined.__dict__.update(arena=M.arena, cap=M.cap, members=frozenset(classes[best]))
+    return best, refined
 
 
 def range_refine(M: Creature, f, k: int, d: int, m: int) -> Creature:

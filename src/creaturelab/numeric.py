@@ -240,7 +240,7 @@ class LogTower:
     high: Fraction
 
     def __post_init__(self):
-        if self.low > self.high:
+        if _less(self.high, self.low):
             raise ValueError("tower bounds out of order")
 
     @property
@@ -253,6 +253,15 @@ class LogTower:
 
     def __repr__(self):
         return f"LogTower(h={self.height}, [{self.low}, {self.high}])"
+
+
+def _less(a, b) -> bool:
+    """a < b for ints and Fractions.  Two integers compare by numerator:
+    Fraction's own comparison multiplies each side by the other's
+    denominator, which copies a multi-million-bit integer."""
+    if a.denominator == 1 == b.denominator:
+        return a.numerator < b.numerator
+    return a < b
 
 
 def tower(v) -> LogTower:
@@ -271,7 +280,7 @@ def _canonical(height: int, low: Fraction, high: Fraction,
         low = _pow2_bounds(low, DEFAULT_PRECISION)[0]
         high = _pow2_bounds(high, DEFAULT_PRECISION)[1]
         height -= 1
-    while low > PROMOTION_THRESHOLD:
+    while _less(PROMOTION_THRESHOLD, low):
         if height + 1 > cap:
             raise TowerOverflowError(f"height cap {cap} exceeded")
         low, high = _log2_interval(low, high)
@@ -464,10 +473,10 @@ def tower_cmp(a, b, *, cap: int = HEIGHT_CAP + 4) -> Cmp:
     if x.is_point and y.is_point:
         if x.low == y.low:
             return Cmp.EQUAL
-        return Cmp.LESS if x.low < y.low else Cmp.GREATER
-    if x.high < y.low:
+        return Cmp.LESS if _less(x.low, y.low) else Cmp.GREATER
+    if _less(x.high, y.low):
         return Cmp.LESS
-    if x.low > y.high:
+    if _less(y.high, x.low):
         return Cmp.GREATER
     return Cmp.UNKNOWN
 
@@ -486,9 +495,9 @@ def tower_le(a, b, *, cap: int = HEIGHT_CAP + 4):
         if x.height < y.height:
             return True if _dominates(y, x) else None
         return False if _dominates(x, y, margin=1) else None
-    if x.high <= y.low:
+    if not _less(y.low, x.high):
         return True
-    if x.low > y.high:
+    if _less(y.high, x.low):
         return False
     return None
 

@@ -8,7 +8,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from creaturelab import cli, toys
 from creaturelab.cli import main
@@ -401,6 +401,33 @@ def test_table_value_of_a_list_exits_2(tmp_path, capsys):
     assert "ValueError: oracle value [1] outside profile at level 0" in err
 
 
+def test_table_value_that_is_no_list_exits_2_naming_its_key(tmp_path, capsys):
+    payload = json.loads(json.dumps(_INPUTS["check-reading-timely"]))
+    key = sorted(payload["oracle"]["table"])[1]
+    payload["oracle"]["table"][key] = 5
+    code, body = run(tmp_path, "check-reading", payload)
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert f"TypeError: table value 5 at key {key!r} is not a list" in err
+
+
+@pytest.mark.parametrize("sub, field, cut, message", [
+    ("bigness", "colors", -1, "10 members, got 9 entries"),
+    ("bigness", "colors", 1, "10 members, got 11 entries"),
+    ("range-refine", "f", -3, "10 members, got 7 entries"),
+    ("range-refine", "f", 2, "10 members, got 12 entries"),
+    ("range-refine", "f", None, "10 members, got 3"),
+], ids=["bigness-short", "bigness-long", "range-short", "range-long", "range-int"])
+def test_per_member_list_of_another_length_exits_2(tmp_path, capsys, sub, field,
+                                                   cut, message):
+    values = _INPUTS[sub][field]
+    values = 3 if cut is None else values[:cut] if cut < 0 else values + [0] * cut
+    code, body = run(tmp_path, sub, dict(_INPUTS[sub], **{field: values}))
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert f"the field {field} must list one value per member: {message}" in err
+
+
 @pytest.mark.parametrize("sub, payload, flags, message", [
     ("and", dict(_INPUTS["and"], eta=_INPUTS["and"]["eta"] + [[0]] * 5), [],
      "eta selects 7 levels"),
@@ -575,6 +602,7 @@ def _mutated_inputs(draw):
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(_mutated_inputs())
+@example(("measure", dict(_INPUTS["measure"], window=[1, 7])))  # past the slalom
 def test_mutated_inputs_keep_the_exit_contract(case):
     sub, payload = case
     out, err = io.StringIO(), io.StringIO()

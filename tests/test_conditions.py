@@ -219,7 +219,7 @@ def test_from_table_names_the_first_bad_entry_in_table_order():
             NameOracle.from_table(P3, _P3_PROFILE, table)
     table = _p3_table()
     table["0,0,1"] = 5
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="table value 5 at key '0,0,1' is not a list"):
         NameOracle.from_table(P3, _P3_PROFILE, table)
 
 

@@ -1,12 +1,14 @@
 import itertools
 import time
 from fractions import Fraction
+from math import comb
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from creaturelab.creatures import (
+    ARENA_LIMIT,
     Creature,
     bigness_refine,
     full_creature,
@@ -25,6 +27,25 @@ def test_norm_frozen_values():
     assert norm(full_creature(5, 3)) == 3
     assert norm(Creature.of(3, 1, [[0]])) == 0
     assert norm(Creature.of(2, 2, [[0, 1]])) == 2
+    # the 15 4-sets through 0 and 1 hold 60 >= C(8, 3) 3-subsets, but miss
+    # {2, 3, 4}: the top layer passes the counting bound and fails to cover
+    through01 = [[0, 1, *t] for t in itertools.combinations(range(2, 8), 2)]
+    M = Creature.of(8, 4, through01 + list(itertools.combinations(range(8), 2)))
+    assert norm(M) == norm_direct(8, M.members) == 2
+
+
+@pytest.mark.parametrize("arena, low, cap", [
+    (6, 1, 4), (9, 1, 4), (9, 2, 7), (14, 3, 6), (ARENA_LIMIT, 2, 5),
+    (ARENA_LIMIT, 3, ARENA_LIMIT - 5), (ARENA_LIMIT, 0, 3)])
+def test_norm_skips_top_layers_too_sparse_to_cover(arena, low, cap):
+    # every subset of size <= low, and the first and last cap points: too
+    # few members to hold the C(arena, low + 1) subsets of size low + 1
+    ends = [range(cap), range(arena - cap, arena)]
+    M = Creature.of(arena, cap, list(full_creature(arena, low).members) + ends)
+    assert sum(comb(len(m), low + 1) for m in M.members) < comb(arena, low + 1)
+    assert norm(M) == low
+    if arena <= 9:
+        assert norm_direct(arena, M.members) == low
 
 
 def test_norm_matches_direct_definition_exhaustively():
@@ -143,6 +164,64 @@ def shaped_creatures(draw):
 @given(shaped_creatures())
 def test_norm_matches_direct_definition_on_shaped_creatures(M):
     assert norm(M) == norm_direct(M.arena, M.members)
+    # the canonical order: by size, then by the sorted elements
+    assert M.sorted_members() == sorted(M.members, key=lambda m: (len(m), sorted(m)))
+
+
+@st.composite
+def colored_creatures(draw, colors=4):
+    """A shaped creature and a value below ``colors`` for each member."""
+    M = draw(shaped_creatures())
+    order = M.sorted_members()
+    values = draw(st.lists(st.integers(0, colors - 1), min_size=len(order),
+                           max_size=len(order)))
+    return M, dict(zip(order, values))
+
+
+def _direct_refine(M, block):
+    """The class of maximal norm_direct under the member colouring block
+    (the smallest colour on ties), and its colour."""
+    classes = {}
+    for m in M.members:
+        classes.setdefault(block[m], []).append(m)
+    norms = {c: norm_direct(M.arena, ms) for c, ms in classes.items()}
+    best = min(c for c, n in norms.items() if n == max(norms.values()))
+    return best, Creature.of(M.arena, M.cap, classes[best])
+
+
+@settings(max_examples=200, deadline=None)
+@given(colored_creatures(), st.integers(2, 4))
+def test_bigness_refine_takes_the_first_class_of_maximal_direct_norm(case, d):
+    M, values = case
+    coloring = {m: v % d for m, v in values.items()}
+    assert bigness_refine(M, coloring.__getitem__, d) == _direct_refine(M, coloring)
+
+
+@settings(max_examples=200, deadline=None)
+@given(colored_creatures(colors=9), st.integers(1, 3))
+def test_range_refine_takes_the_first_block_of_maximal_direct_norm(case, k):
+    M, f = case
+    d = max(2, -(-9 // k))
+    _, refined = _direct_refine(M, {m: v // k for m, v in f.items()})
+    assert range_refine(M, f.__getitem__, k, d, 9) == refined
+
+
+@settings(max_examples=100, deadline=None)
+@given(colored_creatures(), st.data())
+def test_bigness_refine_colors_in_canonical_order_up_to_the_first_bad_color(case, data):
+    M, values = case
+    order = sorted(M.members, key=lambda m: (len(m), sorted(m)))
+    bad = data.draw(st.sets(st.integers(0, len(order) - 1), min_size=1))
+    calls = []
+
+    def coloring(m):
+        calls.append(m)
+        i = order.index(m)
+        return -1 - i if i in bad else values[m] % 2
+    first = min(bad)
+    with pytest.raises(ValueError, match=rf"^color {-1 - first} out of range$"):
+        bigness_refine(M, coloring, 2)
+    assert calls == order[:first + 1]
 
 
 def test_norm_on_large_full_creatures():
