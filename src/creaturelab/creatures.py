@@ -28,7 +28,12 @@ class Creature:
             raise ValueError("arena must be at least 1")
         if not self.members:
             raise ValueError("creature must have at least one member")
-        for m in self.members:
+        if not max(map(len, self.members)) > self.cap:  # all members at once
+            elements = frozenset().union(*self.members)
+            if ({*map(type, elements)} <= {int} and min(elements, default=0) >= 0
+                    and max(elements, default=0) < self.arena):
+                return
+        for m in self.members:  # find the first bad member, for its message
             if len(m) > self.cap:
                 raise ValueError("member exceeds the size cap")
             if any(v < 0 or v >= self.arena for v in m):
@@ -39,9 +44,8 @@ class Creature:
         return Creature(arena, cap, frozenset(frozenset(m) for m in members))
 
     def sorted_members(self) -> list[frozenset[int]]:
-        """Members in a canonical deterministic order: by size, then by the
-        sorted elements.  The key is one integer, len(m) * 2^arena minus the
-        sum of 2^(arena-1-v) over m: an element outweighs all larger ones."""
+        """Members by size, then by sorted elements: the one integer key
+        len(m) * 2^arena - sum of 2^(arena-1-v) over m gives that order."""
         a = self.arena
         w = [-(1 << (a - 1 - v)) for v in range(a)]
         return sorted(self.members, key=lambda m: sum(map(w.__getitem__, m), len(m) << a))
@@ -67,11 +71,13 @@ def norm(M: Creature) -> int:
     """Largest k such that every subset of the arena of size <= k is
     contained in some member.
 
-    Coverage of k-subsets is monotone in k, so k runs down from the largest
-    member size.  A k fails at once when the members hold fewer k-subsets,
-    counted with repeats, than the C(arena, k) needed; otherwise the
-    members of size k and then the k-subsets of the larger ones, largest
-    first, are collected until they number C(arena, k).
+    Coverage is monotone in k, so the layers k = top, 1, top-1, 2, ... (top:
+    the largest member size) are tested in turn from both ends until they
+    meet: neither end tests more layers than the other, so a low norm among
+    large members never enumerates their large layers, nor a high norm its
+    small ones.  A layer fails at once when the members hold fewer k-subsets,
+    counted with repeats, than C(arena, k); otherwise their k-subsets, as
+    bitmasks, are collected until they number C(arena, k).
     """
     return _norm(M.arena, M.members)
 
@@ -80,22 +86,33 @@ def _norm(arena: int, members) -> int:
     """norm of the creature on range(arena) with these (checked) members."""
     if arena > ARENA_LIMIT:
         raise ValueError(f"arena {arena} exceeds the exhaustive-cost limit")
-    top = len(max(members, key=len))
-    by_size = [[] for _ in range(top + 1)]
+    bit = [1 << v for v in range(arena)]
+    by_size = [[] for _ in range(arena + 1)]
     for m in members:
         by_size[len(m)].append(m)
-    for k in range(top, 0, -1):
+
+    def covered(k):
         need = comb(arena, k)
-        if sum(comb(s, k) * len(by_size[s]) for s in range(k, top + 1)) < need:
-            continue
-        seen = set(by_size[k])
+        if len(by_size[k]) == need:  # distinct k-subsets already
+            return True
+        if sum(comb(s, k) * len(ms) for s, ms in enumerate(by_size)) < need:
+            return False
+        seen = {sum(map(bit.__getitem__, m)) for m in by_size[k]}
         for m in itertools.chain(*by_size[:k:-1]):
             if len(seen) == need:
                 break
-            seen.update(map(frozenset, itertools.combinations(m, k)))
-        if len(seen) == need:
-            return k
-    return 0
+            seen.update(map(sum, itertools.combinations(map(bit.__getitem__, m), k)))
+        return len(seen) == need
+
+    lo, hi = 1, len(max(members, key=len))
+    while lo <= hi:  # every k < lo is covered, no k > hi is
+        if covered(hi):
+            return hi
+        hi -= 1
+        if lo <= hi and not covered(lo):
+            return lo - 1
+        lo += 1
+    return hi
 
 
 def lognorm_cmp(M: Creature, d: int, t) -> str:
@@ -148,9 +165,7 @@ def bigness_refine(M: Creature, coloring, d: int):
             raise ValueError(f"color {color} out of range")
         classes.setdefault(color, []).append(m)
     best = max(sorted(classes), key=lambda c: _norm(M.arena, classes[c]))
-    refined = object.__new__(Creature)  # its members were checked in M
-    refined.__dict__.update(arena=M.arena, cap=M.cap, members=frozenset(classes[best]))
-    return best, refined
+    return best, Creature(M.arena, M.cap, frozenset(classes[best]))
 
 
 def range_refine(M: Creature, f, k: int, d: int, m: int) -> Creature:

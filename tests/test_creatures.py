@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from random import Random
@@ -48,6 +49,36 @@ def test_norm_skips_top_layers_too_sparse_to_cover(arena, low, cap):
         assert norm_direct(arena, M.members) == low
 
 
+@pytest.mark.parametrize("arena, members", [
+    (ARENA_LIMIT, [range(0, 19), range(1, 20)]),
+    (ARENA_LIMIT, [Random(7).sample(range(20), 18) for _ in range(6)]),
+    (ARENA_LIMIT, [Random(8).sample(range(20), 14) for _ in range(12)]),
+    (16, [[v for v in range(16) if v != i] for i in range(0, 16, 3)])])
+def test_norm_far_below_the_largest_member_stays_cheap(arena, members, monkeypatch):
+    # large members, low norm: no more k-subsets are enumerated than twice
+    # what testing k = 1 .. norm+1 from below enumerates at most
+    enumerated = []
+
+    def combinations(it, k, real=itertools.combinations):
+        for sub in real(it, k):
+            enumerated.append(1)
+            yield sub
+    M = Creature.of(arena, arena, members)
+    want = norm_direct(arena, M.members)
+    monkeypatch.setattr(itertools, "combinations", combinations)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        assert norm(M) == want
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    from_below = sum(comb(len(m), k) for m in M.members for k in range(1, want + 2))
+    assert len(enumerated) <= 2 * from_below
+    assert peak < 20e6 and elapsed < 5.0
+
+
 def test_norm_matches_direct_definition_exhaustively():
     for arena, cap in ((2, 1), (3, 2), (4, 2)):
         pool = []
@@ -74,6 +105,24 @@ def test_membership_validation():
         Creature.of(3, 2, [[0, 3]])     # member leaves the arena
     with pytest.raises(ValueError):
         Creature.of(3, 2, [])           # empty family
+    assert Creature.of(10**12, 2, [[0, 1]]).arena == 10**12  # no arena-sized set
+
+
+def test_membership_validation_names_the_first_bad_member():
+    rng = Random(20261019)
+    for _ in range(300):
+        arena, cap = rng.randint(1, 6), rng.randint(0, 4)
+        raw = [rng.sample(range(-1, arena + 2), rng.randint(0, min(cap + 1, arena + 3)))
+               for _ in range(rng.randint(1, 5))]
+        members = frozenset(frozenset(m) for m in raw)
+        want = next((msg for m in members for msg, bad in [
+            ("member exceeds the size cap", len(m) > cap),
+            ("member leaves the arena", any(v < 0 or v >= arena for v in m))] if bad), None)
+        if want is None:
+            assert Creature(arena, cap, members).members == members
+        else:
+            with pytest.raises(ValueError, match=f"^{want}$"):
+                Creature(arena, cap, members)
 
 
 def test_lognorm_is_exact_threshold():
@@ -139,13 +188,18 @@ def test_creature_json_roundtrip():
 @st.composite
 def shaped_creatures(draw):
     """Creatures on arenas <= 8: all subsets up to the cap, nearly all of
-    them, a dense random share, or a few sparse members."""
+    them, a dense random share, a few sparse members, or a few members
+    of nearly the arena's size."""
     arena = draw(st.integers(1, 8))
     cap = draw(st.integers(0, arena))
     pool = [c for sz in range(cap + 1)
             for c in itertools.combinations(range(arena), sz)]
-    shape = draw(st.sampled_from(["full", "near-full", "dense", "sparse"]))
-    if shape == "full":
+    shape = draw(st.sampled_from(["full", "near-full", "dense", "sparse", "wide"]))
+    if shape == "wide":  # a few members near the arena's size, any norm
+        cap = arena
+        members = draw(st.lists(st.sets(st.integers(0, arena - 1), min_size=max(0, arena - 3)),
+                                min_size=1, max_size=6))
+    elif shape == "full":
         members = pool
     elif shape == "near-full":
         drop = draw(st.sets(st.integers(0, len(pool) - 1), max_size=3))
