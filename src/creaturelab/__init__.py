@@ -21,10 +21,8 @@ _EXPORTS = {
         and_restrict branch_slalom branches catch_real check_reading early_read
         fuse localize order_check poss_count possibilities thin validate""",
     "products": """CoordinateSpace ProductCondition ProductNameOracle RestrictedName
-        bounding_extract branch_key modest_refine product_branches product_catch
-        product_check_reading product_early_read product_fuse product_order_check
-        product_poss_count product_possibilities product_restrict
-        restricted_localize schedule_plan""",
+        bounding_extract branch_key modest_refine product_catch product_check_reading
+        product_early_read restricted_localize schedule_plan""",
     "family": """BoundingSequences FamilyTuple TreeFamily build_single build_tree
         certificate_summary toy_family verify_suitable""",
 }

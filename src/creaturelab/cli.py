@@ -5,11 +5,11 @@ counterexample was found (the witness is in the report), 2 usage or input
 error.  Reports are serialized with sorted keys, so identical invocations
 are byte-identical.
 
-Each subcommand is one function, registered by ``@_op(layer)`` under its
-name (``_range_refine`` is ``range-refine``): it gets the module
-creaturelab.<layer>, and its other parameters are the JSON fields it takes,
-a default marking an optional one.  The flags --mode, --seed and --cap give
-the fields of those names and beat the JSON.
+Each subcommand is one function, registered by ``@_op(layer, *names)``
+under its name (``_range_refine`` is ``range-refine``) and any second names:
+it gets the module creaturelab.<layer>, and its other parameters are the
+JSON fields it takes, a default marking an optional one.  The flags --mode,
+--seed and --cap give the fields of those names and beat the JSON.
 """
 
 from __future__ import annotations
@@ -49,9 +49,10 @@ def _emit(ns, obj) -> None:
         sys.stdout.write(text)
 
 
-def _op(layer):
+def _op(layer, *names):
     def register(fn):
-        _OPS[fn.__name__[1:].replace("_", "-")] = layer, fn
+        for name in (fn.__name__[1:].replace("_", "-"), *names):
+            _OPS[name] = layer, fn
         return fn
     return register
 
@@ -89,12 +90,27 @@ def _cap(cap, default) -> int:
     return cap
 
 
-def _named(kind, oracle_kind, condition, oracle):
-    """The condition (or product) and its table oracle from their JSON."""
-    p, table = kind.from_json(condition), oracle["table"]
-    if not isinstance(table, dict):
+def _condition(obj):
+    """A product from a JSON object with parts, else a condition."""
+    if isinstance(obj, dict) and "parts" in obj:
+        from .products import ProductCondition
+        return ProductCondition.from_json(obj)
+    from .conditions import TruncCondition
+    return TruncCondition.from_json(obj)
+
+
+def _product(obj):
+    if not (isinstance(obj, dict) and "parts" in obj):
+        raise ValueError("the field condition must be a product, with parts")
+    return _condition(obj)
+
+
+def _oracle(p, oracle):
+    """The table oracle over p (a condition or a product) from its JSON."""
+    from .conditions import NameOracle
+    if not isinstance(oracle["table"], dict):
         raise ValueError("the oracle table must be a JSON object")
-    return p, oracle_kind.from_table(p, oracle["profile"], table)
+    return NameOracle.from_table(p, oracle["profile"], oracle["table"])
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +157,7 @@ def _range_refine(lib, creature, f, k, d, m):
 @_op("conditions")
 def _poss(lib, condition, k):
     _ints(k=k)
-    p = lib.TruncCondition.from_json(condition)
+    p = _condition(condition)
     count = lib.poss_count(p, k)
     out = {"count": count}
     if count <= 10 ** 4:
@@ -151,23 +167,21 @@ def _poss(lib, condition, k):
 
 @_op("conditions")
 def _and(lib, condition, eta):
-    p = lib.TruncCondition.from_json(condition)
-    q = lib.and_restrict(p, tuple(frozenset(s) for s in eta))
-    return 0, {"condition": q.to_json()}
+    return 0, {"condition": lib.and_restrict(_condition(condition), eta).to_json()}
 
 
 @_op("conditions")
 def _order(lib, q, p, mode="plain"):
     if isinstance(mode, dict):
         mode = ("at_n", mode["at_n"])
-    ok = lib.order_check(lib.TruncCondition.from_json(q),
-                         lib.TruncCondition.from_json(p), mode)
+    ok = lib.order_check(_condition(q), _condition(p), mode)
     return (0 if ok else 1), {"extends": ok}
 
 
-@_op("conditions")
+@_op("conditions", "product-fuse")
 def _fuse(lib, chain):
-    chain = [lib.TruncCondition.from_json(c) for c in chain]
+    chain = [(_condition(c["condition"]), tuple(c["frozen"])) if "condition" in c
+             else _condition(c) for c in chain]
     return 0, {"condition": lib.fuse(chain).to_json()}
 
 
@@ -185,35 +199,27 @@ def _catch(lib, condition, x, n0=0):
 
 @_op("conditions")
 def _check_reading(lib, condition, oracle, mode="timely"):
-    p, nu = _named(lib.TruncCondition, lib.NameOracle, condition, oracle)
-    ok = lib.check_reading(p, nu, mode)
+    p = _condition(condition)
+    ok = lib.check_reading(p, _oracle(p, oracle), mode)
     return (0 if ok else 1), {"reads": ok}
 
 
-@_op("conditions")
+@_op("conditions", "product-early-read")
 def _early_read(lib, condition, oracle):
-    p, nu = _named(lib.TruncCondition, lib.NameOracle, condition, oracle)
-    return 0, {"condition": lib.early_read(p, nu).to_json()}
+    p = _condition(condition)
+    return 0, {"condition": lib.early_read(p, _oracle(p, oracle)).to_json()}
 
 
 @_op("conditions")
 def _localize(lib, condition, oracle, a, e, k0=0):
-    p, nu = _named(lib.TruncCondition, lib.NameOracle, condition, oracle)
-    q, phi = lib.localize(p, nu, tuple(a), tuple(e), k0)
+    p = lib.TruncCondition.from_json(condition)
+    q, phi = lib.localize(p, _oracle(p, oracle), tuple(a), tuple(e), k0)
     return 0, {"condition": q.to_json(), "slalom": phi.to_json()}
 
 
 @_op("products")
 def _modest(lib, condition):
-    p = lib.ProductCondition.from_json(condition)
-    return 0, {"condition": lib.modest_refine(p).to_json()}
-
-
-@_op("products")
-def _product_fuse(lib, chain):
-    chain = [(lib.ProductCondition.from_json(c["condition"]), tuple(c["frozen"]))
-             for c in chain]
-    return 0, {"condition": lib.product_fuse(chain).to_json()}
+    return 0, {"condition": lib.modest_refine(_product(condition)).to_json()}
 
 
 @_op("products")
@@ -222,28 +228,22 @@ def _schedule(lib, n):
 
 
 @_op("products")
-def _product_early_read(lib, condition, oracle):
-    p, nu = _named(lib.ProductCondition, lib.ProductNameOracle, condition, oracle)
-    return 0, {"condition": lib.product_early_read(p, nu).to_json()}
-
-
-@_op("products")
 def _bound(lib, condition, oracle):
-    p, nu = _named(lib.ProductCondition, lib.ProductNameOracle, condition, oracle)
-    return 0, {"f": list(lib.bounding_extract(p, nu))}
+    p = _condition(condition)
+    return 0, {"f": list(lib.bounding_extract(p, _oracle(p, oracle)))}
 
 
 @_op("products")
 def _product_catch(lib, condition, oracle, B, xi, n0=0):
-    p, nu = _named(lib.ProductCondition, lib.ProductNameOracle, condition, oracle)
-    q, k = lib.product_catch(p, nu, set(B), xi, n0)
+    p = _product(condition)
+    q, k = lib.product_catch(p, _oracle(p, oracle), set(B), xi, n0)
     return 0, {"condition": q.to_json(), "level": k}
 
 
 @_op("products")
 def _restricted_localize(lib, condition, oracle, C, a, e):
-    p, nu = _named(lib.ProductCondition, lib.ProductNameOracle, condition, oracle)
-    q, name = lib.restricted_localize(p, nu, set(C), tuple(a), tuple(e))
+    p = _product(condition)
+    q, name = lib.restricted_localize(p, _oracle(p, oracle), set(C), tuple(a), tuple(e))
     cells = [{lib.branch_key(q, key, name.coords): sorted(vals)
               for key, vals in cell.items()} for cell in name.cells]
     return 0, {"condition": q.to_json(),

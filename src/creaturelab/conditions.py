@@ -231,6 +231,17 @@ class BranchSpace:
         return branch if self.coords is None else \
             tuple(itertools.chain.from_iterable(branch))
 
+    def labels(self) -> list[list[str]]:
+        """Per position, each pooled member's part of a table key: its index
+        in the pool, then ',' within a coordinate or '|' between two."""
+        ends = (([","] * (self.N - 1) + ["|"]) * self.W)[:-1] + [""]
+        return [[f"{i}{e}" for i in range(len(m))] for m, e in zip(self.pools, ends)]
+
+    def key(self, flat: tuple) -> str:
+        """The table key of a flat branch, as ``NameOracle.from_table`` reads it."""
+        return "".join(map(list.__getitem__, self.labels(),
+                           map(list.index, self.pools, flat)))
+
 
 # The branch and reading operations below take a condition or a product; a
 # product's selections and branches are tuples aligned with its sorted
@@ -327,6 +338,9 @@ def fuse(chain):
     if not chain:
         raise ValueError("empty chain")
     links = [(p, (0,)) if isinstance(p, TruncCondition) else p for p in chain]
+    for n, link in enumerate(links):
+        if not isinstance(link, tuple):
+            raise ValueError(f"chain link {n} is not a condition or a (product, F) pair")
     for n in range(len(links) - 1):
         (pn, Fn), (pm, Fm) = links[n], links[n + 1]
         if not set(Fn) <= set(Fm):
@@ -464,15 +478,12 @@ class NameOracle:
 
     @classmethod
     def from_table(cls, base, profile, table: dict) -> "NameOracle":
-        """Table keyed by ``products.branch_key`` (per coordinate the
-        comma-joined member indices, coordinates joined by '|'), looked up
-        among the base's keys, enumerated with its branches; each distinct
-        value is checked once."""
+        """Table keyed by ``BranchSpace.key``, looked up among the base's keys
+        enumerated with its branches; each distinct value is checked once."""
         nu = cls(base, tuple(tuple(a) for a in profile), None)
-        space, N = nu._space, nu._space.N
-        ends = (([","] * (N - 1) + ["|"]) * space.W)[:-1] + [""]
-        labels = [[f"{i}{e}" for i in range(len(m))] for m, e in zip(space.pools, ends)]
-        index = dict(zip(map("".join, itertools.product(*labels)), space.branches()))
+        space = nu._space
+        index = dict(zip(map("".join, itertools.product(*space.labels())),
+                         space.branches()))
         try:
             flats = list(map(index.__getitem__, table))
             values = list(map(tuple, table.values()))
@@ -491,8 +502,7 @@ class NameOracle:
         nu._cache.update(zip(flats, values))
 
         def fn(branch):
-            from .products import branch_key
-            raise KeyError(branch_key(base, branch))
+            raise KeyError(space.key(space.flat(branch)))
         nu.fn = fn
         return nu
 

@@ -14,9 +14,8 @@ from dataclasses import dataclass, replace
 from .conditions import (BranchSpace, NameOracle, ParamTriple,
                          PreconditionError, TruncCondition,
                          _localization_space, _localize, _read, _reads,
-                         _singleton, _splits, and_restrict, branches,
-                         catch_real, check_reading, early_read, fuse,
-                         order_check, poss_count, possibilities)
+                         _singleton, _splits, catch_real, check_reading,
+                         early_read)
 
 
 @dataclass(frozen=True)
@@ -177,15 +176,9 @@ def schedule_plan(n: int) -> dict:
 
 
 # a name over a product is a NameOracle whose base is the product, and the
-# restriction, order, fusion, branch and reading operations of conditions
-# take a product as well
+# branch, reading, restriction, order and fusion operations of conditions
+# take a product as well; these three names stay while perfbench calls them
 ProductNameOracle = NameOracle
-product_restrict = and_restrict
-product_order_check = order_check
-product_fuse = fuse
-product_possibilities = possibilities
-product_poss_count = poss_count
-product_branches = branches
 product_check_reading = check_reading
 product_early_read = early_read
 
@@ -198,8 +191,7 @@ def branch_key(p, branch: tuple, coords=None) -> str:
     if coords is not None:
         p = replace(p, parts={xi: p.parts[xi] for xi in p.support if xi in coords})
     space = BranchSpace.of(p)
-    idx = [str(pool.index(t)) for pool, t in zip(space.pools, space.flat(tuple(branch)))]
-    return "|".join(map(",".join, space.nest(idx, space.N)))
+    return space.key(space.flat(tuple(branch)))
 
 
 def bounding_extract(q: ProductCondition, nu: ProductNameOracle) -> tuple:

@@ -259,8 +259,7 @@ def product_reading_instance(rng: Random, horizon: int = 3):
 def product_catch_instance(rng: Random, horizon: int = 3):
     """(p, nu_x, B, xi): nu_x reads only the B coordinate, and xi has a
     norm->=1 level (full union) to catch at."""
-    from .conditions import TruncCondition, _singleton
-    from .products import ProductNameOracle
+    from .conditions import NameOracle, TruncCondition, _singleton
     p = product_instance(rng, horizon)
     xi, beta = ("x", "y") if rng.random() < 0.5 else ("y", "x")
     # guarantee a catchable level on xi: replace one level by a full creature
@@ -283,19 +282,19 @@ def product_catch_instance(rng: Random, horizon: int = 3):
 
     def fn(branch):
         return tuple(tables[k][t] for k, t in enumerate(branch[pos_b]))
-    return p, ProductNameOracle(p, profile, fn), {beta}, xi
+    return p, NameOracle(p, profile, fn), {beta}, xi
 
 
 def restricted_instance(rng: Random, horizon: int = 3):
     """(p, nu, C, a, e) for the restricted localisation: C holds one of the
     two coordinates; windows sized from the live possibility counts."""
-    from .products import product_poss_count
+    from .conditions import poss_count
     p = product_instance(rng, horizon)
     C = {rng.choice(p.support)}
     N = horizon
     profile = tuple(tuple(range(rng.randint(1, 3))) for _ in range(N))
     a = tuple(len(profile[k]) + rng.randint(0, 1) for k in range(N))
-    counts = [product_poss_count(p, k) for k in range(-1, N)]
+    counts = [poss_count(p, k) for k in range(-1, N)]
     e = tuple(max(counts[k + 1], 1) for k in range(N))
     # room for the narrow refinement at splits owned outside C
     floors = [max(2 * counts[k] * a[k], counts[k]) for k in range(N)]

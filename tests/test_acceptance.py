@@ -12,6 +12,7 @@ from random import Random
 import pytest
 
 from creaturelab.conditions import (
+    NameOracle,
     PreconditionError,
     branch_slalom,
     branches,
@@ -40,8 +41,6 @@ from creaturelab.family import (
     verify_suitable,
 )
 from creaturelab.products import (
-    ProductNameOracle,
-    product_branches,
     product_catch,
     restricted_localize,
     schedule_plan,
@@ -273,7 +272,7 @@ def test_criterion_11_restricted_localisation():
         q, name = restricted_localize(p, nu, C, a, e)
         cidx = [i for i, xi in enumerate(q.support) if xi in name.coords]
         seen = {}
-        for b in product_branches(q):
+        for b in branches(q):
             key = tuple(b[i] for i in cidx)
             v = nu.eval(b)
             for k in range(q.horizon):
@@ -292,7 +291,7 @@ def test_criterion_12_generic_catching():
         q, k = product_catch(p, nu, B, xi)
         pos = q.support.index(xi)
         assert len(q.parts[xi].cells[k].members) == 1
-        for b in product_branches(q):
+        for b in branches(q):
             assert nu.eval(b)[k] in b[pos][k]
     # a name that also reads the target coordinate must be rejected
     p, nu, B, xi = product_catch_instance(rng)
@@ -306,7 +305,7 @@ def test_criterion_12_generic_catching():
         return ((base[0] + flip) % len(nu.profile[0]),) + base[1:]
 
     with pytest.raises(PreconditionError):
-        product_catch(p, ProductNameOracle(p, nu.profile, leaky), B, xi)
+        product_catch(p, NameOracle(p, nu.profile, leaky), B, xi)
     assert time.monotonic() - start < 120
 
 

@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 from creaturelab import cli, toys
 from creaturelab.cli import main
 from creaturelab.conditions import branches
-from creaturelab.products import product_branches
 
 
 def run(tmp_path, sub, payload, *flags):
@@ -196,20 +195,39 @@ def test_condition_outside_its_oracle_base_exits_2(tmp_path, capsys,
                                                    monkeypatch, name):
     """The CLI builds each oracle over its input condition, so the oracle
     here is moved onto a base whose first split cell keeps one member."""
-    named = cli._named
+    oracle_over = cli._oracle
 
-    def narrowed(kind, oracle_kind, condition, oracle):
-        p, nu = named(kind, oracle_kind, condition, oracle)
-        base = json.loads(json.dumps(condition))
+    def narrowed(p, oracle):
+        nu = oracle_over(p, oracle)
+        base = p.to_json()
         cells = [cell for part in base.get("parts", {"": base}).values()
                  for cell in part["cells"]]
         del next(cell for cell in cells if len(cell) > 1)[1:]
-        return p, oracle_kind(kind.from_json(base), nu.profile, nu.eval)
-    monkeypatch.setattr(cli, "_named", narrowed)
+        return type(nu)(cli._condition(base), nu.profile, nu.eval)
+    monkeypatch.setattr(cli, "_oracle", narrowed)
     code, body = run(tmp_path, _subcommand(name), _INPUTS[name])
     err = capsys.readouterr().err
     assert code == 2 and body == ""
     assert "Traceback" not in err and "extension of the oracle base" in err
+
+
+@pytest.mark.parametrize("sub", ["modest", "product-catch", "restricted-localize"])
+def test_product_subcommand_given_a_single_condition_exits_2(tmp_path, capsys, sub):
+    code, body = run(tmp_path, sub, dict(_INPUTS[sub], condition=_COND))
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert "Traceback" not in err
+    assert "the field condition must be a product, with parts" in err
+
+
+@pytest.mark.parametrize("sub", ["fuse", "product-fuse"])
+def test_fuse_of_a_product_link_without_its_frozen_set_exits_2(tmp_path, capsys, sub):
+    first, second, _ = _INPUTS["fuse-product"]["chain"]
+    code, body = run(tmp_path, sub, {"chain": [first, second["condition"]]})
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert "Traceback" not in err
+    assert "ValueError: chain link 1 is not a condition or a (product, F) pair" in err
 
 
 def test_exact_family_count_past_the_bit_budget_exits_2(tmp_path, capsys):
@@ -347,12 +365,14 @@ _GOLDEN = [
 ]
 
 # one fixed input per other subcommand (tests/golden_inputs.json, keyed by
-# subcommand; check-reading has a timely and an early input, and maps one
-# input per mode, named "maps-<mode>")
+# subcommand; check-reading has a timely and an early input, maps one input
+# per mode, named "maps-<mode>", and a subcommand that takes a condition or
+# a product has its product input under the name "<subcommand>-product")
 _INPUTS = json.loads((Path(__file__).parent / "golden_inputs.json").read_text())
 
 
 def _subcommand(name):
+    name = name.removesuffix("-product")
     return ("maps" if name.startswith("maps-") else
             name.removesuffix("-timely").removesuffix("-early"))
 
@@ -493,6 +513,20 @@ _GOLDEN += [(_subcommand(name), _INPUTS[name], [], 0, digest) for name, digest i
     ("tukey", "92bf3b42cf2b0f20e39bc7bbdcae3622a152374fa48f283c154495a6f6868fcb"),
     ("brute", "375706b7d8eaf50697ae4c582eafda6e0d2528d5c0069c49669feb62c967f53f"),
     ("measure", "2a84d6a9ad1631c86283ff0fac83a950827394a81874ecec1d4d6cd28a9fdfad"),
+    # products given to the subcommands that take either kind, pinned from
+    # direct library calls before the CLI took them
+    ("poss-product",
+     "c754fa6e7c6a797277c12d3576d51e57654fa7b7c7d3efc3216e51b0449b4ac9"),
+    ("and-product",
+     "067b92bd617b75630fdee16cfb0867a26b3af0721a621dacf360189d3060d67f"),
+    ("order-product",
+     "9ef687dca570afeec59719040e4eaea1b0e6ea5a03573a5a1e1614c7e77928d9"),
+    ("check-reading-timely-product",
+     "e1fe8fa8082fc3a98e6a74823b0b325da62330b125d0ab6ed91162c74d2d6d04"),
+    ("check-reading-early-product",
+     "e1fe8fa8082fc3a98e6a74823b0b325da62330b125d0ab6ed91162c74d2d6d04"),
+    ("fuse-product",
+     "b856813706050e56ca08c2a7d21f12145c35d39dde11bf32a044b3c80110eaa2"),
 ]]
 
 
@@ -528,7 +562,7 @@ def test_toy_instances_are_pinned():
         for c, o in ((s, sig), (t, tau), (u, ups)):
             out.append([c.to_json(), [[[_members(sel) for sel in b],
                                        list(o.eval(b))]
-                                      for b in product_branches(c)]])
+                                      for b in branches(c)]])
         out.append([sorted(B), xi, sorted(Cs), a3, e3])
     digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
     assert digest == \

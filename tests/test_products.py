@@ -2,26 +2,19 @@ from random import Random
 
 import pytest
 
-from creaturelab.conditions import (ParamTriple, PreconditionError,
-                                    TruncCondition, _singleton, check_reading,
-                                    early_read, localize)
+from creaturelab.conditions import (NameOracle, ParamTriple, PreconditionError,
+                                    TruncCondition, _singleton, and_restrict,
+                                    branches, check_reading, early_read, fuse,
+                                    localize, order_check, poss_count,
+                                    possibilities)
 from creaturelab.creatures import Creature, norm
 from creaturelab.products import (
     CoordinateSpace,
     ProductCondition,
-    ProductNameOracle,
     bounding_extract,
     branch_key,
     modest_refine,
-    product_branches,
     product_catch,
-    product_check_reading,
-    product_early_read,
-    product_fuse,
-    product_order_check,
-    product_poss_count,
-    product_possibilities,
-    product_restrict,
     restricted_localize,
     schedule_plan,
 )
@@ -38,10 +31,10 @@ from creaturelab.toys import (
 def test_product_poss_count_checks_its_level():
     p = product_instance(Random(0), 6)
     for k in range(-1, 6):
-        assert product_poss_count(p, k) == len(product_possibilities(p, k))
+        assert poss_count(p, k) == len(possibilities(p, k))
     for k in (-5, -2, 6, 7):
         with pytest.raises(ValueError, match=f"k = {k} is not a level"):
-            product_poss_count(p, k)
+            poss_count(p, k)
 
 
 def test_product_shape_and_modesty():
@@ -75,15 +68,15 @@ def test_modest_refine_enforces_single_splitter():
 def test_product_order_check_at_n():
     rng = Random(5)
     p = product_instance(rng)
-    assert product_order_check(p, p)
+    assert order_check(p, p)
     level, coord = p.split_levels()[0]
     part = p.parts[coord]
     cells = list(part.cells)
     cells[level] = Creature(cells[level].arena, cells[level].cap,
                             frozenset({cells[level].sorted_members()[0]}))
     q = p.with_part(coord, TruncCondition(part.params, tuple(cells)))
-    assert product_order_check(q, p)
-    assert not product_order_check(p, q)
+    assert order_check(q, p)
+    assert not order_check(p, q)
 
 
 def test_schedule_plan_frozen_values():
@@ -99,12 +92,12 @@ def test_product_early_read_and_norm_bookkeeping():
     done = 0
     while done < 30:
         p, nu = product_reading_instance(rng)
-        q = product_early_read(p, nu)
-        assert product_check_reading(q, nu, "early")
+        q = early_read(p, nu)
+        assert check_reading(q, nu, "early")
         for level, coord in p.split_levels():
             pc, qc = p.parts[coord].cells[level], q.parts[coord].cells[level]
             assert qc.members <= pc.members
-            m = product_poss_count(q, level - 1)
+            m = poss_count(q, level - 1)
             d = p.space.triple_of(coord).d[level]
             assert norm(pc) + 1 <= d ** m * (norm(qc) + 1)
         done += 1
@@ -120,18 +113,18 @@ def test_product_early_read_rejects_a_product_that_is_not_modest():
     busy = p.with_part(other, TruncCondition(part.params, tuple(cells)))
     assert not busy.is_modest()
     N = busy.horizon
-    nu = ProductNameOracle(busy, ((0,),) * N, lambda b: (0,) * N)
+    nu = NameOracle(busy, ((0,),) * N, lambda b: (0,) * N)
     with pytest.raises(PreconditionError, match="not modest"):
-        product_early_read(busy, nu)
+        early_read(busy, nu)
 
 
 def test_bounding_extract_dominates_every_branch():
     rng = Random(8)
     for _ in range(30):
         p, nu = product_reading_instance(rng)
-        q = product_early_read(p, nu)
+        q = early_read(p, nu)
         f = bounding_extract(q, nu)
-        for b in product_branches(q):
+        for b in branches(q):
             v = nu.eval(b)
             assert all(v[k] <= f[k] for k in range(q.horizon))
 
@@ -143,7 +136,7 @@ def test_product_catch_freezes_the_value():
         q, k = product_catch(p, nu, B, xi)
         pos = q.support.index(xi)
         assert len(q.parts[xi].cells[k].members) == 1
-        for b in product_branches(q):
+        for b in branches(q):
             assert nu.eval(b)[k] in b[pos][k]
 
 
@@ -169,7 +162,7 @@ def test_product_catch_rejects_dependence_leak():
         return tuple((base[k] + flip) % len(nu.profile[k]) if k == 0
                      else base[k] for k in range(horizon))
 
-    bad = ProductNameOracle(p, nu.profile, leaky)
+    bad = NameOracle(p, nu.profile, leaky)
     with pytest.raises(PreconditionError):
         product_catch(p, bad, B, xi)
 
@@ -181,7 +174,7 @@ def test_restricted_localize_invariance_and_membership():
         q, name = restricted_localize(p, nu, C, a, e)
         cidx = [i for i, xi in enumerate(q.support) if xi in name.coords]
         seen = {}
-        for b in product_branches(q):
+        for b in branches(q):
             key = tuple(b[i] for i in cidx)
             v = nu.eval(b)
             for k in range(q.horizon):
@@ -200,7 +193,7 @@ def test_restricted_cells_are_the_values_of_the_branches_of_q():
         q, name = restricted_localize(p, nu, C, a, e)
         cidx = [i for i, xi in enumerate(q.support) if xi in name.coords]
         want = [{} for _ in range(q.horizon)]
-        for b in product_branches(q):
+        for b in branches(q):
             for cell, v in zip(want, nu.eval(b)):
                 cell.setdefault(tuple(b[i] for i in cidx), set()).add(v)
         assert [{key: set(vals) for key, vals in cell.items()}
@@ -213,11 +206,11 @@ def test_a_product_outside_its_oracle_base_is_rejected():
     part = p.parts[coord]
     cells = list(part.cells)
     cells[level] = _singleton(cells[level])
-    narrow = ProductNameOracle(
+    narrow = NameOracle(
         p.with_part(coord, TruncCondition(part.params, tuple(cells))),
         nu.profile, nu.eval)
-    for op in (lambda: product_check_reading(p, narrow, "early"),
-               lambda: product_early_read(p, narrow),
+    for op in (lambda: check_reading(p, narrow, "early"),
+               lambda: early_read(p, narrow),
                lambda: bounding_extract(p, narrow),
                lambda: product_catch(p, narrow, B, xi),
                lambda: restricted_localize(p, narrow, B, (9,) * 3, (9,) * 3)):
@@ -225,24 +218,23 @@ def test_a_product_outside_its_oracle_base_is_rejected():
             op()
     smaller = ProductCondition(p.space, {xi: p.parts[xi]})
     with pytest.raises(PreconditionError, match="support differs"):
-        product_check_reading(p, ProductNameOracle(smaller, nu.profile, nu.fn),
-                              "early")
+        check_reading(p, NameOracle(smaller, nu.profile, nu.fn), "early")
     with pytest.raises(PreconditionError, match="support differs"):
-        product_check_reading(p.parts[xi], nu, "early")
+        check_reading(p.parts[xi], nu, "early")
 
 
 def test_branch_key_is_canonical_and_distinct():
     rng = Random(12)
     p = product_instance(rng)
-    keys = {branch_key(p, b) for b in product_branches(p)}
-    assert len(keys) == len(product_branches(p))
+    keys = {branch_key(p, b) for b in branches(p)}
+    assert len(keys) == len(branches(p))
 
 
 def test_branch_key_of_a_restricted_branch():
     """With coords, branch_key keys a branch over just those coordinates,
     as the cells of a RestrictedName are keyed."""
     p = product_instance(Random(12))
-    for b in product_branches(p):
+    for b in branches(p):
         assert branch_key(p, b, p.support) == branch_key(p, b)
         for j, xi in enumerate(p.support):
             single = ProductCondition(p.space, {xi: p.parts[xi]})
@@ -274,8 +266,8 @@ def test_a_table_oracle_reads_as_its_function():
                  (product_catch, t, tau, B, xi, 1), (bounding_extract, t, tau), (restricted_localize, u, ups, C, a3, e3),
                  (early_read, u, ups)]
         for op, cond, fn, *args in cases:
-            table = ProductNameOracle.from_table(cond, fn.profile, {
-                branch_key(cond, b): fn.eval(b) for b in product_branches(cond)})
+            table = NameOracle.from_table(cond, fn.profile, {
+                branch_key(cond, b): fn.eval(b) for b in branches(cond)})
             got = _outcome(op, cond, table, *args)
             assert got == _outcome(op, cond, fn, *args), (seed, op.__name__)
             if op is early_read and not isinstance(got, str):
@@ -296,8 +288,8 @@ def test_product_fuse_preserves_frozen_blocks():
         p = product_instance(rng, horizon=4)
         if len(p.split_levels()) < 2:
             continue
-        fused = product_fuse([(p, tuple(p.support))])
-        assert product_order_check(fused, p)
+        fused = fuse([(p, tuple(p.support))])
+        assert order_check(fused, p)
         return
     pytest.skip("no instance with two product splits")
 
@@ -321,13 +313,21 @@ def test_product_fuse_of_a_chain_with_growing_support_and_frozen_sets():
     chain = [(_prod(x=[_A, _S, _A, _S, _A]), ("x",)),
              (_prod(x=[_A, _S, _A, _S, _S1], y=[_S, _A, _S, _A, _S]), ("x",)),
              (_prod(x=[_A, _S, _A, _S, _S1], y=[_S, _A, _S, _S, _S]), ("x", "y"))]
-    q = product_fuse(chain)
+    q = fuse(chain)
     assert q == chain[2][0]
     for n, (pn, Fn) in enumerate(chain):
-        assert product_order_check(q, pn, ("at_n", n, Fn))
-    assert product_fuse(chain[:2]) == chain[1][0]
+        assert order_check(q, pn, ("at_n", n, Fn))
+    assert fuse(chain[:2]) == chain[1][0]
     with pytest.raises(PreconditionError, match="frozen sets shrink at stage 2"):
-        product_fuse(chain[:2] + [(chain[2][0], ("y",))])
+        fuse(chain[:2] + [(chain[2][0], ("y",))])
+
+
+def test_fuse_names_a_product_link_without_its_frozen_set():
+    p = _prod(x=[_A, _S, _A, _S, _A])
+    with pytest.raises(ValueError, match=r"chain link 0 is not a condition or a \(product"):
+        fuse([p])
+    with pytest.raises(ValueError, match="chain link 1 "):
+        fuse([(p, ("x",)), p])
 
 
 def test_product_fuse_rejects_a_fusion_that_does_not_extend_a_link():
@@ -336,9 +336,9 @@ def test_product_fuse_rejects_a_fusion_that_does_not_extend_a_link():
     # from link 0, which is not below link 1
     chain = [(_prod(x=[_S, _A, _A, _S, _S]), ("x",)),
              (_prod(x=[_S, _S1, _A, _S, _S], y=[_A, _S, _S, _S, _S]), ("x", "y"))]
-    assert product_order_check(chain[1][0], chain[0][0], ("at_n", 0, ("x",)))
+    assert order_check(chain[1][0], chain[0][0], ("at_n", 0, ("x",)))
     with pytest.raises(PreconditionError, match="fusion does not honour stage 1"):
-        product_fuse(chain)
+        fuse(chain)
 
 
 def test_product_order_check_with_the_two_tuple_freezes_every_coordinate():
@@ -350,16 +350,16 @@ def test_product_order_check_with_the_two_tuple_freezes_every_coordinate():
         cells[level] = _singleton(cells[level])
         q = p.with_part(coord, TruncCondition(part.params, tuple(cells)))
         for n in range(4):
-            assert product_order_check(q, p, ("at_n", n)) == \
-                product_order_check(q, p, ("at_n", n, p.support))
+            assert order_check(q, p, ("at_n", n)) == \
+                order_check(q, p, ("at_n", n, p.support))
         # q's n-th split lies above the frozen level once q has any
-        assert not product_order_check(q, p, ("at_n", 0))
-        assert product_order_check(q, p, ("at_n", 0, ()))
+        assert not order_check(q, p, ("at_n", 0))
+        assert order_check(q, p, ("at_n", 0, ()))
 
 
 def test_product_restrict_rejects_an_eta_beyond_the_horizon():
     p = product_instance(Random(0))
-    eta = product_possibilities(p, p.horizon - 1)[0]
+    eta = possibilities(p, p.horizon - 1)[0]
     too_long = (eta[0] + (eta[0][0],), eta[1])
     with pytest.raises(ValueError, match="eta selects 4 levels, beyond the horizon 3"):
-        product_restrict(p, too_long)
+        and_restrict(p, too_long)
