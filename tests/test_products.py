@@ -324,7 +324,7 @@ def test_product_fuse_of_a_chain_with_growing_support_and_frozen_sets():
 
 def test_fuse_names_a_product_link_without_its_frozen_set():
     p = _prod(x=[_A, _S, _A, _S, _A])
-    with pytest.raises(ValueError, match=r"chain link 0 is not a condition or a \(product"):
+    with pytest.raises(ValueError, match=r"chain link 0 is not a condition or a \("):
         fuse([p])
     with pytest.raises(ValueError, match="chain link 1 "):
         fuse([(p, ("x",)), p])
