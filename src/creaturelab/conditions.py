@@ -288,7 +288,11 @@ def and_restrict(p, eta: tuple):
     """Freeze the levels covered by eta to its selections (for a product,
     per coordinate of the support)."""
     cells = {xi: list(part.cells) for xi, part in _parts(p).items()}
-    for xi, sels in zip(cells, (eta,) if isinstance(p, TruncCondition) else eta):
+    etas = (eta,) if isinstance(p, TruncCondition) else eta
+    if len(etas) != len(cells):
+        raise ValueError(f"eta has {len(etas)} entries for the {len(cells)} "
+                         f"coordinates of the support")
+    for xi, sels in zip(cells, etas):
         if len(sels) > p.horizon:
             raise ValueError(f"eta selects {len(sels)} levels, beyond the "
                              f"horizon {p.horizon}")

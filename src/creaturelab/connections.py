@@ -53,9 +53,6 @@ class SigmaCover:
             if any(ch not in "01" for ch in e):
                 raise ValueError("entries must be binary strings")
 
-    def heights(self) -> tuple[int, ...]:
-        return tuple(len(e) for e in self.entries)
-
     def to_json(self) -> dict:
         return {"entries": list(self.entries)}
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import prod
 
 from .numeric import (Cmp, tower_add, tower_cmp, tower_exp2, tower_le,
                       tower_mul, tower_pow, tower_sub, tower_to_json, _bits)
@@ -39,8 +40,8 @@ def _value_json(v):
 
 @dataclass
 class FamilyTuple:
-    """One growth tuple: per-level a, d, b, g, c, h, the f-intervals, and
-    the I/J block minima (exact ints at level 0, towers beyond)."""
+    """One growth tuple: per-level a, d, b, g, c, h and the f-intervals
+    (exact ints at level 0, towers beyond)."""
 
     depth: int
     a: tuple
@@ -50,8 +51,6 @@ class FamilyTuple:
     c: tuple
     h: tuple
     f_records: tuple      # per level: {"k", "start", "end", "offset"}
-    i_min: tuple          # len depth + 1
-    j_min: tuple          # len depth + 1
     constructed: bool = True
 
     def f_at(self, k: int, j):
@@ -69,7 +68,8 @@ class FamilyTuple:
 
 @dataclass
 class BoundingSequences:
-    n_minus: tuple        # len depth + 1 (includes the next lower bound)
+    n_minus: tuple        # len depth + 1 for a chain (with the next lower
+                          # bound), depth for a tree
     n_plus: tuple         # len depth
 
     def to_json(self) -> dict:
@@ -163,7 +163,6 @@ def build_single(n0_minus: int, d0: int, depth: int = 2, *,
         raise ValueError("depth must be positive")
     seqs = {name: [] for name in "adbgch"}
     f_records = []
-    i_min, j_min = [0], [0]
     n_minus, n_plus = [n0_minus], []
     d = d0
     state = (0, 0, 0)
@@ -180,10 +179,8 @@ def build_single(n0_minus: int, d0: int, depth: int = 2, *,
         n_minus.append(nm)
         d = tower_add(nm, 1, cap=cap)
         state = vals["state"]
-        i_min.append(state[0])
-        j_min.append(state[1])
     fam = FamilyTuple(depth, *(tuple(seqs[n]) for n in "adbgch"),
-                      tuple(f_records), tuple(i_min), tuple(j_min))
+                      tuple(f_records))
     return fam, BoundingSequences(tuple(n_minus), tuple(n_plus))
 
 
@@ -234,33 +231,25 @@ def build_tree(d0: int = 3, depth: int = 2, *, cap: int = FAMILY_HEIGHT_CAP):
 # certification
 
 
-def _entry(clause, k, status, method, **extra):
-    out = {"clause": clause, "k": k, "status": status, "method": method}
-    out.update(extra)
-    return out
-
-
-def _check(clause, k, cond, constructed, entries, **extra):
-    """cond is True/False/None; None falls back to the construction tag."""
-    if cond is True:
-        entries.append(_entry(clause, k, "pass", "comparison", **extra))
-    elif cond is False:
-        entries.append(_entry(clause, k, "fail", "comparison", **extra))
-    elif constructed:
-        entries.append(_entry(clause, k, "pass", "construction", **extra))
+def _check(clause, k, cond, credit, entries, **extra):
+    """cond is True/False/None; None passes by construction where credited."""
+    if cond is None:
+        status, method = ("pass", "construction") if credit else \
+            ("unknown", "comparison")
     else:
-        entries.append(_entry(clause, k, "unknown", "comparison", **extra))
+        status, method = ("pass" if cond else "fail"), "comparison"
+    entries.append({"clause": clause, "k": k, "status": status,
+                    "method": method, **extra})
 
 
-def _chain_check(values, cap):
-    """Strictly-increasing scan; returns True/False/None (first failure or
-    undecidable link wins)."""
+def _all(conds):
+    """One verdict for several: a False wins, then a None (stops at the
+    first False, so a lazy scan skips the comparisons after it)."""
     out = True
-    for x, y in zip(values, values[1:]):
-        r = _lt(x, y, cap)
-        if r is False:
+    for cond in conds:
+        if cond is False:
             return False
-        if r is None:
+        if cond is None:
             out = None
     return out
 
@@ -269,50 +258,16 @@ def verify_suitable(family, bounding: BoundingSequences, *,
                     cap: int = FAMILY_HEIGHT_CAP) -> list[dict]:
     """Per-level certificate for the growth clauses and the bounding
     conditions; entries are {"clause", "k", "status", "method", ...}."""
-    if isinstance(family, TreeFamily):
-        return _verify_tree(family, bounding, cap)
-    return _verify_single(family, bounding, cap)
-
-
-def _verify_single(fam: FamilyTuple, bounding, cap):
-    entries = []
-    con = fam.constructed
-    for k in range(fam.depth):
-        a, d, b, g, c, h = (fam.a[k], fam.d[k], fam.b[k], fam.g[k],
-                            fam.c[k], fam.h[k])
+    tree = isinstance(family, TreeFamily)
+    level = _tree_level if tree else _single_level
+    entries, con = [], family.constructed
+    for k in range(family.depth):
         nm, np_ = bounding.n_minus[k], bounding.n_plus[k]
-        # S1: the ordering chain pins all quantities inside [n^-, n^+];
-        # c^{nabla h} sits between c and c^h <= a - 1 (h >= 2 throughout)
-        chain = _chain_check([nm, d, h, g, b, c], cap)
-        top = tower_le(a, np_, cap=cap)
-        ca = _lt(c, a, cap)
-        s1 = False if False in (chain, top, ca) else \
-            (None if None in (chain, top, ca) else True)
-        _check("S1", k, s1, con, entries)
-        # S2: h + 1 >= d^{(k+1)d} (the staircase norm certificate)
-        s2 = tower_le(_staircase(k, d, cap), tower_add(h, 1, cap=cap), cap=cap)
-        _check("S2", k, s2, con, entries)
-        # S3: b / g > d, i.e. b > g * d
-        _check("S3", k, _lt(tower_mul(g, d, cap=cap), b, cap), con, entries)
-        # S4: a >= b^{nabla g}, power-bound form a > b^g; the single tuple's
-        # a = c^h + 1 can genuinely fail this, so no construction credit
-        s4 = _lt(tower_pow(b, g, cap=cap), a, cap)
-        _check("S4", k, s4, False, entries)
-        # S5: the cumulative profile never overtakes f on the k-th interval:
-        # both offsets are sums of g + d below, so f leads by j - min(I_k)
-        rec = fam.f_records[k]
-        s5 = True if rec["offset"] is not None else None
-        _check("S5", k, s5, con, entries)
-        # S6: f(j^{k+2}) <= log2 c(k) for j in the k-th h-block; the largest
-        # reachable argument is max(I_k), where f = log2 c(k) - 1
-        if isinstance(c, int) and isinstance(rec["offset"], int) \
-                and isinstance(rec["end"], int):
-            s6 = (rec["offset"] + rec["end"] - 1) <= c.bit_length() - 1
-        else:
-            s6 = None
-        _check("S6", k, s6, con, entries)
-        # bounding (i): n_k^- * n_k^+ < n_{k+1}^-
-        bi = _lt(tower_mul(nm, np_, cap=cap), bounding.n_minus[k + 1], cap)
+        level(family, k, nm, np_, con, entries, cap)
+        # bounding (i): n_k^- * n_k^+ < n_{k+1}^-; the tree carries no
+        # lower bound past its last stage
+        bi = True if tree and k == family.depth - 1 else _lt(
+            tower_mul(nm, np_, cap=cap), bounding.n_minus[k + 1], cap)
         _check("bounding_i", k, bi, con, entries)
         # bounding (ii): n_k^+ >= (n_k^-)^k
         bii = True if k == 0 else tower_le(tower_pow(nm, k, cap=cap), np_,
@@ -321,42 +276,75 @@ def _verify_single(fam: FamilyTuple, bounding, cap):
     return entries
 
 
-def _verify_tree(fam: TreeFamily, bounding, cap):
-    entries = []
-    con = fam.constructed
-    for k in range(fam.depth):
-        labels = fam.stage(k)
-        nm, np_ = bounding.n_minus[k], bounding.n_plus[k]
-        for t in labels:
-            n = fam.nodes[t]
-            chain = _chain_check([n.d, n.h, n.g, n.b, n.c], cap)
-            ca = _lt(n.c, n.a, cap)
-            bottom = True if t == "0" * (k + 1) else _lt(nm, n.d, cap)
-            top = True if t == "1" * (k + 1) else _lt(n.a, np_, cap)
-            vals = [chain, ca, bottom, top]
-            s1 = False if False in vals else (None if None in vals else True)
-            _check("S1", k, s1, con, entries, node=t)
-            s2 = tower_le(_staircase(k, n.d, cap), tower_add(n.h, 1, cap=cap),
-                          cap=cap)
-            _check("S2", k, s2, con, entries, node=t)
-            _check("S3", k, _lt(tower_mul(n.g, n.d, cap=cap), n.b, cap),
-                   con, entries, node=t)
-            s4 = _lt(tower_pow(n.b, n.g, cap=cap), n.a, cap)
-            _check("S4", k, s4, con, entries, node=t)
-        # S7: for lex-adjacent and all earlier pairs, (k+1) a_t <= d_{t'}
-        for i, t in enumerate(labels):
-            for tp in labels[i + 1:]:
-                lhs = tower_mul(k + 1, fam.nodes[t].a, cap=cap)
-                r = tower_le(lhs, fam.nodes[tp].d, cap=cap)
-                adjacent = fam.nodes[tp].d_from == t
-                _check("S7", k, r, con and adjacent, entries, pair=[t, tp])
-        bi = True if k + 1 > fam.depth - 1 else _lt(
-            tower_mul(nm, np_, cap=cap), bounding.n_minus[k + 1], cap)
-        _check("bounding_i", k, bi, con, entries)
-        bii = True if k == 0 else tower_le(tower_pow(nm, k, cap=cap), np_,
-                                           cap=cap)
-        _check("bounding_ii", k, bii, con, entries)
-    return entries
+def _node_clauses(k, d, h, g, b, c, a, bounds, s4_credit, con, entries, cap,
+                  **extra):
+    """S1-S4 at one node: a level of the single chain or a node of the
+    tree.  bounds are the caller's verdicts on d and a against n_k^- and
+    n_k^+."""
+    # S1: the ordering chain pins all quantities inside [n^-, n^+];
+    # c^{nabla h} sits between c and c^h <= a - 1 (h >= 2 throughout)
+    chain = (d, h, g, b, c)
+    s1 = _all([*bounds, _all(_lt(x, y, cap) for x, y in zip(chain, chain[1:])),
+               _lt(c, a, cap)])
+    _check("S1", k, s1, con, entries, **extra)
+    # S2: h + 1 >= d^{(k+1)d} (the staircase norm certificate)
+    s2 = tower_le(_staircase(k, d, cap), tower_add(h, 1, cap=cap), cap=cap)
+    _check("S2", k, s2, con, entries, **extra)
+    # S3: b / g > d, i.e. b > g * d
+    _check("S3", k, _lt(tower_mul(g, d, cap=cap), b, cap), con, entries,
+           **extra)
+    # S4: a >= b^{nabla g}, power-bound form a > b^g
+    s4 = _lt(tower_pow(b, g, cap=cap), a, cap)
+    _check("S4", k, s4, s4_credit, entries, **extra)
+
+
+def _single_level(fam: FamilyTuple, k, nm, np_, con, entries, cap):
+    # the single tuple's a = c^h + 1 can genuinely fail S4, so no
+    # construction credit there
+    _node_clauses(k, *(getattr(fam, name)[k] for name in "dhgbca"),
+                  [_lt(nm, fam.d[k], cap), tower_le(fam.a[k], np_, cap=cap)],
+                  False, con, entries, cap)
+    # S5: the cumulative profile never overtakes f on the k-th interval:
+    # both offsets are sums of g + d below, so f leads by j - min(I_k)
+    rec = fam.f_records[k]
+    _check("S5", k, True if rec["offset"] is not None else None, con, entries)
+    # S6: f(j^{k+2}) <= log2 c(k) for j in the k-th h-block; the largest
+    # reachable argument is max(I_k), where f = log2 c(k) - 1
+    c = fam.c[k]
+    if isinstance(c, int) and isinstance(rec["offset"], int) \
+            and isinstance(rec["end"], int):
+        s6 = (rec["offset"] + rec["end"] - 1) <= c.bit_length() - 1
+    else:
+        s6 = None
+    _check("S6", k, s6, con, entries)
+
+
+def _tree_level(fam: TreeFamily, k, nm, np_, con, entries, cap):
+    labels = fam.stage(k)
+    for t in labels:
+        n = fam.nodes[t]
+        # n_k^- and n_k^+ are read off the all-zeros node's d and the
+        # all-ones node's a, so those two nodes skip that bound
+        bounds = [True if t == "0" * (k + 1) else _lt(nm, n.d, cap),
+                  True if t == "1" * (k + 1) else _lt(n.a, np_, cap)]
+        _node_clauses(k, *(getattr(n, name) for name in "dhgbca"), bounds,
+                      con, con, entries, cap, node=t)
+    # S7: for lex-adjacent and all earlier pairs, (k+1) a_t <= d_{t'}
+    for i, t in enumerate(labels):
+        for tp in labels[i + 1:]:
+            lhs = tower_mul(k + 1, fam.nodes[t].a, cap=cap)
+            r = tower_le(lhs, fam.nodes[tp].d, cap=cap)
+            adjacent = fam.nodes[tp].d_from == t
+            _check("S7", k, r, con and adjacent, entries, pair=[t, tp])
+
+
+def toy_arenas(rng, horizon: int) -> list[int]:
+    """The toy arena sizes: c(0) in {2, 3}, then each c(k) one to three
+    above the product of c(i) + 1 below it."""
+    c = [rng.randint(2, 3)]
+    for _ in range(1, horizon):
+        c.append(prod(ck + 1 for ck in c) + 1 + rng.randint(0, 2))
+    return c
 
 
 def toy_family(seed: int, horizon: int = 3) -> dict:
@@ -370,22 +358,11 @@ def toy_family(seed: int, horizon: int = 3) -> dict:
     from random import Random
     if not 1 <= horizon <= 6:
         raise ValueError(f"toy horizon {horizon} is outside [1, 6]")
-    rng = Random(seed)
-    c = [rng.randint(2, 3)]
-    for k in range(1, horizon):
-        prev = 1
-        for i in range(k):
-            prev *= c[i] + 1
-        c.append(prev + 1 + rng.randint(0, 2))
+    c = toy_arenas(Random(seed), horizon)
     h = [1] * horizon
     a = [ck + 1 for ck in c]          # the exact <=1-cell count
     e = [ck - 1 for ck in c]
-    d = []
-    for k in range(horizon):
-        prod_a = 1
-        for i in range(k):
-            prod_a *= a[i]
-        d.append(max(2, prod_a, 2 * a[k]))
+    d = [max(2, prod(a[:k]), 2 * a[k]) for k in range(horizon)]
     if any(v > 10 ** 4 for v in c + d + a):
         raise ValueError("no in-range assignment at this horizon")
     held = ["a = cell count of (c, h)", "e = ceil(c/h) - 1",

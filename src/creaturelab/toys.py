@@ -160,10 +160,9 @@ def antiloc_instance(rng: Random, horizon: int = 3):
     arena, e(k) = c(k) - 1, and nu encodes the branch's own chosen cell
     (empty cell -> 0, {j} -> j + 1)."""
     from .conditions import NameOracle, ParamTriple, TruncCondition
+    from .family import toy_arenas
     N = horizon
-    cs = [rng.randint(2, 3)]
-    for k in range(1, N):
-        cs.append(prod(c + 1 for c in cs) + 1 + rng.randint(0, 2))
+    cs = toy_arenas(rng, N)
     hs = [1] * N
     cells = []
     count = 1

@@ -356,6 +356,22 @@ _GOLDEN = [
                 "corrupt": {"node": "01", "field": "a", "value": 7}},
      ["--mode", "verify"], 1,
      "8056dac7011acc028cbbd5b6a179d72edec7f75dd206553a9b87fe4bd1b81885"),
+    # pinned before the chain and tree certificates shared their S1-S4 and
+    # bounding clauses: a chain with a corrupted at k = 0, a depth-3 chain,
+    # the depth-3 tree, and a tree with d corrupted at node 10
+    ("family", {"kind": "single", "n0_minus": 3, "d0": 4,
+                "corrupt": {"field": "a", "k": 0, "value": 5}},
+     ["--mode", "verify"], 1,
+     "1ed8cb44116de49afee56d537b412ceea0e3791c200d35df31b03e30eb8373c2"),
+    ("family", {"kind": "single", "n0_minus": 3, "d0": 4, "depth": 3},
+     ["--mode", "verify"], 1,
+     "6bf313a9ae9980c493c22473e83658c37466a7ff6c1594069748a19c6d2fc826"),
+    ("family", {"d0": 3, "depth": 3}, ["--mode", "verify", "--cap", "32"], 0,
+     "0138efe107c0c957855db90469ff737db4c03ea5b7cc4bc0151c007ddb7b7663"),
+    ("family", {"d0": 3, "depth": 2,
+                "corrupt": {"node": "10", "field": "d", "value": 5}},
+     ["--mode", "verify"], 1,
+     "cf03b5dd3482528fcc446a38cb6363d0e7a90d4df500c0472eda72328662f660"),
     ("suite", {}, ["--mode", "bigness", "--seed", "8", "--cap", "30"], 0,
      "29a25731a9fe6898779eff4e0b5bdef7232f6b58bf3132ffe425f2e44b9ab10c"),
     ("suite", {}, ["--mode", "tukey", "--seed", "9", "--cap", "30"], 0,
@@ -448,9 +464,16 @@ def test_per_member_list_of_another_length_exits_2(tmp_path, capsys, sub, field,
     assert f"the field {field} must list one value per member: {message}" in err
 
 
+_PRODUCT_AND = _INPUTS["and-product"]
+
+
 @pytest.mark.parametrize("sub, payload, flags, message", [
     ("and", dict(_INPUTS["and"], eta=_INPUTS["and"]["eta"] + [[0]] * 5), [],
      "eta selects 7 levels"),
+    ("and", dict(_PRODUCT_AND, eta=_PRODUCT_AND["eta"] + [[[0]]]), [],
+     "eta has 3 entries for the 2 coordinates"),
+    ("and", dict(_PRODUCT_AND, eta=_PRODUCT_AND["eta"][:1]), [],
+     "eta has 1 entries for the 2 coordinates"),
     ("order", dict(_INPUTS["order"], mode={"at_n": -1}), [], "at_n = -1 is negative"),
     ("measure", {"slalom": _SLALOM, "window": [0, 5]}, [], "window (0, 5)"),
     ("measure", {"slalom": _SLALOM, "window": [-1, 2]}, [], "window (-1, 2)"),
@@ -459,7 +482,8 @@ def test_per_member_list_of_another_length_exits_2(tmp_path, capsys, sub, field,
     ("fbg", dict(_INPUTS["fbg"], horizon=-1), [], "horizon -1"),
     ("family", {"seed": 3, "horizon": 0}, ["--mode", "toy"], "toy horizon 0"),
     ("schedule", {"n": -1}, [], "n = -1"),
-], ids=["and", "order", "measure-long", "measure-negative", "measure-reversed",
+], ids=["and", "and-product-long", "and-product-short", "order",
+        "measure-long", "measure-negative", "measure-reversed",
         "gch", "fbg", "toy", "schedule"])
 def test_index_or_size_outside_its_range_exits_2(tmp_path, capsys, sub, payload,
                                                  flags, message):

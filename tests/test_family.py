@@ -89,6 +89,18 @@ def test_single_certificate_is_honest():
         assert by[(clause, 0)] == "pass"
 
 
+def test_single_s1_fails_when_a_tops_n_plus():
+    """n_k^+ is a(k) itself, so only an a above it can fail S1's top bound;
+    c < a and the chain still hold."""
+    fam, bnd = build_single(3, 4, 1)
+    fam.constructed = False
+    fam.a = (2 * bnd.n_plus[0],)
+    assert verify_suitable(fam, bnd)[0] == {
+        "clause": "S1", "k": 0, "status": "fail", "method": "comparison"}
+    fam.a = bnd.n_plus
+    assert verify_suitable(fam, bnd)[0]["status"] == "pass"
+
+
 def test_toy_family_manifest():
     out = toy_family(0, horizon=3)
     assert len(out["a"]) == 3

@@ -363,3 +363,12 @@ def test_product_restrict_rejects_an_eta_beyond_the_horizon():
     too_long = (eta[0] + (eta[0][0],), eta[1])
     with pytest.raises(ValueError, match="eta selects 4 levels, beyond the horizon 3"):
         and_restrict(p, too_long)
+
+
+@pytest.mark.parametrize("eta_len", [1, 3])
+def test_product_restrict_wants_one_eta_entry_per_support_coordinate(eta_len):
+    p = product_instance(Random(0))
+    eta = possibilities(p, p.horizon - 1)[0]
+    with pytest.raises(ValueError, match=f"eta has {eta_len} entries for the 2 "
+                                         "coordinates of the support"):
+        and_restrict(p, (eta + eta)[:eta_len])

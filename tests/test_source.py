@@ -49,3 +49,46 @@ def test_library_binds_no_second_names():
             found += [f"{path.name}:{node.lineno} {t}" for t in targets
                       if t not in _KEPT_SECOND_NAMES]
     assert found == []
+
+
+def _referenced_names() -> set:
+    """Every name a Name, an Attribute or an import uses anywhere in src/,
+    tests/ or perfbench/, plus the names the package table and the CLI's
+    suite table give as strings."""
+    root = Path(__file__).resolve().parent.parent
+    names = {n for line in creaturelab._EXPORTS.values() for n in line.split()}
+    for path in sorted(p for d in ("src", "tests", "perfbench")
+                       for p in (root / d).rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.split(".")[-1] for alias in node.names)
+            elif (isinstance(node, ast.Assign) and path.name == "cli.py"
+                  and ast.unparse(node.targets[0]) == "_SUITES"):
+                # the toy generators a suite names by string
+                names.update(call.args[0].value for call in ast.walk(node.value)
+                             if isinstance(call, ast.Call) and call.args
+                             and isinstance(call.args[0], ast.Constant))
+    return names
+
+
+def test_library_defines_nothing_unused():
+    """A function, class or method that nothing names is dead code; dunders
+    and the CLI's @_op handlers, which the subcommand table calls, are
+    exempt."""
+    used = _referenced_names()
+    found = []
+    for path in sorted(Path(creaturelab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            op = any(isinstance(d, ast.Call) and ast.unparse(d.func) == "_op"
+                     for d in node.decorator_list)
+            if not (dunder or op or node.name in used):
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert found == []
