@@ -353,14 +353,20 @@ def _verify(lib, kind="tree", corrupt=None, **fields):
     fam, bnd = _call({"tree": _tree, "single": _single}[kind], lib, fields)
     if corrupt is not None:
         fam.constructed = False
-        if isinstance(fam, lib.TreeFamily):
-            fam.nodes[corrupt["node"]].__dict__[corrupt["field"]] = corrupt["value"]
+        tree, field = isinstance(fam, lib.TreeFamily), corrupt["field"]
+        if field not in ("a", "b", "c", "d", "g", "h"):
+            raise ValueError(f"corrupt field {field!r} is not a {'node' if tree else 'chain'} "
+                             "field (a, b, c, d, g or h)")
+        if tree:
+            if corrupt["node"] not in fam.nodes:
+                raise ValueError(f"corrupt node {corrupt['node']!r} is not a node of the tree")
+            setattr(fam.nodes[corrupt["node"]], field, corrupt["value"])
         else:
-            vals = list(fam.__dict__[corrupt["field"]])
+            vals = list(getattr(fam, field))
             if not 0 <= corrupt["k"] < len(vals):
                 raise ValueError(f"corrupt k = {corrupt['k']!r} is out of range")
             vals[corrupt["k"]] = corrupt["value"]
-            setattr(fam, corrupt["field"], tuple(vals))
+            setattr(fam, field, tuple(vals))
     cert = lib.verify_suitable(fam, bnd,
                                cap=_cap(fields.get("cap"), lib.FAMILY_HEIGHT_CAP))
     summary = lib.certificate_summary(cert)

@@ -112,6 +112,14 @@ def validate(p: TruncCondition) -> ValidationReport:
 # the branch space
 
 
+def _sums(digits: list) -> list[int]:
+    """The sums of one digit from each list, the first list slowest."""
+    out = [0]
+    for ds in digits:
+        out = [r + d for r in out for d in ds]
+    return out
+
+
 class BranchSpace:
     """The branches of one condition, or of a product's coordinates in
     support order, over a common horizon N.
@@ -184,19 +192,27 @@ class BranchSpace:
             raise ValueError("possibility enumeration cap exceeded")
         return list(itertools.product(*[self.pools[x] for x in self.below(k + 1)]))
 
-    def branches(self) -> list[tuple]:
+    def capped(self) -> "BranchSpace":  # itself, once its branches are within the cap
         if self.count(self.N - 1) > BRANCH_CAP:
             raise ValueError("branch enumeration cap exceeded")
-        return self.poss(self.N - 1)
+        return self
 
-    def ranks(self, positions: list) -> list[int]:
-        """The ranks of the selections of a member at each of the positions
-        (the first slowest), every other position at its first member."""
-        stride, s = {}, 1
+    def branches(self) -> list[tuple]:
+        return self.capped().poss(self.N - 1)
+
+    def strides(self) -> list[int]:
+        """Each position's place value in the level-major rank."""
+        stride, s = [0] * len(self.pools), 1
         for x in reversed(self.order):
             stride[x], s = s, s * len(self.pools[x])
-        return list(map(sum, itertools.product(
-            *[range(0, len(self.pools[x]) * stride[x], stride[x]) for x in positions])))
+        return stride
+
+    def ranks(self, positions) -> list[int]:
+        """The ranks of the selections of a member at each of the positions
+        (the first slowest), every other position at its first member."""
+        stride = self.strides()
+        return _sums([range(0, len(self.pools[x]) * stride[x], stride[x])
+                      for x in positions])
 
     def grouped(self, positions: list) -> tuple[list, int]:
         """The value columns enumerated with the positions first, in order,
@@ -210,11 +226,15 @@ class BranchSpace:
 
     def decides(self, positions: list, cols=slice(None)) -> bool:
         """Do the members at the positions fix the value columns ``cols``:
-        does every block of branches that agree there repeat its head?"""
-        values, size = self.grouped(positions)
-        sizes = itertools.repeat(size)
-        return all(col == list(itertools.chain.from_iterable(
-            map(itertools.repeat, col[::size], sizes))) for col in values[cols])
+        does every block of branches that agree there repeat its head?  Many
+        short blocks match each offset's strided slice, few long ones count."""
+        values, n = self.grouped(positions)
+        for col in values[cols]:
+            heads, starts = col[::n], range(0, len(col), n)
+            if not (all(col[i::n] == heads for i in range(1, n)) if n * n <= len(col)
+                    else all(col[b:b + n].count(h) == n for h, b in zip(heads, starts))):
+                return False
+        return True
 
     def nest(self, flat, w: int) -> tuple:
         """Per-coordinate slices of a flat selection (or of the cells) of w
@@ -448,7 +468,8 @@ def catch_real(p: TruncCondition, x, n0: int = 0):
 class NameOracle:
     """Deterministic total map from full branches of ``base`` to value
     tuples, one value per level, drawn from ``profile``.  A product's
-    branches are, per coordinate of its support, a tuple of members."""
+    branches are, per coordinate of its support, a tuple of members.  Values
+    are kept by the branch's rank in the base's space, a sum of digits."""
 
     base: TruncCondition | ProductCondition
     profile: tuple[tuple, ...]
@@ -456,20 +477,25 @@ class NameOracle:
 
     def __post_init__(self):
         self._cache = {}
-        self._space = BranchSpace.of(self.base)
-        if len(self.profile) != self._space.N:
+        space = self._space = BranchSpace.of(self.base)
+        if len(self.profile) != space.N:
             raise ValueError("the profile needs one entry per level")
+        self._strides = space.strides()
+        self._digits = [{t: i * s for i, t in enumerate(pool)}
+                        for pool, s in zip(space.pools, self._strides)]
 
     def eval(self, branch: tuple) -> tuple:
-        return self._values(self._space.flat(branch))
+        flat = self._space.flat(branch)
+        return self._values(sum(d[t] for d, t in zip(self._digits, flat, strict=True)))
 
-    def _values(self, flat: tuple) -> tuple:
-        """The values on a flat branch; ``fn`` sees the caller's shape."""
-        out = self._cache.get(flat)
+    def _values(self, rank: int) -> tuple:
+        """The values on the branch of a rank; ``fn`` sees the caller's shape."""
+        out = self._cache.get(rank)
         if out is None:
             space = self._space
+            flat = tuple(p[rank // s % len(p)] for p, s in zip(space.pools, self._strides))
             out = self._checked(tuple(self.fn(space.shape(flat, space.N))))
-            self._cache[flat] = out
+            self._cache[rank] = out
         return out
 
     def _checked(self, out: tuple) -> tuple:
@@ -483,13 +509,13 @@ class NameOracle:
     @classmethod
     def from_table(cls, base, profile, table: dict) -> "NameOracle":
         """Table keyed by ``BranchSpace.key``, looked up among the base's keys
-        enumerated with its branches; each distinct value is checked once."""
+        enumerated with their ranks; each distinct value is checked once."""
         nu = cls(base, tuple(tuple(a) for a in profile), None)
-        space = nu._space
+        space = nu._space.capped()
         index = dict(zip(map("".join, itertools.product(*space.labels())),
-                         space.branches()))
+                         space.ranks(range(len(space.pools)))))
         try:
-            flats = list(map(index.__getitem__, table))
+            ranks = list(map(index.__getitem__, table))
             values = list(map(tuple, table.values()))
             for out in set(values):
                 nu._checked(out)
@@ -503,7 +529,7 @@ class NameOracle:
                 except TypeError:
                     raise TypeError(f"table value {out!r} at key {key!r} is not a list") from None
                 nu._checked(out)
-        nu._cache.update(zip(flats, values))
+        nu._cache.update(zip(ranks, values))
 
         def fn(branch):
             raise KeyError(space.key(space.flat(branch)))
@@ -528,11 +554,10 @@ def _read(p, nu: NameOracle) -> BranchSpace:
         raise PreconditionError("oracle base parameters differ")
     if not all(c.members <= b.members for c, b in zip(space.cells, base.cells)):
         raise PreconditionError("condition is not an extension of the oracle base")
-    rows = [nu._cache.get(b) or nu._values(b) for b in space.branches()]
-    if space.W > 1:  # stored in level-major order
-        ranks = space.ranks(range(len(space.cells)))
-        rows = [row for _, row in sorted(zip(ranks, rows))]
-    space.values = list(map(list, zip(*rows)))
+    # p's branches in level-major order, by their ranks in the base's space
+    pools = space.capped().pools
+    ranks = _sums([list(map(nu._digits[x].__getitem__, pools[x])) for x in space.order])
+    space.values = list(map(list, zip(*[nu._cache.get(r) or nu._values(r) for r in ranks])))
     return space
 
 

@@ -277,6 +277,22 @@ def test_family_integer_field_of_a_wrong_type_or_range_exits_2(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("payload, message", [
+    ({"d0": 3, "depth": 1, "corrupt": {"node": "0", "field": "zzz", "value": 5}},
+     "corrupt field 'zzz' is not a node field"),
+    ({"d0": 3, "depth": 1, "corrupt": {"node": "zz", "field": "a", "value": 5}},
+     "corrupt node 'zz' is not a node of the tree"),
+    ({"kind": "single", "n0_minus": 3, "d0": 4, "depth": 1,
+      "corrupt": {"field": "zzz", "k": 0, "value": 5}},
+     "corrupt field 'zzz' is not a chain field"),
+], ids=["tree-field", "tree-node", "chain-field"])
+def test_family_verify_corrupt_naming_no_value_exits_2(tmp_path, capsys, payload, message):
+    code, body = run(tmp_path, "family", payload, "--mode", "verify")
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert "Traceback" not in err and message in err
+
+
+@pytest.mark.parametrize("payload, message", [
     ({"creature": _CREATURE, "bogus": 1}, "unknown field 'bogus'"),
     ({}, "missing field 'creature'"),
 ], ids=["unknown", "missing"])

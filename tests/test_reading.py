@@ -1,20 +1,39 @@
 """check_reading and early_read against the reading oracle, which works from
 the definition over pairs of branches, on conditions and on products of one
-to three coordinates."""
+to three coordinates; the name oracle's values and the block test against
+their definitions."""
 
+import gc
 import itertools
+from math import prod
 from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from creaturelab.conditions import (NameOracle, ParamTriple, PreconditionError,
-                                    TruncCondition, check_reading, early_read)
+from creaturelab.conditions import (BranchSpace, NameOracle, ParamTriple,
+                                    PreconditionError, TruncCondition, branches,
+                                    check_reading, early_read)
 from creaturelab.creatures import Creature
 from creaturelab.products import CoordinateSpace, ProductCondition, branch_key
 
 from oracles import branches_direct, reads_direct
 
 _SUBSETS = [frozenset(s) for k in range(3) for s in itertools.combinations(range(3), k)]
+
+
+def _built(coords, single: bool):
+    """The condition (single, one coordinate) or the product over "abc" with
+    the given cells, per coordinate as per-level member lists."""
+    N = len(coords[0])
+    params = ParamTriple((3,) * N, (2,) * N, (64,) * N)
+    parts = [TruncCondition(params, tuple(Creature(3, 2, frozenset(m)) for m in levels))
+             for levels in coords]
+    if single:
+        return parts[0]
+    names = "abc"[:len(coords)]
+    space = CoordinateSpace.of({xi: "F" for xi in names}, {"F": params})
+    return ProductCondition(space, dict(zip(names, parts)))
 
 
 @st.composite
@@ -36,15 +55,7 @@ def named_conditions(draw):
             total *= size
             coords[j].append(draw(st.lists(st.sampled_from(_SUBSETS), min_size=size,
                                            max_size=size, unique=True)))
-    params = ParamTriple((3,) * N, (2,) * N, (64,) * N)
-    parts = [TruncCondition(params, tuple(Creature(3, 2, frozenset(m)) for m in levels))
-             for levels in coords]
-    if W == 1 and draw(st.booleans()):
-        p = parts[0]
-    else:
-        names = "abc"[:W]
-        space = CoordinateSpace.of({xi: "F" for xi in names}, {"F": params})
-        p = ProductCondition(space, dict(zip(names, parts)))
+    p = _built(coords, W == 1 and draw(st.booleans()))
     positions = [(j, k) for j in range(W) for k in range(N) if len(coords[j][k]) > 1]
     deps = [draw(st.lists(st.sampled_from(positions), max_size=3, unique=True))
             if positions else [] for _ in range(N)]
@@ -77,3 +88,117 @@ def test_reading_agrees_with_the_definition(case):
                for part in ([q] if single else [q.parts[xi] for xi in q.support])]
     assert all(set(m) <= set(n) for qc, pc in zip(qcoords, coords) for m, n in zip(qc, pc))
     assert reads_direct(qcoords, name, "early")
+
+
+@settings(max_examples=80, deadline=None)
+@given(named_conditions(), st.data())
+def test_eval_on_a_sub_condition_agrees_with_fn_and_table(case, data):
+    p, coords, name = case
+    single = isinstance(p, TruncCondition)
+    sub = [[data.draw(st.lists(st.sampled_from(cell), min_size=1, unique=True))
+            for cell in levels] for levels in coords]
+    q = _built(sub, single)
+    profile = ((0, 1, 2),) * p.horizon
+    fn = (lambda b: name((b,))) if single else name
+    table = {branch_key(p, b[0] if single else b): name(b) for b in branches_direct(coords)}
+    nu, tnu = NameOracle(p, profile, fn), NameOracle.from_table(p, profile, table)
+    for b in branches(q):
+        assert nu.eval(b) == tuple(fn(b))
+        assert tnu.eval(b) == table[branch_key(p, b)]
+    for mode in ("timely", "early"):
+        expected = reads_direct(sub, name, mode)
+        assert check_reading(q, nu, mode) is expected
+        assert check_reading(q, tnu, mode) is expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(named_conditions(), st.data())
+def test_a_table_lacking_a_key_raises_that_key_at_read_time(case, data):
+    p, coords, name = case
+    single = isinstance(p, TruncCondition)
+    table = {branch_key(p, b[0] if single else b): name(b) for b in branches_direct(coords)}
+    missing = data.draw(st.sampled_from(sorted(table)))
+    del table[missing]
+    nu = NameOracle.from_table(p, ((0, 1, 2),) * p.horizon, table)
+    with pytest.raises(KeyError) as info:
+        check_reading(p, nu, "early")
+    assert info.value.args == (missing,)
+
+
+def _strides(space) -> dict:
+    """Each position's place value in the level-major mixed-radix rank."""
+    stride, s = {}, 1
+    for x in reversed(space.order):
+        stride[x], s = s, s * len(space.pools[x])
+    return stride
+
+
+@st.composite
+def valued_spaces(draw):
+    """A branch space of one or two coordinates with 1-4 members per cell,
+    at most 100 branches, and value columns each constant on blocks of a
+    random block size of the space, except at a few random entries."""
+    W, N = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    sizes, total = [[] for _ in range(W)], 1
+    for j, _ in itertools.product(range(W), range(N)):
+        sizes[j].append(draw(st.integers(1, max(1, min(4, 100 // total)))))
+        total *= sizes[j][-1]
+    space = BranchSpace.of(_built([[_SUBSETS[:m] for m in row] for row in sizes], W == 1))
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.sampled_from(sorted(set(_strides(space).values()) | {total})))
+        col = [v for v in draw(st.lists(st.integers(0, 2), min_size=total // m,
+                                        max_size=total // m)) for _ in range(m)]
+        for i in draw(st.lists(st.integers(0, total - 1), max_size=2)):
+            col[i] = 3
+        space.values.append(col)
+    return space
+
+
+def _decides_direct(space, positions, cols=slice(None)) -> bool:
+    """Branches whose members agree at the positions agree on the value
+    columns ``cols``: the definition, from each branch's digits."""
+    stride, seen = _strides(space), {}
+    for r in range(len(space.values[0])):
+        key = tuple(r // stride[x] % len(space.pools[x]) for x in positions)
+        row = [col[r] for col in space.values[cols]]
+        if seen.setdefault(key, row) != row:
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(valued_spaces(), st.data())
+def test_decides_agrees_with_the_definition(space, data):
+    """At every cut of the level-major order (block sizes from the whole
+    column down to 1), and at a random set of positions in random order."""
+    cuts = [space.order[:k] for k in range(len(space.order) + 1)]
+    shuffled = data.draw(st.permutations(space.order))
+    for positions in cuts + [shuffled[:data.draw(st.integers(0, len(shuffled)))]]:
+        assert space.decides(positions) is _decides_direct(space, positions)
+
+
+def test_decides_on_both_sides_of_the_switch_to_counting():
+    # blocks of 24, 12, 4, 2 and 1 over 24 branches: counted per block while
+    # size^2 > 24, compared by strided slices from size 4 down
+    space = BranchSpace.of(_built([[_SUBSETS[:m] for m in (2, 3, 2, 2)]], True))
+    space.values = [[5] * 24, [r // 12 for r in range(24)], [r // 4 for r in range(24)],
+                    [r // 2 % 3 for r in range(24)], [0] * 23 + [1]]
+    # column c is decided from the cut at level c on
+    for c in range(5):
+        for k in range(5):
+            got = space.decides(space.order[:k], slice(c, c + 1))
+            assert got is (k >= c) is _decides_direct(space, space.order[:k], slice(c, c + 1))
+
+
+def test_a_loaded_table_and_a_read_leave_no_per_branch_objects():
+    p = _built([[_SUBSETS[1:6]] * 5], True)   # 5^5 = 3125 branches
+    table = {",".join(map(str, idx)): (idx[0] % 2, idx[1] % 2, 0, 0, idx[4] % 3)
+             for idx in itertools.product(range(5), repeat=5)}
+    profile = [(0, 1), (0, 1), (0,), (0,), (0, 1, 2)]
+    gc.collect()
+    before = len(gc.get_objects())
+    nu = NameOracle.from_table(p, profile, table)
+    check_reading(p, nu, "timely")
+    gc.collect()
+    assert len(gc.get_objects()) - before < 100
+    assert nu.eval(branches(p)[-1]) == (0, 0, 0, 0, 1)
