@@ -1,11 +1,15 @@
+import hashlib
+import json
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from creaturelab import numeric
 from creaturelab.numeric import (
     EXACT_BIT_LIMIT,
     LogTower,
@@ -34,7 +38,7 @@ from creaturelab.numeric import (
     _sq_chain_floor,
 )
 
-from oracles import subset_count_direct
+from oracles import encloses, exact_op, subset_count_direct
 
 
 @given(st.integers(0, 30), st.integers(0, 30))
@@ -251,3 +255,118 @@ def test_pow2_bounds_enclose_fractional_powers():
             f = x - math.floor(x)
             edges += (f.numerator << prec) // f.denominator + 1 >= 1 << prec
     assert edges == 6
+
+
+def _subset_count_bound(m, k):
+    return tower_eval({"op": "subset_count_bound", "args": [m, k]})
+
+
+_BINARY = {"add": tower_add, "sub": tower_sub, "mul": tower_mul,
+           "pow": tower_pow, "subset_count_bound": _subset_count_bound}
+_UNARY = {"exp2": tower_exp2, "log2": tower_log2}
+
+# bit lengths: any up to 400, and often the same few, so that operands
+# meet at one tower height and close to each other
+_leaf = st.tuples(st.one_of(st.integers(0, 400), st.sampled_from([2, 8, 64, 65, 66, 100, 101]))
+                  .flatmap(lambda b: st.integers(1 << b >> 1, (1 << b) - 1)), st.booleans())
+_trees = st.recursive(_leaf, lambda kids: st.one_of(
+    st.tuples(st.sampled_from(sorted(_BINARY)), kids, kids),
+    st.tuples(st.sampled_from(sorted(_UNARY)), kids)), max_leaves=6)
+
+
+def _walk(tree, seen):
+    """(the package's value, the exact value as exact_op's pair) of one
+    tree, either None where undefined; each resolved node is checked."""
+    if isinstance(tree[0], int):
+        v, wrap = tree
+        return (tower(v) if wrap else v), (0, Fraction(v))
+    op, *kids = tree
+    vals, exact = zip(*(_walk(k, seen) for k in kids))
+    if None in vals:
+        return None, None
+    try:
+        out = {**_BINARY, **_UNARY}[op](*vals)
+    except ArithmeticError:
+        seen[op, "refused"] += 1
+        return None, None
+    e = None if None in exact else exact_op(op, exact)
+    if e is None:
+        seen[op, "unchecked"] += 1
+        return out, None
+    verdict = encloses(out, e[1], e[0])
+    assert verdict is not False, (tree, out, e)
+    seen[op, "undecided" if verdict is None else "enclosed"] += 1
+    return out, e
+
+
+def test_tower_ops_enclose_the_exact_value(monkeypatch):
+    """Random trees of tower operations on operands of 0-400 bits, passed
+    as ints or as towers (heights 0-1): every result that resolves holds
+    the exact value, and the oracle leaves few of them undecided.  Exact
+    results stop at 2^12 bits here, so that no tree builds the
+    multi-million-bit powers the default limit allows."""
+    monkeypatch.setattr(numeric, "EXACT_BIT_LIMIT", 1 << 12)
+    seen = Counter()
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(_trees)
+    # an exact power of two across a height gap from 1: the sum is above it
+    @example(("add", ("exp2", (100, False)), (1, True)))
+    def check(tree):
+        _walk(tree, seen)
+
+    check()
+    outcome = Counter()
+    for (_, kind), n in seen.items():
+        outcome[kind] += n
+    assert all(seen[op, "enclosed"] for op in {**_BINARY, **_UNARY}), seen
+    assert outcome["undecided"] * 20 <= outcome["enclosed"], outcome
+
+
+# every op over every ordered pair of these operands, pinned by digest:
+# ints at and around the promotion threshold, a Fraction, height-0 towers
+# (a point and an interval) and towers of heights 1-3
+_H1 = tower_exp2(tower(100))
+_OPERANDS = [0, 1, 2, 3, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1, 2 ** 100, Fraction(7, 3),
+             tower(5), LogTower(0, Fraction(9, 2), Fraction(6)), _H1,
+             tower_exp2(tower_exp2(LogTower(0, Fraction(90), Fraction(91)))),
+             tower_exp2(tower_exp2(_H1))]
+_NUMERIC_GOLDEN = {
+    "add": "3992673de4c0abd4e02e65b99840a501a78d20de11160558e7770440b39e9f40",
+    "sub": "e7534f3b26ed2f0cfe731f664aaf092e54aaf1d431572cbc395b8c8c50f23c2d",
+    "mul": "e8911d59de8dadcfc7b8174deb96d7f8e50795198069875dd38c5596ef2ecf22",
+    "div": "a8073cce4b08fba9d4e5f00eb5525b6e409086bc4a3e10fb69bbe09d41c4860d",
+    "pow": "438490fe772f1ad3b68f708d884d63eda2b1a30fe38ef90681d8d499e9673fcb",
+    "cmp": "4840db6b3f2ad15abd91fe544456cacec405794a199c1154ebcdde77d6096f90",
+    "le": "bf8772ede4a6d6269dc0295d329167025f9f4848177142c0b359bb13a505d2f7",
+    "log2": "4addb86693959dc0af197c9e2ac3d499e7332e24fab4e6d9e1e2116dfe45aebe",
+    "exp2": "4b3193aee1e4578327d1d24c3e9d68bb69793d73dd5fd8f744aaf21f92fe8955",
+    "subset_count_bound": "26d27af64423be2251cc4031d79837f4efea3098ebd8baee9848a8bfeb6e9ad7",
+}
+
+
+def _golden_line(fn, *args):
+    try:
+        out = fn(*args)
+    except Exception as e:
+        return f"{type(e).__name__}: {e}"
+    if isinstance(out, LogTower):
+        return json.dumps(tower_to_json(out))
+    if isinstance(out, Cmp):
+        return out.value
+    return f"int {out:x}" if type(out) is int else repr(out)
+
+
+def test_every_op_on_every_operand_pair_is_pinned():
+    """Values, int-or-tower types, Unknowns and refusals all count: an int
+    above 2^64 that meets a tower is promoted before the op sees it."""
+    leaf = lambda x: tower(x) if isinstance(x, Fraction) else x
+    binary = {**_BINARY, "div": tower_div, "cmp": tower_cmp, "le": tower_le,
+              "subset_count_bound": lambda m, k: _subset_count_bound(leaf(m), leaf(k))}
+    got = {}
+    for name, fn in {**binary, **_UNARY}.items():
+        pairs = [(x,) for x in _OPERANDS] if name in _UNARY else \
+            [(x, y) for x in _OPERANDS for y in _OPERANDS]
+        body = "\n".join(_golden_line(fn, *p) for p in pairs)
+        got[name] = hashlib.sha256(body.encode()).hexdigest()
+    assert got == _NUMERIC_GOLDEN
