@@ -352,27 +352,38 @@ def _single(lib, n0_minus, d0, depth=2, cap=None):
 def _verify(lib, kind="tree", corrupt=None, **fields):
     fam, bnd = _call({"tree": _tree, "single": _single}[kind], lib, fields)
     if corrupt is not None:
-        fam.constructed = False
-        tree, field = isinstance(fam, lib.TreeFamily), corrupt["field"]
-        if field not in ("a", "b", "c", "d", "g", "h"):
-            raise ValueError(f"corrupt field {field!r} is not a {'node' if tree else 'chain'} "
-                             "field (a, b, c, d, g or h)")
-        if tree:
-            if corrupt["node"] not in fam.nodes:
-                raise ValueError(f"corrupt node {corrupt['node']!r} is not a node of the tree")
-            setattr(fam.nodes[corrupt["node"]], field, corrupt["value"])
-        else:
-            vals = list(getattr(fam, field))
-            if not 0 <= corrupt["k"] < len(vals):
-                raise ValueError(f"corrupt k = {corrupt['k']!r} is out of range")
-            vals[corrupt["k"]] = corrupt["value"]
-            setattr(fam, field, tuple(vals))
+        _corrupt(fam, isinstance(fam, lib.TreeFamily), corrupt)
     cert = lib.verify_suitable(fam, bnd,
                                cap=_cap(fields.get("cap"), lib.FAMILY_HEIGHT_CAP))
     summary = lib.certificate_summary(cert)
     code = 0 if summary["fail"] == 0 and summary["unknown"] == 0 else 1
     return code, {"certificate": cert, "summary":
                   {k: summary[k] for k in ("total", "pass", "fail", "unknown")}}
+
+
+def _corrupt(fam, tree, corrupt):
+    """Overwrite one value of fam as corrupt says: {field, value, node} for
+    a tree, {field, value, k} for a chain, with an integer value."""
+    at = "node" if tree else "k"
+    if not (isinstance(corrupt, dict) and set(corrupt) == {"field", "value", at}
+            and type(corrupt["value"]) is int):
+        raise ValueError(f"corrupt must be an object of field, {at} and an integer "
+                         f"value, got {corrupt!r}")
+    field, where = corrupt["field"], corrupt[at]
+    if field not in ("a", "b", "c", "d", "g", "h"):
+        raise ValueError(f"corrupt field {field!r} is not a {'node' if tree else 'chain'} "
+                         "field (a, b, c, d, g or h)")
+    fam.constructed = False
+    if tree:
+        if type(where) is not str or where not in fam.nodes:
+            raise ValueError(f"corrupt node {where!r} is not a node of the tree")
+        setattr(fam.nodes[where], field, corrupt["value"])
+    else:
+        vals = list(getattr(fam, field))
+        if type(where) is not int or not 0 <= where < len(vals):
+            raise ValueError(f"corrupt k = {where!r} is out of range")
+        vals[where] = corrupt["value"]
+        setattr(fam, field, tuple(vals))
 
 
 # ---------------------------------------------------------------------------

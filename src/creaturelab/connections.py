@@ -91,13 +91,7 @@ def gch_profile(c, h, horizon: int) -> tuple[int, ...]:
     _one_per_index(c, h)
     if any(v < 2 for v in c) or any(v < 1 for v in h):
         raise ValueError("need c >= 2 and h >= 1 pointwise")
-    out = []
-    for cn, hn in zip(c, h):
-        out.extend([cn.bit_length() - 1] * hn)
-    if not 0 <= horizon <= len(out):
-        raise ValueError(f"horizon {horizon} is outside the covered range "
-                         f"[0, {len(out)}]")
-    return tuple(out[:horizon])
+    return _steps([cn.bit_length() - 1 for cn in c], h, horizon)
 
 
 def fbg_profile(b, g, horizon: int) -> tuple[int, ...]:
@@ -105,11 +99,12 @@ def fbg_profile(b, g, horizon: int) -> tuple[int, ...]:
     _one_per_index(b, g)
     if any(v < 2 for v in b) or any(v < 1 for v in g):
         raise ValueError("need b >= 2 and g >= 1 pointwise")
-    out = []
-    acc = 0
-    for bn, gn in zip(b, g):
-        acc += _ceil_log2(bn)
-        out.extend([acc] * gn)
+    return _steps(list(itertools.accumulate(map(_ceil_log2, b))), g, horizon)
+
+
+def _steps(values, reps, horizon: int) -> tuple[int, ...]:
+    """values[n] repeated reps[n] times, cut at horizon."""
+    out = [v for v, r in zip(values, reps) for _ in range(r)]
     if not 0 <= horizon <= len(out):
         raise ValueError(f"horizon {horizon} is outside the covered range "
                          f"[0, {len(out)}]")
@@ -119,6 +114,12 @@ def fbg_profile(b, g, horizon: int) -> tuple[int, ...]:
 def _one_per_index(*seqs) -> None:
     if len({len(s) for s in seqs}) > 1:
         raise ValueError("the per-index sequences differ in length")
+
+
+def _first_violation(n: int, fails):
+    """The transfer's verdict: ("violation", i) at the first i < n where
+    fails(i), else "ok"."""
+    return next((("violation", i) for i in range(n) if fails(i)), "ok")
 
 
 def _ceil_log2(n: int) -> int:
@@ -159,13 +160,8 @@ def l24_maps(c, h, y: str, S: Slalom):
                 entries.append("0" * w)
     g_image = SigmaCover(tuple(entries))
 
-    transfer = "ok"
-    for n in range(len(c)):
-        if f_image[n] in S.cells[n]:
-            s, e = part.blocks[n]
-            if not any(y.startswith(entries[k]) for k in range(s, e)):
-                transfer = ("violation", n)
-                break
+    transfer = _first_violation(len(c), lambda n: f_image[n] in S.cells[n] and not any(
+        y.startswith(entries[k]) for k in range(*part.blocks[n])))
     return f_image, g_image, transfer
 
 
@@ -207,13 +203,8 @@ def l25_maps(b, g, y, X: SigmaCover):
         cells.append(frozenset(got))
     g_image = Slalom(tuple(b), tuple(g), tuple(cells))
 
-    transfer = "ok"
-    for k in range(len(X.entries)):
-        if f_image.startswith(X.entries[k]):
-            n = jpart.block_of(k)
-            if y[n] not in cells[n]:
-                transfer = ("violation", k)
-                break
+    transfer = _first_violation(len(X.entries), lambda k: f_image.startswith(
+        X.entries[k]) and y[jpart.block_of(k)] not in cells[jpart.block_of(k)])
     return f_image, g_image, transfer
 
 
@@ -238,12 +229,8 @@ def l26_maps(c, h, hprime, S: Slalom, phi):
                     for i in range(len(c)))
     g_image = tuple(min(set(range(c[i])) - set().union(*phi[i], set()))
                     for i in range(len(c)))
-    transfer = "ok"
-    for i in range(len(c)):
-        if f_image[i] in {frozenset(cell) for cell in phi[i]}:
-            if g_image[i] in S.cells[i]:
-                transfer = ("violation", i)
-                break
+    transfer = _first_violation(len(c), lambda i: f_image[i] in {
+        frozenset(cell) for cell in phi[i]} and g_image[i] in S.cells[i])
     return f_image, g_image, transfer
 
 
@@ -269,11 +256,8 @@ def l27_maps(c, h, S_cells, y):
         for k in range(1, h[i] + 1):
             fam.update(frozenset(cmb) for cmb in itertools.combinations(rest, k))
         g_image.append(frozenset(fam))
-    transfer = "ok"
-    for i in range(len(c)):
-        if y[i] not in S_cells[i] and frozenset(S_cells[i]) not in g_image[i]:
-            transfer = ("violation", i)
-            break
+    transfer = _first_violation(len(c), lambda i: y[i] not in S_cells[i]
+                                and frozenset(S_cells[i]) not in g_image[i])
     return f_image, tuple(g_image), transfer
 
 
@@ -300,11 +284,8 @@ def ed_maps(c, h, x, y):
         g_image.append(y[i] // max(h[i], 1))
     f_image = Slalom(tuple(c), tuple(max(h[i], 1) for i in range(len(c))),
                      tuple(f_cells))
-    transfer = "ok"
-    for i in range(len(c)):
-        if y[i] not in f_cells[i] and g_image[i] == x[i]:
-            transfer = ("violation", i)
-            break
+    transfer = _first_violation(len(c), lambda i: y[i] not in f_cells[i]
+                                and g_image[i] == x[i])
     return f_image, tuple(g_image), transfer
 
 

@@ -97,7 +97,8 @@ class TreeFamily:
     bounding: BoundingSequences
     constructed: bool = True
 
-    def stage(self, k: int) -> list[str]:
+    @staticmethod
+    def stage(k: int) -> list[str]:
         return ["".join(bits) for bits in
                 itertools.product("01", repeat=k + 1)]
 
@@ -196,10 +197,9 @@ def build_tree(d0: int = 3, depth: int = 2, *, cap: int = FAMILY_HEIGHT_CAP):
     state = {"": (0, 0, 0)}
     n_plus = []
     for k in range(depth):
-        labels = ["".join(bs) for bs in itertools.product("01", repeat=k + 1)]
         prev_label = None
         next_state = {}
-        for t in labels:
+        for t in TreeFamily.stage(k):
             if prev_label is None:
                 if k == 0:
                     d, d_from = d0, "seed"
@@ -347,6 +347,15 @@ def toy_arenas(rng, horizon: int) -> list[int]:
     return c
 
 
+def _toy_windows(c, live) -> tuple[list, list, list]:
+    """The toy windows over arenas c with live[k] possibilities below level
+    k: a(k) = c(k) + 1, the exact <=1-cell count, e(k) = c(k) - 1, and
+    d(k) = max(2, prod a(<k), 2 live[k] a(k))."""
+    a = [ck + 1 for ck in c]
+    d = [max(2, prod(a[:k]), 2 * m * a[k]) for k, m in enumerate(live)]
+    return a, [ck - 1 for ck in c], d
+
+
 def toy_family(seed: int, horizon: int = 3) -> dict:
     """Small exact parameter sequences for desk-scale runs.
 
@@ -360,9 +369,7 @@ def toy_family(seed: int, horizon: int = 3) -> dict:
         raise ValueError(f"toy horizon {horizon} is outside [1, 6]")
     c = toy_arenas(Random(seed), horizon)
     h = [1] * horizon
-    a = [ck + 1 for ck in c]          # the exact <=1-cell count
-    e = [ck - 1 for ck in c]
-    d = [max(2, prod(a[:k]), 2 * a[k]) for k in range(horizon)]
+    a, e, d = _toy_windows(c, [1] * horizon)
     if any(v > 10 ** 4 for v in c + d + a):
         raise ValueError("no in-range assignment at this horizon")
     held = ["a = cell count of (c, h)", "e = ceil(c/h) - 1",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, isqrt
 
 PROMOTION_THRESHOLD = 2 ** 64  # promote to the next height above this
@@ -211,19 +211,12 @@ def _pow2_bounds(x: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _double_slack(height: int, w: Fraction) -> Fraction:
-    """A delta with 2 * exp2^height(w) <= exp2^height(w + delta)."""
+def _slack(height: int, w: Fraction) -> Fraction:
+    """A delta with 2 * exp2^height(w) <= exp2^height(w + delta), and for
+    w >= 1 also exp2^height(w - delta) <= exp2^height(w) / 2."""
     if height <= 1:
         return Fraction(1)
     wf = int(w) if w >= 1 else 0
-    return Fraction(4, 2 ** min(wf, 126))
-
-
-def _half_slack(height: int, w: Fraction) -> Fraction:
-    """A delta with exp2^height(w - delta) <= exp2^height(w) / 2."""
-    if height <= 1:
-        return Fraction(1)
-    wf = int(w) if w >= 1 else 1
     return Fraction(4, 2 ** min(wf, 126))
 
 
@@ -280,12 +273,10 @@ def _canonical(height: int, low: Fraction, high: Fraction,
         low = _pow2_bounds(low, DEFAULT_PRECISION)[0]
         high = _pow2_bounds(high, DEFAULT_PRECISION)[1]
         height -= 1
-    while _less(PROMOTION_THRESHOLD, low):
-        if height + 1 > cap:
-            raise TowerOverflowError(f"height cap {cap} exceeded")
-        low, high = _log2_interval(low, high)
-        height += 1
-    return LogTower(height, low, high)
+    t = LogTower(height, low, high)
+    while _less(PROMOTION_THRESHOLD, t.low):
+        t = _promote(t, cap)
+    return t
 
 
 def _log2_interval(low: Fraction, high: Fraction):
@@ -296,11 +287,16 @@ def _log2_interval(low: Fraction, high: Fraction):
     return lb[0], hb[1]
 
 
-def _promote(t: LogTower, cap: int) -> LogTower:
-    if t.height + 1 > cap:
+def _lift(height: int, cap: int) -> int:
+    """One height up, as promotion and exp2 take it, under the cap."""
+    if height >= cap:
         raise TowerOverflowError(f"height cap {cap} exceeded")
-    lo, hi = _log2_interval(t.low, t.high)
-    return LogTower(t.height + 1, lo, hi)
+    return height + 1
+
+
+def _promote(t: LogTower, cap: int) -> LogTower:
+    """The same value one height up: log2 of both bounds."""
+    return LogTower(_lift(t.height, cap), *_log2_interval(t.low, t.high))
 
 
 def _align(x: LogTower, y: LogTower, cap: int):
@@ -348,9 +344,7 @@ def tower_exp2(x, *, cap: int = HEIGHT_CAP):
     if isinstance(x, int) and 0 <= x <= EXACT_BIT_LIMIT:
         return 1 << x
     x = tower(x)
-    if x.height + 1 > cap:
-        raise TowerOverflowError(f"height cap {cap} exceeded")
-    return _canonical(x.height + 1, x.low, x.high, cap)
+    return _canonical(_lift(x.height, cap), x.low, x.high, cap)
 
 
 def _is_zero(t: LogTower) -> bool:
@@ -372,7 +366,7 @@ def tower_add(a, b, *, cap: int = HEIGHT_CAP):
         short, tall = (x, y) if x.height < y.height else (y, x)
         if _dominates(tall, short):
             # the short summand is below the tall one: sum <= 2 * tall
-            slack = _double_slack(tall.height, tall.high)
+            slack = _slack(tall.height, tall.high)
             return _canonical(tall.height, tall.low, tall.high + slack, cap)
         raise TowerDomainError("cannot add across an unresolved height gap")
     h = x.height
@@ -382,7 +376,7 @@ def tower_add(a, b, *, cap: int = HEIGHT_CAP):
     if h == 1 and gap >= 2:
         slack = Fraction(2, 2 ** min(int(gap), 126))
     else:
-        slack = _double_slack(h, top)
+        slack = _slack(h, top)
     return _canonical(h, lo, top + slack, cap)
 
 
@@ -400,14 +394,12 @@ def tower_sub(a, b, *, cap: int = HEIGHT_CAP):
         return x
     x, y = _align_soft(x, y, cap)
     if x.height != y.height:
-        if x.height > y.height and _dominates(x, y, margin=1):
-            # the subtrahend is below half of x: difference >= x / 2
-            lo = x.low - _half_slack(x.height, x.low)
-            return _canonical(x.height, lo, x.high, cap)
-        raise TowerDomainError("cannot subtract across an unresolved height gap")
-    if y.high > x.low - 1:
+        if not _dominates(x, y, margin=1):
+            raise TowerDomainError("cannot subtract across an unresolved height gap")
+    elif y.high > x.low - 1:
         raise TowerDomainError("difference bounds too close to subtract soundly")
-    lo = x.low - _half_slack(x.height, x.low)
+    # the subtrahend is at most half of x: difference >= x / 2
+    lo = x.low - _slack(x.height, max(x.low, 1))
     return _canonical(x.height, lo, x.high, cap)
 
 
@@ -439,110 +431,71 @@ def tower_div(a, b, *, cap: int = HEIGHT_CAP) -> LogTower:
 
 
 def tower_pow(a, b, *, cap: int = HEIGHT_CAP):
-    if _ints(a, b) and b >= 0:
-        v = _exact_pow(a, b)
+    # exact: of two ints as an int, of two integral height-0 points (an int
+    # met by a tower is one only up to the promotion threshold) as a tower
+    ints = _ints(a, b)
+    x, y = (a, b) if ints else (tower(a), tower(b))
+    if ints or x.is_exact_int and y.is_exact_int:
+        p, q = (a, b) if ints else (int(x.low), int(y.low))
+        v = _exact_pow(p, q) if q >= 0 else None
         if v is not None:
-            return v
-    x, y = tower(a), tower(b)
+            return v if ints else _canonical(0, Fraction(v), Fraction(v), cap)
+    x, y = tower(x), tower(y)
     if _is_zero(y):
         return tower(1)
-    if x.height == 0 and y.height == 0 and x.is_point and y.is_point \
-            and y.low.denominator == 1 and x.low.denominator == 1 and y.low >= 0:
-        v = _exact_pow(int(x.low), int(y.low))
-        if v is not None:
-            v = Fraction(v)
-            return _canonical(0, v, v, cap)
-    lx = tower_log2(x, cap=cap)
-    return tower_exp2(tower_mul(y, lx, cap=cap), cap=cap)
+    return tower_exp2(tower_mul(y, tower_log2(x, cap=cap), cap=cap), cap=cap)
 
 
-def tower_cmp(a, b, *, cap: int = HEIGHT_CAP + 4) -> Cmp:
-    """Sound three-way comparison; Unknown when the intervals overlap."""
+def _compared(a, b, cap: int):
+    """The order of two ints, or of one object with itself, as a Cmp;
+    otherwise both as towers canonical at cap and aligned as far as log2's
+    domain allows."""
     if _ints(a, b):
         return Cmp.EQUAL if a == b else Cmp.LESS if a < b else Cmp.GREATER
     if a is b:
         return Cmp.EQUAL
     x, y = tower(a), tower(b)
-    x = _canonical(x.height, x.low, x.high, cap)
-    y = _canonical(y.height, y.low, y.high, cap)
-    x, y = _align_soft(x, y, cap)
+    return _align_soft(_canonical(x.height, x.low, x.high, cap),
+                       _canonical(y.height, y.low, y.high, cap), cap)
+
+
+def _below(x: LogTower, y: LogTower, strict: bool) -> bool:
+    """x < y (strict) or x <= y, proved for two aligned towers; across a
+    height gap only the shorter is below, by a factor 2 when strict."""
     if x.height != y.height:
-        if x.height < y.height:
-            return Cmp.LESS if _dominates(y, x, margin=1) else Cmp.UNKNOWN
-        return Cmp.GREATER if _dominates(x, y, margin=1) else Cmp.UNKNOWN
-    if x.is_point and y.is_point:
-        if x.low == y.low:
-            return Cmp.EQUAL
-        return Cmp.LESS if _less(x.low, y.low) else Cmp.GREATER
-    if _less(x.high, y.low):
+        return _dominates(y, x, margin=int(strict))
+    return _less(x.high, y.low) if strict else not _less(y.low, x.high)
+
+
+def tower_cmp(a, b, *, cap: int = HEIGHT_CAP + 4) -> Cmp:
+    """Sound three-way comparison; Unknown when the intervals overlap."""
+    xy = _compared(a, b, cap)
+    if isinstance(xy, Cmp):
+        return xy
+    x, y = xy
+    if _below(x, y, True):
         return Cmp.LESS
-    if _less(y.high, x.low):
+    if _below(y, x, True):
         return Cmp.GREATER
-    return Cmp.UNKNOWN
+    return Cmp.EQUAL if _below(x, y, False) and _below(y, x, False) else Cmp.UNKNOWN
 
 
 def tower_le(a, b, *, cap: int = HEIGHT_CAP + 4):
     """Sound <=: True / False, or None when the enclosures overlap."""
-    if _ints(a, b):
-        return a <= b
-    if a is b:
-        return True
-    x, y = tower(a), tower(b)
-    x = _canonical(x.height, x.low, x.high, cap)
-    y = _canonical(y.height, y.low, y.high, cap)
-    x, y = _align_soft(x, y, cap)
-    if x.height != y.height:
-        if x.height < y.height:
-            return True if _dominates(y, x) else None
-        return False if _dominates(x, y, margin=1) else None
-    if not _less(y.low, x.high):
-        return True
-    if _less(y.high, x.low):
-        return False
-    return None
+    xy = _compared(a, b, cap)
+    if isinstance(xy, Cmp):
+        return xy is not Cmp.GREATER
+    x, y = xy
+    return True if _below(x, y, False) else False if _below(y, x, True) else None
 
 
 # ---------------------------------------------------------------------------
 # expression trees
 
-_OPS = {"const", "add", "mul", "pow", "sub", "div", "subset_count_bound"}
 
-
-def tower_eval(expr, *, cap: int = HEIGHT_CAP) -> LogTower:
-    """Evaluate an expression tree to a rigorous tower enclosure.
-
-    Nodes are {"op": name, "args": [...]}; constants may appear directly as
-    decimal strings or integers.
-    """
-    if isinstance(expr, (int, LogTower)):
-        return tower(expr)
-    if isinstance(expr, str):
-        return tower(int(expr))
-    op = expr["op"]
-    if op not in _OPS:
-        raise ValueError(f"unknown op {op!r}")
-    if op == "const":
-        return tower(int(expr["value"]))
-    args = [tower_eval(e, cap=cap) for e in expr["args"]]
-    if op == "add":
-        out = args[0]
-        for t in args[1:]:
-            out = tower_add(out, t, cap=cap)
-        return out
-    if op == "mul":
-        out = args[0]
-        for t in args[1:]:
-            out = tower_mul(out, t, cap=cap)
-        return out
-    if op == "sub":
-        return tower_sub(args[0], args[1], cap=cap)
-    if op == "div":
-        return tower_div(args[0], args[1], cap=cap)
-    if op == "pow":
-        return tower_pow(args[0], args[1], cap=cap)
-    # subset_count_bound(m, k): enclosure of |[m]^{<=k}|, which is 2^m for
-    # k >= m; otherwise 2^min(m, k) <= sum <= (k + 1) m^k
-    m, k = args
+def _subset_count_bound(m: LogTower, k: LogTower, *, cap: int) -> LogTower:
+    """Enclosure of |[m]^{<=k}|, which is 2^m for k >= m; otherwise
+    2^min(m, k) <= sum <= (k + 1) m^k."""
     c = tower_cmp(m, k, cap=cap)
     if m.is_exact_int and (k.is_exact_int or c in (Cmp.LESS, Cmp.EQUAL)):
         mi = int(m.low)
@@ -554,6 +507,29 @@ def tower_eval(expr, *, cap: int = HEIGHT_CAP) -> LogTower:
     hi = tower_mul(tower_add(k, 1, cap=cap), tower_pow(m, k, cap=cap), cap=cap)
     lo, hi = _align(lo, hi, cap)
     return LogTower(lo.height, lo.low, hi.high)
+
+
+_OPS = {"add": tower_add, "mul": tower_mul, "sub": tower_sub, "div": tower_div,
+        "pow": tower_pow, "subset_count_bound": _subset_count_bound}
+
+
+def tower_eval(expr, *, cap: int = HEIGHT_CAP) -> LogTower:
+    """Evaluate an expression tree to a rigorous tower enclosure.
+
+    Nodes are {"op": name, "args": [...]}, each op folded left over its
+    args; constants may appear directly as decimal strings or integers.
+    """
+    if isinstance(expr, (int, LogTower)):
+        return tower(expr)
+    if isinstance(expr, str):
+        return tower(int(expr))
+    op = expr["op"]
+    if op == "const":
+        return tower(int(expr["value"]))
+    if op not in _OPS:
+        raise ValueError(f"unknown op {op!r}")
+    args = [tower_eval(e, cap=cap) for e in expr["args"]]
+    return reduce(lambda x, y: _OPS[op](x, y, cap=cap), args)
 
 
 def tower_to_json(t: LogTower) -> dict:

@@ -62,26 +62,28 @@ def tukey_instance(rng: Random, max_side: int = 6):
 # single-poset condition instances
 
 
+def _random_cell(rng: Random, split) -> Creature:
+    """A level on an arena of 3-5 with cap 1-2: two or three members when
+    split(), asked once the arena is drawn, says so, else one."""
+    c, h = rng.randint(3, 5), rng.randint(1, 2)
+    pool = _subsets(c, h)
+    if split():
+        return Creature.of(c, h, rng.sample(pool, rng.randint(2, min(3, len(pool)))))
+    return Creature.of(c, h, [rng.choice(pool)])
+
+
 def _random_cells(rng: Random, horizon: int, max_branches: int):
     """Per-level (arena, cap, creature); at least one split, branch count
     bounded."""
-    cells, cs, hs = [], [], []
+    cells = []
     count = 1
     split_budget = rng.randint(1, 3)
     for k in range(horizon):
-        c = rng.randint(3, 5)
-        h = rng.randint(1, 2)
-        pool = _subsets(c, h)
-        want_split = split_budget > 0 and rng.random() < 0.7
-        if want_split and count * 3 <= max_branches:
-            members = rng.sample(pool, rng.randint(2, min(3, len(pool))))
-            split_budget -= 1
-        else:
-            members = [rng.choice(pool)]
-        cells.append(Creature.of(c, h, members))
-        cs.append(c)
-        hs.append(h)
-        count *= len(members)
+        cells.append(_random_cell(rng, lambda: split_budget > 0 and rng.random() < 0.7
+                                  and count * 3 <= max_branches))
+        split_budget -= len(cells[-1].members) > 1
+        count *= len(cells[-1].members)
+    cs, hs = [cell.arena for cell in cells], [cell.cap for cell in cells]
     if all(len(cell.members) == 1 for cell in cells):
         k = rng.randrange(horizon)
         cells[k] = Creature.of(cs[k], hs[k], rng.sample(_subsets(cs[k], hs[k]), 2))
@@ -160,7 +162,7 @@ def antiloc_instance(rng: Random, horizon: int = 3):
     arena, e(k) = c(k) - 1, and nu encodes the branch's own chosen cell
     (empty cell -> 0, {j} -> j + 1)."""
     from .conditions import NameOracle, ParamTriple, TruncCondition
-    from .family import toy_arenas
+    from .family import _toy_windows, toy_arenas
     N = horizon
     cs = toy_arenas(rng, N)
     hs = [1] * N
@@ -176,16 +178,14 @@ def antiloc_instance(rng: Random, horizon: int = 3):
             j = rng.randrange(cs[k])
             cells.append(Creature.of(cs[k], 1, [[j]]))
         count *= len(cells[k].members)
-    a = tuple(cs[k] + 1 for k in range(N))
-    e = tuple(cs[k] - 1 for k in range(N))
-    ds = [max(2, prod(a[:k]), 2 * prod(len(c.members) for c in cells[:k]) * a[k])
-          for k in range(N)]
+    a, e, ds = _toy_windows(cs, [prod(len(c.members) for c in cells[:k])
+                                 for k in range(N)])
     p = TruncCondition(ParamTriple(tuple(cs), tuple(hs), tuple(ds)), tuple(cells))
     profile = tuple(tuple(range(a[k])) for k in range(N))
 
     def fn(branch):
         return tuple(0 if not cell else min(cell) + 1 for cell in branch)
-    return p, NameOracle(p, profile, fn), a, e
+    return p, NameOracle(p, profile, fn), tuple(a), tuple(e)
 
 
 def decode_cell(index: int):
@@ -210,15 +210,9 @@ def product_instance(rng: Random, horizon: int = 3):
     count = 1
     for k in range(N):
         for xi in ("x", "y"):
-            c = rng.randint(3, 5)
-            h = rng.randint(1, 2)
-            pool = _subsets(c, h)
-            if owners[k] == xi and count * 3 <= 300:
-                members = rng.sample(pool, rng.randint(2, min(3, len(pool))))
-            else:
-                members = [rng.choice(pool)]
-            cells[xi].append(Creature.of(c, h, members))
-            count *= len(members)
+            cells[xi].append(_random_cell(
+                rng, lambda: owners[k] == xi and count * 3 <= 300))
+            count *= len(cells[xi][-1].members)
     # d(k) = 2 * (possibilities below k) + 1 in both families
     d = tuple(max(2, 2 * prod(len(cell.members) for xi in "xy"
                               for cell in cells[xi][:k]) + 1) for k in range(N))

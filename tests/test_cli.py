@@ -293,6 +293,25 @@ def test_family_verify_corrupt_naming_no_value_exits_2(tmp_path, capsys, payload
 
 
 @pytest.mark.parametrize("payload, message", [
+    ({"d0": 3, "depth": 1, "corrupt": {"node": "0", "value": 5}},
+     "corrupt must be an object of field, node and an integer value"),
+    ({"d0": 3, "depth": 1, "corrupt": [1]},
+     "corrupt must be an object of field, node and an integer value, got [1]"),
+    ({"kind": "single", "n0_minus": 3, "d0": 4, "depth": 1,
+      "corrupt": {"field": "a", "k": "0", "value": 5}},
+     "corrupt k = '0' is out of range"),
+    ({"d0": 3, "depth": 1, "corrupt": {"node": "0", "field": "a", "value": "5"}},
+     "corrupt must be an object of field, node and an integer value"),
+], ids=["no-field", "a-list", "k-string", "value-string"])
+def test_family_verify_malformed_corrupt_exits_2_naming_it(tmp_path, capsys, payload,
+                                                          message):
+    code, body = run(tmp_path, "family", payload, "--mode", "verify")
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert "Traceback" not in err and message in err
+
+
+@pytest.mark.parametrize("payload, message", [
     ({"creature": _CREATURE, "bogus": 1}, "unknown field 'bogus'"),
     ({}, "missing field 'creature'"),
 ], ids=["unknown", "missing"])

@@ -257,18 +257,15 @@ def test_pow2_bounds_enclose_fractional_powers():
     assert edges == 6
 
 
-def _subset_count_bound(m, k):
-    return tower_eval({"op": "subset_count_bound", "args": [m, k]})
-
-
 _BINARY = {"add": tower_add, "sub": tower_sub, "mul": tower_mul,
-           "pow": tower_pow, "subset_count_bound": _subset_count_bound}
+           "pow": tower_pow, "subset_count_bound": _count_bound}
 _UNARY = {"exp2": tower_exp2, "log2": tower_log2}
 
 # bit lengths: any up to 400, and often the same few, so that operands
 # meet at one tower height and close to each other
-_leaf = st.tuples(st.one_of(st.integers(0, 400), st.sampled_from([2, 8, 64, 65, 66, 100, 101]))
-                  .flatmap(lambda b: st.integers(1 << b >> 1, (1 << b) - 1)), st.booleans())
+_bit_length = st.one_of(st.integers(0, 400), st.sampled_from([2, 8, 64, 65, 66, 100, 101]))
+_leaf = st.tuples(_bit_length.flatmap(lambda b: st.integers(1 << b >> 1, (1 << b) - 1)),
+                  st.booleans())
 _trees = st.recursive(_leaf, lambda kids: st.one_of(
     st.tuples(st.sampled_from(sorted(_BINARY)), kids, kids),
     st.tuples(st.sampled_from(sorted(_UNARY)), kids)), max_leaves=6)
@@ -362,7 +359,7 @@ def test_every_op_on_every_operand_pair_is_pinned():
     above 2^64 that meets a tower is promoted before the op sees it."""
     leaf = lambda x: tower(x) if isinstance(x, Fraction) else x
     binary = {**_BINARY, "div": tower_div, "cmp": tower_cmp, "le": tower_le,
-              "subset_count_bound": lambda m, k: _subset_count_bound(leaf(m), leaf(k))}
+              "subset_count_bound": lambda m, k: _count_bound(leaf(m), leaf(k))}
     got = {}
     for name, fn in {**binary, **_UNARY}.items():
         pairs = [(x,) for x in _OPERANDS] if name in _UNARY else \
