@@ -436,7 +436,7 @@ def tower_pow(a, b, *, cap: int = HEIGHT_CAP):
     ints = _ints(a, b)
     x, y = (a, b) if ints else (tower(a), tower(b))
     if ints or x.is_exact_int and y.is_exact_int:
-        p, q = (a, b) if ints else (int(x.low), int(y.low))
+        p, q = (x, y) if ints else (int(x.low), int(y.low))
         v = _exact_pow(p, q) if q >= 0 else None
         if v is not None:
             return v if ints else _canonical(0, Fraction(v), Fraction(v), cap)
