@@ -66,20 +66,25 @@ def _params(fn):
 
 
 def _call(fn, lib, fields):
-    """fn(lib, **fields), once the fields are checked against fn's."""
+    """fn(lib, **fields), once the fields are checked against fn's.  A field
+    named in ints is an integer (a bool is not one) in every subcommand."""
     params, required, open_ = _params(fn)
+    ints = {"k", "n", "d", "m", "n0", "k0", "horizon", "seed", "depth", "d0", "n0_minus"}
     bad = [f"unknown field {k!r}" for k in fields if k not in params and not open_]
     bad += [f"missing field {k!r}" for k in required if k not in fields]
+    bad += [f"the field {k} must be an integer, got {v!r}" for k, v in fields.items()
+            if k in ints and k in params and type(v) is not int]
     if bad:
         raise ValueError(", ".join(bad))
     return fn(lib, **fields)
 
 
-def _ints(**fields) -> None:
-    """Raise naming the first field that is not an integer (a bool is not)."""
-    for field, value in fields.items():
-        if type(value) is not int:
-            raise ValueError(f"the field {field} must be an integer, got {value!r}")
+def _choice(field, table, key):
+    """table[key] for the field's value key, which must be one of table's keys."""
+    if type(key) is not str or key not in table:
+        raise ValueError(f"the field {field} must be one of {', '.join(table)}, "
+                         f"got {key!r}")
+    return table[key]
 
 
 def _cap(cap, default) -> int:
@@ -156,7 +161,6 @@ def _range_refine(lib, creature, f, k, d, m):
 
 @_op("conditions")
 def _poss(lib, condition, k):
-    _ints(k=k)
     p = _condition(condition)
     count = lib.poss_count(p, k)
     out = {"count": count}
@@ -272,7 +276,7 @@ def _brute(lib, R):
 
 @_op("connections")
 def _maps(lib, mode, **fields):
-    f, g, tr = _call(_MAPS[mode], lib, fields)
+    f, g, tr = _call(_choice("mode", _MAPS, mode), lib, fields)
     return (0 if tr == "ok" else 1), {
         "f": _plain(f), "g": _plain(g),
         "transfer": "ok" if tr == "ok" else {"violation": tr[1]}}
@@ -324,33 +328,32 @@ def _fbg(lib, b, g, horizon):
 
 @_op("family")
 def _family(lib, mode="build", **fields):
-    if mode in ("toy", "verify"):
-        return _call(_toy if mode == "toy" else _verify, lib, fields)
-    fam, bnd = _call({"build": _single, "tree": _tree}[mode], lib, fields)
+    modes = {"build": _single, "tree": _tree, "toy": _toy, "verify": _verify}
+    out = _call(_choice("mode", modes, mode), lib, fields)
     if mode == "tree":
-        return 0, fam.to_json()
-    return 0, {"family": fam.to_json(), "bounding": bnd.to_json()}
+        return 0, out[0].to_json()
+    if mode == "build":
+        return 0, {"family": out[0].to_json(), "bounding": out[1].to_json()}
+    return out
 
 
 def _toy(lib, seed=0, horizon=3):
-    _ints(seed=seed, horizon=horizon)
     return 0, lib.toy_family(seed, horizon)
 
 
 def _tree(lib, d0=3, depth=2, cap=None):
-    _ints(d0=d0, depth=depth)
     fam = lib.build_tree(d0, depth, cap=_cap(cap, lib.FAMILY_HEIGHT_CAP))
     return fam, fam.bounding
 
 
 def _single(lib, n0_minus, d0, depth=2, cap=None):
-    _ints(n0_minus=n0_minus, d0=d0, depth=depth)
     return lib.build_single(n0_minus, d0, depth,
                             cap=_cap(cap, lib.FAMILY_HEIGHT_CAP))
 
 
 def _verify(lib, kind="tree", corrupt=None, **fields):
-    fam, bnd = _call({"tree": _tree, "single": _single}[kind], lib, fields)
+    fam, bnd = _call(_choice("kind", {"tree": _tree, "single": _single}, kind), lib,
+                     fields)
     if corrupt is not None:
         _corrupt(fam, isinstance(fam, lib.TreeFamily), corrupt)
     cert = lib.verify_suitable(fam, bnd,
@@ -393,8 +396,7 @@ def _corrupt(fam, tree, corrupt):
 
 @_op("toys")
 def _suite(lib, mode, seed, cap=None):
-    layer, check = _SUITES[mode]
-    _ints(seed=seed)
+    layer, check = _choice("mode", _SUITES, mode)
     mod = importlib.import_module(f".{layer}", __package__)
     rng, n = Random(seed), _cap(cap, 50)
     failures = []

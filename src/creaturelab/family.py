@@ -19,11 +19,21 @@ from math import prod
 from .numeric import (Cmp, tower_add, tower_cmp, tower_exp2, tower_le,
                       tower_mul, tower_pow, tower_sub, tower_to_json, _bits)
 
-FAMILY_HEIGHT_CAP = 24
+FAMILY_HEIGHT_CAP = 24  # the builders and the checker refuse taller values
 
 
-def _lt(x, y, cap):
-    c = tower_cmp(x, y, cap=cap)
+class TowerOverflowError(ArithmeticError):
+    """A family value is taller than the height cap."""
+
+
+def _capped(cap, values):
+    """Raise if one of the values is more than cap exponentials tall."""
+    if any(getattr(v, "height", 0) > cap for v in values):
+        raise TowerOverflowError(f"height cap {cap} exceeded")
+
+
+def _lt(x, y):
+    c = tower_cmp(x, y)
     return None if c is Cmp.UNKNOWN else c is Cmp.LESS
 
 
@@ -114,39 +124,39 @@ class TreeFamily:
 # construction
 
 
-def _staircase(k: int, d, cap):
+def _staircase(k: int, d):
     """h = d^{(k+1)d}."""
-    return tower_pow(d, tower_mul(k + 1, d, cap=cap), cap=cap)
+    return tower_pow(d, tower_mul(k + 1, d))
 
 
-def _stage_values(k: int, d, state, cap, tree: bool):
+def _stage_values(k: int, d, state, tree: bool):
     """One level of the recursion from d(k) and the running block state
     (min I_k, min J_k, sum of g+d below k)."""
     min_i, min_j, total = state
-    h = _staircase(k, d, cap)
-    min_j_next = tower_add(min_j, h, cap=cap)
-    g = tower_sub(tower_pow(min_j_next, k + 2, cap=cap), min_i, cap=cap)
-    gd = tower_add(g, d, cap=cap)
-    total_next = tower_add(total, gd, cap=cap)
-    b = tower_exp2(gd, cap=cap)
-    c = tower_exp2(tower_add(g, total_next, cap=cap), cap=cap)
-    ch = tower_pow(c, h, cap=cap)
+    h = _staircase(k, d)
+    min_j_next = tower_add(min_j, h)
+    g = tower_sub(tower_pow(min_j_next, k + 2), min_i)
+    gd = tower_add(g, d)
+    total_next = tower_add(total, gd)
+    b = tower_exp2(gd)
+    c = tower_exp2(tower_add(g, total_next))
+    ch = tower_pow(c, h)
     if tree:
         # the larger of the two power bounds, so a also tops b^g
-        bg = tower_pow(b, g, cap=cap)
-        base = bg if tower_le(ch, bg, cap=cap) in (True, None) else ch
+        bg = tower_pow(b, g)
+        base = bg if tower_le(ch, bg) in (True, None) else ch
     else:
         base = ch
     # on a tower, + 1 widens the upper bound by the slack that covers doubling
-    a = tower_add(base, 1, cap=cap)
+    a = tower_add(base, 1)
     return {"h": h, "g": g, "b": b, "c": c, "a": a,
-            "state": (tower_add(min_i, g, cap=cap), min_j_next, total_next),
-            "offset": _sub_offset(total_next, min_i, cap)}
+            "state": (tower_add(min_i, g), min_j_next, total_next),
+            "offset": _sub_offset(total_next, min_i)}
 
 
-def _sub_offset(total, min_i, cap):
+def _sub_offset(total, min_i):
     try:
-        return tower_sub(total, min_i, cap=cap)
+        return tower_sub(total, min_i)
     except (ValueError, ArithmeticError):
         return None
 
@@ -168,7 +178,7 @@ def build_single(n0_minus: int, d0: int, depth: int = 2, *,
     d = d0
     state = (0, 0, 0)
     for k in range(depth):
-        vals = _stage_values(k, d, state, cap, tree=False)
+        vals = _stage_values(k, d, state, tree=False)
         for name in "bgch":
             seqs[name].append(vals[name])
         seqs["d"].append(d)
@@ -176,9 +186,10 @@ def build_single(n0_minus: int, d0: int, depth: int = 2, *,
         f_records.append({"k": k, "start": state[0],
                           "end": vals["state"][0], "offset": vals["offset"]})
         n_plus.append(vals["a"])
-        nm = tower_add(tower_mul(n_minus[-1], vals["a"], cap=cap), 1, cap=cap)
+        nm = tower_add(tower_mul(n_minus[-1], vals["a"]), 1)
+        _capped(cap, [d, nm, *(vals[name] for name in "hgbca")])
         n_minus.append(nm)
-        d = tower_add(nm, 1, cap=cap)
+        d = tower_add(nm, 1)
         state = vals["state"]
     fam = FamilyTuple(depth, *(tuple(seqs[n]) for n in "adbgch"),
                       tuple(f_records))
@@ -206,14 +217,15 @@ def build_tree(d0: int = 3, depth: int = 2, *, cap: int = FAMILY_HEIGHT_CAP):
                 else:
                     lo = nodes["0" * k]
                     hi = nodes["1" * k]
-                    d = tower_add(tower_mul(lo.d, hi.a, cap=cap), 3, cap=cap)
+                    d = tower_add(tower_mul(lo.d, hi.a), 3)
                     d_from = "stage"
             else:
-                d = tower_mul(k + 1, nodes[prev_label].a, cap=cap)
+                d = tower_mul(k + 1, nodes[prev_label].a)
                 d_from = prev_label
-            vals = _stage_values(k, d, state[t[:-1]], cap, tree=True)
+            vals = _stage_values(k, d, state[t[:-1]], tree=True)
             nodes[t] = TreeNode(t, k, d, vals["h"], vals["g"], vals["b"],
                                 vals["c"], vals["a"], d_from)
+            _capped(cap, [getattr(nodes[t], name) for name in "dhgbca"])
             next_state[t] = vals["state"]
             prev_label = t
         n_plus.append(nodes["1" * (k + 1)].a)
@@ -259,51 +271,50 @@ def verify_suitable(family, bounding: BoundingSequences, *,
     """Per-level certificate for the growth clauses and the bounding
     conditions; entries are {"clause", "k", "status", "method", ...}."""
     tree = isinstance(family, TreeFamily)
+    values = ([getattr(n, name) for n in family.nodes.values() for name in "dhgbca"]
+              if tree else [v for name in "dhgbca" for v in getattr(family, name)])
+    _capped(cap, [*values, *bounding.n_minus, *bounding.n_plus])
     level = _tree_level if tree else _single_level
     entries, con = [], family.constructed
     for k in range(family.depth):
         nm, np_ = bounding.n_minus[k], bounding.n_plus[k]
-        level(family, k, nm, np_, con, entries, cap)
+        level(family, k, nm, np_, con, entries)
         # bounding (i): n_k^- * n_k^+ < n_{k+1}^-; the tree carries no
         # lower bound past its last stage
         bi = True if tree and k == family.depth - 1 else _lt(
-            tower_mul(nm, np_, cap=cap), bounding.n_minus[k + 1], cap)
+            tower_mul(nm, np_), bounding.n_minus[k + 1])
         _check("bounding_i", k, bi, con, entries)
         # bounding (ii): n_k^+ >= (n_k^-)^k
-        bii = True if k == 0 else tower_le(tower_pow(nm, k, cap=cap), np_,
-                                           cap=cap)
+        bii = True if k == 0 else tower_le(tower_pow(nm, k), np_)
         _check("bounding_ii", k, bii, con, entries)
     return entries
 
 
-def _node_clauses(k, d, h, g, b, c, a, bounds, s4_credit, con, entries, cap,
-                  **extra):
+def _node_clauses(k, d, h, g, b, c, a, bounds, s4_credit, con, entries, **extra):
     """S1-S4 at one node: a level of the single chain or a node of the
     tree.  bounds are the caller's verdicts on d and a against n_k^- and
     n_k^+."""
     # S1: the ordering chain pins all quantities inside [n^-, n^+];
     # c^{nabla h} sits between c and c^h <= a - 1 (h >= 2 throughout)
     chain = (d, h, g, b, c)
-    s1 = _all([*bounds, _all(_lt(x, y, cap) for x, y in zip(chain, chain[1:])),
-               _lt(c, a, cap)])
+    s1 = _all([*bounds, _all(_lt(x, y) for x, y in zip(chain, chain[1:])),
+               _lt(c, a)])
     _check("S1", k, s1, con, entries, **extra)
     # S2: h + 1 >= d^{(k+1)d} (the staircase norm certificate)
-    s2 = tower_le(_staircase(k, d, cap), tower_add(h, 1, cap=cap), cap=cap)
+    s2 = tower_le(_staircase(k, d), tower_add(h, 1))
     _check("S2", k, s2, con, entries, **extra)
     # S3: b / g > d, i.e. b > g * d
-    _check("S3", k, _lt(tower_mul(g, d, cap=cap), b, cap), con, entries,
-           **extra)
+    _check("S3", k, _lt(tower_mul(g, d), b), con, entries, **extra)
     # S4: a >= b^{nabla g}, power-bound form a > b^g
-    s4 = _lt(tower_pow(b, g, cap=cap), a, cap)
+    s4 = _lt(tower_pow(b, g), a)
     _check("S4", k, s4, s4_credit, entries, **extra)
 
 
-def _single_level(fam: FamilyTuple, k, nm, np_, con, entries, cap):
+def _single_level(fam: FamilyTuple, k, nm, np_, con, entries):
     # the single tuple's a = c^h + 1 can genuinely fail S4, so no
     # construction credit there
     _node_clauses(k, *(getattr(fam, name)[k] for name in "dhgbca"),
-                  [_lt(nm, fam.d[k], cap), tower_le(fam.a[k], np_, cap=cap)],
-                  False, con, entries, cap)
+                  [_lt(nm, fam.d[k]), tower_le(fam.a[k], np_)], False, con, entries)
     # S5: the cumulative profile never overtakes f on the k-th interval:
     # both offsets are sums of g + d below, so f leads by j - min(I_k)
     rec = fam.f_records[k]
@@ -319,21 +330,20 @@ def _single_level(fam: FamilyTuple, k, nm, np_, con, entries, cap):
     _check("S6", k, s6, con, entries)
 
 
-def _tree_level(fam: TreeFamily, k, nm, np_, con, entries, cap):
+def _tree_level(fam: TreeFamily, k, nm, np_, con, entries):
     labels = fam.stage(k)
     for t in labels:
         n = fam.nodes[t]
         # n_k^- and n_k^+ are read off the all-zeros node's d and the
         # all-ones node's a, so those two nodes skip that bound
-        bounds = [True if t == "0" * (k + 1) else _lt(nm, n.d, cap),
-                  True if t == "1" * (k + 1) else _lt(n.a, np_, cap)]
+        bounds = [True if t == "0" * (k + 1) else _lt(nm, n.d),
+                  True if t == "1" * (k + 1) else _lt(n.a, np_)]
         _node_clauses(k, *(getattr(n, name) for name in "dhgbca"), bounds,
-                      con, con, entries, cap, node=t)
+                      con, con, entries, node=t)
     # S7: for lex-adjacent and all earlier pairs, (k+1) a_t <= d_{t'}
     for i, t in enumerate(labels):
         for tp in labels[i + 1:]:
-            lhs = tower_mul(k + 1, fam.nodes[t].a, cap=cap)
-            r = tower_le(lhs, fam.nodes[tp].d, cap=cap)
+            r = tower_le(tower_mul(k + 1, fam.nodes[t].a), fam.nodes[tp].d)
             adjacent = fam.nodes[tp].d_from == t
             _check("S7", k, r, con and adjacent, entries, pair=[t, tp])
 

@@ -24,14 +24,9 @@ from math import comb, isqrt
 
 PROMOTION_THRESHOLD = 2 ** 64  # promote to the next height above this
 DEMOTION_LIMIT = 64            # drop a height when the upper bound is <= this
-HEIGHT_CAP = 8
 DEFAULT_PRECISION = 96         # fractional bits carried by log2/pow2 bounds
 EXACT_BIT_LIMIT = 1 << 26      # largest integer we materialize exactly
 LOG2_MEMO_BITS = 512           # log2 memoises operands of at most this many bits
-
-
-class TowerOverflowError(ArithmeticError):
-    """The height cap was exceeded."""
 
 
 class TowerDomainError(ArithmeticError):
@@ -267,15 +262,14 @@ def tower(v) -> LogTower:
     raise TypeError(f"cannot make a tower from {type(v).__name__}")
 
 
-def _canonical(height: int, low: Fraction, high: Fraction,
-               cap: int = HEIGHT_CAP) -> LogTower:
+def _canonical(height: int, low: Fraction, high: Fraction) -> LogTower:
     while height > 0 and high <= DEMOTION_LIMIT:
         low = _pow2_bounds(low, DEFAULT_PRECISION)[0]
         high = _pow2_bounds(high, DEFAULT_PRECISION)[1]
         height -= 1
     t = LogTower(height, low, high)
     while _less(PROMOTION_THRESHOLD, t.low):
-        t = _promote(t, cap)
+        t = _promote(t)
     return t
 
 
@@ -287,33 +281,26 @@ def _log2_interval(low: Fraction, high: Fraction):
     return lb[0], hb[1]
 
 
-def _lift(height: int, cap: int) -> int:
-    """One height up, as promotion and exp2 take it, under the cap."""
-    if height >= cap:
-        raise TowerOverflowError(f"height cap {cap} exceeded")
-    return height + 1
-
-
-def _promote(t: LogTower, cap: int) -> LogTower:
+def _promote(t: LogTower) -> LogTower:
     """The same value one height up: log2 of both bounds."""
-    return LogTower(_lift(t.height, cap), *_log2_interval(t.low, t.high))
+    return LogTower(t.height + 1, *_log2_interval(t.low, t.high))
 
 
-def _align(x: LogTower, y: LogTower, cap: int):
+def _align(x: LogTower, y: LogTower):
     while x.height < y.height:
-        x = _promote(x, cap)
+        x = _promote(x)
     while y.height < x.height:
-        y = _promote(y, cap)
+        y = _promote(y)
     return x, y
 
 
-def _align_soft(x: LogTower, y: LogTower, cap: int):
+def _align_soft(x: LogTower, y: LogTower):
     """Promote the shorter tower while its bounds stay in log2's domain
     (low > 1); heights may still differ on return."""
     while x.height < y.height and x.low > 1:
-        x = _promote(x, cap)
+        x = _promote(x)
     while y.height < x.height and y.low > 1:
-        y = _promote(y, cap)
+        y = _promote(y)
     return x, y
 
 
@@ -332,42 +319,41 @@ def _dominates(tall: LogTower, short: LogTower, margin: int = 0) -> bool:
     return margin <= 2 and tall.low >= 2
 
 
-def tower_log2(x, *, cap: int = HEIGHT_CAP) -> LogTower:
+def tower_log2(x) -> LogTower:
     x = tower(x)
     if x.height >= 1:
-        return _canonical(x.height - 1, x.low, x.high, cap)
-    lo, hi = _log2_interval(x.low, x.high)
-    return _canonical(0, lo, hi, cap)
+        return _canonical(x.height - 1, x.low, x.high)
+    return _canonical(0, *_log2_interval(x.low, x.high))
 
 
-def tower_exp2(x, *, cap: int = HEIGHT_CAP):
+def tower_exp2(x):
     if isinstance(x, int) and 0 <= x <= EXACT_BIT_LIMIT:
         return 1 << x
     x = tower(x)
-    return _canonical(_lift(x.height, cap), x.low, x.high, cap)
+    return _canonical(x.height + 1, x.low, x.high)
 
 
 def _is_zero(t: LogTower) -> bool:
     return t.height == 0 and t.low == t.high == 0
 
 
-def tower_add(a, b, *, cap: int = HEIGHT_CAP):
+def tower_add(a, b):
     if _ints(a, b):
         return a + b
     x, y = tower(a), tower(b)
     if x.height == 0 and y.height == 0:
-        return _canonical(0, x.low + y.low, x.high + y.high, cap)
+        return _canonical(0, x.low + y.low, x.high + y.high)
     if _is_zero(x):
         return y
     if _is_zero(y):
         return x
-    x, y = _align_soft(x, y, cap)
+    x, y = _align_soft(x, y)
     if x.height != y.height:
         short, tall = (x, y) if x.height < y.height else (y, x)
         if _dominates(tall, short):
             # the short summand is below the tall one: sum <= 2 * tall
             slack = _slack(tall.height, tall.high)
-            return _canonical(tall.height, tall.low, tall.high + slack, cap)
+            return _canonical(tall.height, tall.low, tall.high + slack)
         raise TowerDomainError("cannot add across an unresolved height gap")
     h = x.height
     lo = max(x.low, y.low)
@@ -377,10 +363,10 @@ def tower_add(a, b, *, cap: int = HEIGHT_CAP):
         slack = Fraction(2, 2 ** min(int(gap), 126))
     else:
         slack = _slack(h, top)
-    return _canonical(h, lo, top + slack, cap)
+    return _canonical(h, lo, top + slack)
 
 
-def tower_sub(a, b, *, cap: int = HEIGHT_CAP):
+def tower_sub(a, b):
     if _ints(a, b):
         if a < b:
             raise TowerDomainError("negative difference")
@@ -389,10 +375,10 @@ def tower_sub(a, b, *, cap: int = HEIGHT_CAP):
     if x.height == 0 and y.height == 0:
         if x.low - y.high < 0:
             raise TowerDomainError("negative difference")
-        return _canonical(0, x.low - y.high, x.high - y.low, cap)
+        return _canonical(0, x.low - y.high, x.high - y.low)
     if _is_zero(y):
         return x
-    x, y = _align_soft(x, y, cap)
+    x, y = _align_soft(x, y)
     if x.height != y.height:
         if not _dominates(x, y, margin=1):
             raise TowerDomainError("cannot subtract across an unresolved height gap")
@@ -400,10 +386,10 @@ def tower_sub(a, b, *, cap: int = HEIGHT_CAP):
         raise TowerDomainError("difference bounds too close to subtract soundly")
     # the subtrahend is at most half of x: difference >= x / 2
     lo = x.low - _slack(x.height, max(x.low, 1))
-    return _canonical(x.height, lo, x.high, cap)
+    return _canonical(x.height, lo, x.high)
 
 
-def tower_mul(a, b, *, cap: int = HEIGHT_CAP):
+def tower_mul(a, b):
     if _ints(a, b) and _bits(a) + _bits(b) <= EXACT_BIT_LIMIT:
         return a * b
     x, y = tower(a), tower(b)
@@ -413,24 +399,20 @@ def tower_mul(a, b, *, cap: int = HEIGHT_CAP):
         bits = (x.high.numerator.bit_length() + y.high.numerator.bit_length()
                 + x.high.denominator.bit_length() + y.high.denominator.bit_length())
         if bits <= EXACT_BIT_LIMIT:
-            return _canonical(0, x.low * y.low, x.high * y.high, cap)
-    lx = tower_log2(x, cap=cap)
-    ly = tower_log2(y, cap=cap)
-    return tower_exp2(tower_add(lx, ly, cap=cap), cap=cap)
+            return _canonical(0, x.low * y.low, x.high * y.high)
+    return tower_exp2(tower_add(tower_log2(x), tower_log2(y)))
 
 
-def tower_div(a, b, *, cap: int = HEIGHT_CAP) -> LogTower:
+def tower_div(a, b) -> LogTower:
     x, y = tower(a), tower(b)
     if x.height == 0 and y.height == 0:
         if y.low <= 0:
             raise TowerDomainError("division by a bound interval touching zero")
-        return _canonical(0, x.low / y.high, x.high / y.low, cap)
-    lx = tower_log2(x, cap=cap)
-    ly = tower_log2(y, cap=cap)
-    return tower_exp2(tower_sub(lx, ly, cap=cap), cap=cap)
+        return _canonical(0, x.low / y.high, x.high / y.low)
+    return tower_exp2(tower_sub(tower_log2(x), tower_log2(y)))
 
 
-def tower_pow(a, b, *, cap: int = HEIGHT_CAP):
+def tower_pow(a, b):
     # exact: of two ints as an int, of two integral height-0 points (an int
     # met by a tower is one only up to the promotion threshold) as a tower
     ints = _ints(a, b)
@@ -439,24 +421,29 @@ def tower_pow(a, b, *, cap: int = HEIGHT_CAP):
         p, q = (x, y) if ints else (int(x.low), int(y.low))
         v = _exact_pow(p, q) if q >= 0 else None
         if v is not None:
-            return v if ints else _canonical(0, Fraction(v), Fraction(v), cap)
+            return v if ints else _canonical(0, Fraction(v), Fraction(v))
     x, y = tower(x), tower(y)
     if _is_zero(y):
         return tower(1)
-    return tower_exp2(tower_mul(y, tower_log2(x, cap=cap), cap=cap), cap=cap)
+    if _is_zero(x):
+        # a tower above height 0 is positive
+        if y.height or y.low > 0:
+            return tower(0)
+        raise TowerDomainError("a zero base needs an exponent of 0 or above 0")
+    return tower_exp2(tower_mul(y, tower_log2(x)))
 
 
-def _compared(a, b, cap: int):
+def _compared(a, b):
     """The order of two ints, or of one object with itself, as a Cmp;
-    otherwise both as towers canonical at cap and aligned as far as log2's
-    domain allows."""
+    otherwise both as canonical towers, aligned as far as log2's domain
+    allows."""
     if _ints(a, b):
         return Cmp.EQUAL if a == b else Cmp.LESS if a < b else Cmp.GREATER
     if a is b:
         return Cmp.EQUAL
     x, y = tower(a), tower(b)
-    return _align_soft(_canonical(x.height, x.low, x.high, cap),
-                       _canonical(y.height, y.low, y.high, cap), cap)
+    return _align_soft(_canonical(x.height, x.low, x.high),
+                       _canonical(y.height, y.low, y.high))
 
 
 def _below(x: LogTower, y: LogTower, strict: bool) -> bool:
@@ -467,9 +454,9 @@ def _below(x: LogTower, y: LogTower, strict: bool) -> bool:
     return _less(x.high, y.low) if strict else not _less(y.low, x.high)
 
 
-def tower_cmp(a, b, *, cap: int = HEIGHT_CAP + 4) -> Cmp:
+def tower_cmp(a, b) -> Cmp:
     """Sound three-way comparison; Unknown when the intervals overlap."""
-    xy = _compared(a, b, cap)
+    xy = _compared(a, b)
     if isinstance(xy, Cmp):
         return xy
     x, y = xy
@@ -480,9 +467,9 @@ def tower_cmp(a, b, *, cap: int = HEIGHT_CAP + 4) -> Cmp:
     return Cmp.EQUAL if _below(x, y, False) and _below(y, x, False) else Cmp.UNKNOWN
 
 
-def tower_le(a, b, *, cap: int = HEIGHT_CAP + 4):
+def tower_le(a, b):
     """Sound <=: True / False, or None when the enclosures overlap."""
-    xy = _compared(a, b, cap)
+    xy = _compared(a, b)
     if isinstance(xy, Cmp):
         return xy is not Cmp.GREATER
     x, y = xy
@@ -493,19 +480,17 @@ def tower_le(a, b, *, cap: int = HEIGHT_CAP + 4):
 # expression trees
 
 
-def _subset_count_bound(m: LogTower, k: LogTower, *, cap: int) -> LogTower:
+def _subset_count_bound(m: LogTower, k: LogTower) -> LogTower:
     """Enclosure of |[m]^{<=k}|, which is 2^m for k >= m; otherwise
     2^min(m, k) <= sum <= (k + 1) m^k."""
-    c = tower_cmp(m, k, cap=cap)
+    c = tower_cmp(m, k)
     if m.is_exact_int and (k.is_exact_int or c in (Cmp.LESS, Cmp.EQUAL)):
         mi = int(m.low)
         v = _exact_subset_count(mi, int(k.low) if k.is_exact_int else mi)
         if v is not None:
             return tower(v)
     j = k if c is Cmp.GREATER else m if c is not Cmp.UNKNOWN else tower(0)
-    lo = tower_exp2(j, cap=cap)
-    hi = tower_mul(tower_add(k, 1, cap=cap), tower_pow(m, k, cap=cap), cap=cap)
-    lo, hi = _align(lo, hi, cap)
+    lo, hi = _align(tower_exp2(j), tower_mul(tower_add(k, 1), tower_pow(m, k)))
     return LogTower(lo.height, lo.low, hi.high)
 
 
@@ -513,7 +498,7 @@ _OPS = {"add": tower_add, "mul": tower_mul, "sub": tower_sub, "div": tower_div,
         "pow": tower_pow, "subset_count_bound": _subset_count_bound}
 
 
-def tower_eval(expr, *, cap: int = HEIGHT_CAP) -> LogTower:
+def tower_eval(expr) -> LogTower:
     """Evaluate an expression tree to a rigorous tower enclosure.
 
     Nodes are {"op": name, "args": [...]}, each op folded left over its
@@ -528,8 +513,7 @@ def tower_eval(expr, *, cap: int = HEIGHT_CAP) -> LogTower:
         return tower(int(expr["value"]))
     if op not in _OPS:
         raise ValueError(f"unknown op {op!r}")
-    args = [tower_eval(e, cap=cap) for e in expr["args"]]
-    return reduce(lambda x, y: _OPS[op](x, y, cap=cap), args)
+    return reduce(_OPS[op], [tower_eval(e) for e in expr["args"]])
 
 
 def tower_to_json(t: LogTower) -> dict:

@@ -27,9 +27,9 @@ def _subsets(arena: int, cap: int) -> list[tuple]:
             for m in itertools.combinations(range(arena), k)]
 
 
-def random_creature(rng: Random, max_arena: int = 8, max_cap: int = 3) -> Creature:
-    arena = rng.randint(2, max_arena)
-    cap = rng.randint(1, max_cap)
+def random_creature(rng: Random) -> Creature:
+    arena = rng.randint(2, 8)
+    cap = rng.randint(1, 3)
     pool = _subsets(arena, cap)
     count = rng.randint(1, min(len(pool), 8))
     return Creature.of(arena, cap, rng.sample(pool, count))
@@ -46,11 +46,11 @@ def random_system(rng: Random, max_side: int = 6) -> FinRelSystem:
     return FinRelSystem.of(rel)
 
 
-def tukey_instance(rng: Random, max_side: int = 6):
+def tukey_instance(rng: Random):
     """(R, R', pair) where rel' is defined so the pair is a connection:
     x' rel' y' iff every F-preimage of x' relates G(y')."""
-    R = random_system(rng, max_side)
-    nxp, nyp = rng.randint(1, max_side), rng.randint(1, max_side)
+    R = random_system(rng)
+    nxp, nyp = rng.randint(1, 6), rng.randint(1, 6)
     F = tuple(rng.randrange(nxp) for _ in range(R.x_size))
     G = tuple(rng.randrange(R.y_size) for _ in range(nyp))
     rel = [[all(R.rel[x][G[yp]] for x in range(R.x_size) if F[x] == xp)
@@ -107,13 +107,12 @@ def _table_oracle(rng: Random, p, profile, dep_cut):
     return NameOracle(p, profile, fn)
 
 
-def reading_instance(rng: Random, max_horizon: int = 5,
-                     max_branches: int = 10 ** 4):
+def reading_instance(rng: Random):
     """(p, nu) with nu read timely: x(k) may depend on levels up to the
     first split strictly above k.  d is sized for the refinement loop."""
     from .conditions import ParamTriple, TruncCondition
-    N = rng.randint(3, max_horizon)
-    cells, cs, hs = _random_cells(rng, N, max_branches)
+    N = rng.randint(3, 5)
+    cells, cs, hs = _random_cells(rng, N, 10 ** 4)
     splits = [k for k, cell in enumerate(cells) if len(cell.members) > 1]
     profile = tuple(tuple(range(rng.randint(1, 2))) for _ in range(N))
     count = [prod(len(cell.members) for cell in cells[:k]) for k in range(N)]
@@ -127,12 +126,12 @@ def reading_instance(rng: Random, max_horizon: int = 5,
     return p, _table_oracle(rng, p, profile, dep_cut)
 
 
-def localize_instance(rng: Random, horizon: int = 3):
+def localize_instance(rng: Random):
     """(p, nu, a, e) meeting the localisation windows; nu is read early
     (x(k) depends on levels <= k)."""
     from .conditions import ParamTriple, TruncCondition
     from .numeric import subset_count
-    N = horizon
+    N = 3
     cells, cs, hs = _random_cells(rng, N, max_branches=200)
     splits = [k for k, cell in enumerate(cells) if len(cell.members) > 1]
     profile = tuple(tuple(range(rng.randint(1, 3))) for _ in range(N))
@@ -157,13 +156,13 @@ def localize_instance(rng: Random, horizon: int = 3):
     return p, nu, a, tuple(e)
 
 
-def antiloc_instance(rng: Random, horizon: int = 3):
+def antiloc_instance(rng: Random):
     """(p, nu, a, e) with width-1 levels: a(k) counts the <=1-cells of the
     arena, e(k) = c(k) - 1, and nu encodes the branch's own chosen cell
     (empty cell -> 0, {j} -> j + 1)."""
     from .conditions import NameOracle, ParamTriple, TruncCondition
     from .family import _toy_windows, toy_arenas
-    N = horizon
+    N = 3
     cs = toy_arenas(rng, N)
     hs = [1] * N
     cells = []
@@ -240,23 +239,23 @@ def _widen_d(p: ProductCondition, floors) -> ProductCondition:
     return ProductCondition(space, parts)
 
 
-def product_reading_instance(rng: Random, horizon: int = 3):
+def product_reading_instance(rng: Random):
     """(p, nu) on two coordinates, nu read early across the product."""
-    p = product_instance(rng, horizon)
-    profile = tuple(tuple(range(rng.randint(1, 3))) for _ in range(horizon))
-    p = _widen_d(p, [prod(len(x) for x in profile[:k]) for k in range(horizon)])
+    p = product_instance(rng)
+    profile = tuple(tuple(range(rng.randint(1, 3))) for _ in range(p.horizon))
+    p = _widen_d(p, [prod(len(x) for x in profile[:k]) for k in range(p.horizon)])
     nu = _table_oracle(rng, p, profile, lambda k: k + 1)
     return p, nu
 
 
-def product_catch_instance(rng: Random, horizon: int = 3):
+def product_catch_instance(rng: Random):
     """(p, nu_x, B, xi): nu_x reads only the B coordinate, and xi has a
     norm->=1 level (full union) to catch at."""
     from .conditions import NameOracle, TruncCondition, _singleton
-    p = product_instance(rng, horizon)
+    p = product_instance(rng)
     xi, beta = ("x", "y") if rng.random() < 0.5 else ("y", "x")
     # guarantee a catchable level on xi: replace one level by a full creature
-    k0 = rng.randrange(horizon)
+    k0 = rng.randrange(p.horizon)
     bpart = p.parts[beta]
     bcells = list(bpart.cells)
     bcells[k0] = _singleton(bcells[k0])
@@ -268,7 +267,7 @@ def product_catch_instance(rng: Random, horizon: int = 3):
     if not p.is_modest():
         raise AssertionError("the catch instance is not modest")
     c_xi = p.parts[xi].params.c
-    profile = tuple(tuple(range(c_xi[k])) for k in range(horizon))
+    profile = tuple(tuple(range(c_xi[k])) for k in range(p.horizon))
     pos_b = p.support.index(beta)
     tables = [{t: rng.randrange(c_xi[k]) for t in cell.sorted_members()}
               for k, cell in enumerate(p.parts[beta].cells)]
@@ -278,13 +277,13 @@ def product_catch_instance(rng: Random, horizon: int = 3):
     return p, NameOracle(p, profile, fn), {beta}, xi
 
 
-def restricted_instance(rng: Random, horizon: int = 3):
+def restricted_instance(rng: Random):
     """(p, nu, C, a, e) for the restricted localisation: C holds one of the
     two coordinates; windows sized from the live possibility counts."""
     from .conditions import poss_count
-    p = product_instance(rng, horizon)
+    p = product_instance(rng)
     C = {rng.choice(p.support)}
-    N = horizon
+    N = p.horizon
     profile = tuple(tuple(range(rng.randint(1, 3))) for _ in range(N))
     a = tuple(len(profile[k]) + rng.randint(0, 1) for k in range(N))
     counts = [poss_count(p, k) for k in range(-1, N)]

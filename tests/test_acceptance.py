@@ -90,7 +90,7 @@ def test_criterion_01_norm_oracle_equivalence():
                                if bits >> i & 1]))
     rng = Random(1001)
     for _ in range(3000):
-        check(random_creature(rng, max_arena=8, max_cap=3))
+        check(random_creature(rng))
     assert checked > 35000
     assert time.monotonic() - start < 60
 
@@ -99,7 +99,7 @@ def test_criterion_02_bigness_and_range_refinement():
     start = time.monotonic()
     rng = Random(1002)
     for _ in range(10 ** 4):
-        M = random_creature(rng, max_arena=8, max_cap=3)
+        M = random_creature(rng)
         d = rng.randint(2, 4)
         coloring = random_coloring(rng, M, d)
         color, Ms = bigness_refine(M, coloring, d)

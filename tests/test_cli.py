@@ -454,6 +454,40 @@ def test_field_of_a_wrong_type_exits_2(tmp_path, capsys, sub, payload, flags, me
     assert "Traceback" not in err and message in err
 
 
+@pytest.mark.parametrize("sub, payload, flags, message", [
+    ("catch", dict(_INPUTS["catch"], n0=True), [], "the field n0 must be an integer, got True"),
+    ("schedule", {"n": True}, [], "the field n must be an integer, got True"),
+    ("schedule", {"n": "3"}, [], "the field n must be an integer, got '3'"),
+    ("gch", dict(_INPUTS["gch"], horizon=True), [],
+     "the field horizon must be an integer, got True"),
+], ids=["catch-n0-true", "schedule-n-true", "schedule-n-string", "gch-horizon-true"])
+def test_integer_field_of_another_type_exits_2(tmp_path, capsys, sub, payload, flags,
+                                               message):
+    code, body = run(tmp_path, sub, payload, *flags)
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert "Traceback" not in err and message in err
+
+
+@pytest.mark.parametrize("sub, payload, flags, message", [
+    ("maps", _INPUTS["maps-ed"], ["--mode", "zz"],
+     "the field mode must be one of l24, l25, l26, l27, ed, got 'zz'"),
+    ("family", {}, ["--mode", "zz"],
+     "the field mode must be one of build, tree, toy, verify, got 'zz'"),
+    ("suite", {}, ["--mode", "zz", "--seed", "1"],
+     "the field mode must be one of norm, bigness, reading, localize, tukey, "
+     "product-catch, restricted, measure, got 'zz'"),
+    ("family", {"kind": "zz", "d0": 3}, ["--mode", "verify"],
+     "the field kind must be one of tree, single, got 'zz'"),
+], ids=["maps", "family", "suite", "family-kind"])
+def test_unknown_mode_exits_2_naming_the_choices(tmp_path, capsys, sub, payload, flags,
+                                                 message):
+    code, body = run(tmp_path, sub, payload, *flags)
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert err == f"error: ValueError: {message}\n"
+
+
 def test_product_catch_with_a_B_coordinate_outside_the_support_exits_2(tmp_path, capsys):
     payload = dict(_INPUTS["product-catch"], B=["z"])
     code, body = run(tmp_path, "product-catch", payload)
@@ -595,6 +629,49 @@ def test_family_and_suite_output_is_byte_identical(tmp_path):
         assert code == expect, (sub, payload, flags)
         assert hashlib.sha256(body.encode()).hexdigest() == digest, \
             (sub, payload, flags)
+
+
+# family calls at the height cap just below and at each depth's tallest
+# value (the tree from d0 = 3: heights 3, 11, 27; the chain (3, 9): 2, 4, 6),
+# built and verified; pinned while each numeric op still took the cap
+_CAP_CASES = [(mode, dict(base, depth=depth, **(extra if mode == "verify" else {})), cap)
+              for base, build, extra, tallest in [
+                  ({"d0": 3}, "tree", {}, (3, 11, 27)),
+                  ({"n0_minus": 3, "d0": 9}, "build", {"kind": "single"}, (2, 4, 6))]
+              for depth, top in enumerate(tallest, 1)
+              for mode in (build, "verify")
+              for cap in (top - 1, top)]
+
+
+def test_family_height_cap_is_pinned(tmp_path, capsys):
+    lines = []
+    for mode, payload, cap in _CAP_CASES:
+        code, body = run(tmp_path, "family", payload, "--mode", mode, "--cap", str(cap))
+        lines.append(f"{code}\n{body}\n{capsys.readouterr().err}")
+    assert [line[0] for line in lines] == ["2", "0"] * 6 + ["2", "0", "2", "1"] * 3
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "44fcda463af711f76d2e210b670ce4b26e16f15b536a38648b1c07848f5d772e"
+
+
+@pytest.mark.parametrize("mode, payload", [
+    ("tree", {"d0": 3, "depth": 3}),
+    ("tree", {"d0": 3, "depth": 100}),
+    ("build", {"n0_minus": 3, "d0": 4, "depth": 60}),
+], ids=["tree-depth-3", "tree-depth-100", "chain-depth-60"])
+def test_family_past_the_default_height_cap_exits_2_at_once(tmp_path, capsys, mode,
+                                                          payload):
+    start = time.perf_counter()
+    code, body = run(tmp_path, "family", payload, "--mode", mode)
+    elapsed = time.perf_counter() - start
+    assert code == 2 and body == "" and elapsed < 1.0
+    assert capsys.readouterr().err == \
+        "error: TowerOverflowError: height cap 24 exceeded\n"
+
+
+def test_family_verify_at_depth_3_under_cap_32(tmp_path):
+    code, body = run(tmp_path, "family", {"d0": 3, "depth": 3, "cap": 32},
+                     "--mode", "verify")
+    assert code == 0 and json.loads(body)["summary"]["total"] == 97
 
 
 def _members(sel):

@@ -101,6 +101,15 @@ def test_single_s1_fails_when_a_tops_n_plus():
     assert verify_suitable(fam, bnd)[0]["status"] == "pass"
 
 
+def test_tallest_tree_value_by_depth():
+    """The height a tree family needs grows with its depth: 11, 27 and 59
+    exponentials for d0 = 3 at depths 2-4, against the fixed cap of 24."""
+    for depth, tallest in ((2, 11), (3, 27), (4, 59)):
+        tf = build_tree(3, depth, cap=64)
+        assert max(getattr(getattr(n, name), "height", 0)
+                   for n in tf.nodes.values() for name in "dhgbca") == tallest
+
+
 def test_toy_family_manifest():
     out = toy_family(0, horizon=3)
     assert len(out["a"]) == 3
