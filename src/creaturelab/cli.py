@@ -65,15 +65,24 @@ def _params(fn):
             code.co_flags & 0x08)  # inspect.CO_VARKEYWORDS
 
 
+# the fields of one type in every subcommand (a bool is no int); colors and f
+# are typed with their length (_per_member), and S and y vary with the map
+_TYPES = {**dict.fromkeys("k n d m n0 k0 horizon seed depth d0 n0_minus".split(), int),
+          **dict.fromkeys("creature condition q p oracle R Rp slalom X".split(), dict),
+          **dict.fromkeys("chain eta gbound x a e B C F G lengths window c h b g "
+                          "hprime phi".split(), list)}
+_KINDS = {int: "an integer", dict: "an object", list: "a list"}
+
+
 def _call(fn, lib, fields):
-    """fn(lib, **fields), once the fields are checked against fn's.  A field
-    named in ints is an integer (a bool is not one) in every subcommand."""
+    """fn(lib, **fields), once the fields are checked against fn's and
+    against their type in _TYPES."""
     params, required, open_ = _params(fn)
-    ints = {"k", "n", "d", "m", "n0", "k0", "horizon", "seed", "depth", "d0", "n0_minus"}
     bad = [f"unknown field {k!r}" for k in fields if k not in params and not open_]
     bad += [f"missing field {k!r}" for k in required if k not in fields]
-    bad += [f"the field {k} must be an integer, got {v!r}" for k, v in fields.items()
-            if k in ints and k in params and type(v) is not int]
+    bad += [f"the field {k} must be {_KINDS[_TYPES[k]]}, got {v!r}"
+            for k, v in fields.items()
+            if k in _TYPES and k in params and type(v) is not _TYPES[k]]
     if bad:
         raise ValueError(", ".join(bad))
     return fn(lib, **fields)
@@ -105,7 +114,7 @@ def _condition(obj):
 
 
 def _product(obj):
-    if not (isinstance(obj, dict) and "parts" in obj):
+    if "parts" not in obj:   # _call has checked that it is an object
         raise ValueError("the field condition must be a product, with parts")
     return _condition(obj)
 
@@ -176,7 +185,11 @@ def _and(lib, condition, eta):
 
 @_op("conditions")
 def _order(lib, q, p, mode="plain"):
-    if isinstance(mode, dict):
+    if mode != "plain":
+        if not (type(mode) is dict and set(mode) == {"at_n"}
+                and type(mode["at_n"]) is int):
+            raise ValueError('the field mode must be "plain" or {"at_n": <integer>}, '
+                             f"got {mode!r}")
         mode = ("at_n", mode["at_n"])
     ok = lib.order_check(_condition(q), _condition(p), mode)
     return (0 if ok else 1), {"extends": ok}
@@ -184,6 +197,8 @@ def _order(lib, q, p, mode="plain"):
 
 @_op("conditions", "product-fuse")
 def _fuse(lib, chain):
+    if not all(type(c) is dict for c in chain):
+        raise ValueError(f"the field chain must list objects, got {chain!r}")
     chain = [(_condition(c["condition"]), tuple(c["frozen"])) if "condition" in c
              else _condition(c) for c in chain]
     return 0, {"condition": lib.fuse(chain).to_json()}
@@ -355,7 +370,7 @@ def _verify(lib, kind="tree", corrupt=None, **fields):
     fam, bnd = _call(_choice("kind", {"tree": _tree, "single": _single}, kind), lib,
                      fields)
     if corrupt is not None:
-        _corrupt(fam, isinstance(fam, lib.TreeFamily), corrupt)
+        _corrupt(fam, isinstance(fam, lib.TreeFamily), corrupt, lib.FIELDS)
     cert = lib.verify_suitable(fam, bnd,
                                cap=_cap(fields.get("cap"), lib.FAMILY_HEIGHT_CAP))
     summary = lib.certificate_summary(cert)
@@ -364,7 +379,7 @@ def _verify(lib, kind="tree", corrupt=None, **fields):
                   {k: summary[k] for k in ("total", "pass", "fail", "unknown")}}
 
 
-def _corrupt(fam, tree, corrupt):
+def _corrupt(fam, tree, corrupt, fields):
     """Overwrite one value of fam as corrupt says: {field, value, node} for
     a tree, {field, value, k} for a chain, with an integer value."""
     at = "node" if tree else "k"
@@ -373,9 +388,9 @@ def _corrupt(fam, tree, corrupt):
         raise ValueError(f"corrupt must be an object of field, {at} and an integer "
                          f"value, got {corrupt!r}")
     field, where = corrupt["field"], corrupt[at]
-    if field not in ("a", "b", "c", "d", "g", "h"):
+    if field not in fields:
         raise ValueError(f"corrupt field {field!r} is not a {'node' if tree else 'chain'} "
-                         "field (a, b, c, d, g or h)")
+                         f"field ({', '.join(fields)})")
     fam.constructed = False
     if tree:
         if type(where) is not str or where not in fam.nodes:
@@ -426,10 +441,10 @@ def _suite_bigness(Cr, toys, rng):
 
 
 def _checked(make, check):
-    """A suite over instances from toys.<make>(rng): an exception, or a
+    """A suite over instances from make(toys)(rng): an exception, or a
     false result, of check(layer, *instance) is a failure."""
     def suite(lib, toys, rng):
-        inst = getattr(toys, make)(rng)
+        inst = make(toys)(rng)
         try:
             ok = check(lib, *inst)
         except Exception as ex:  # pragma: no cover - surfaced in the report
@@ -480,13 +495,13 @@ def _suite_measure(X, toys, rng):
 _SUITES = {
     "norm": ("creatures", _suite_norm),
     "bigness": ("creatures", _suite_bigness),
-    "reading": ("conditions", _checked("reading_instance", _reads_early)),
-    "localize": ("conditions", _checked("localize_instance", _localizes)),
+    "reading": ("conditions", _checked(lambda T: T.reading_instance, _reads_early)),
+    "localize": ("conditions", _checked(lambda T: T.localize_instance, _localizes)),
     "tukey": ("relational", _suite_tukey),
     "product-catch": ("products", _checked(
-        "product_catch_instance", lambda P, *inst: P.product_catch(*inst))),
+        lambda T: T.product_catch_instance, lambda P, *inst: P.product_catch(*inst))),
     "restricted": ("products", _checked(
-        "restricted_instance", lambda P, *inst: P.restricted_localize(*inst))),
+        lambda T: T.restricted_instance, lambda P, *inst: P.restricted_localize(*inst))),
     "measure": ("connections", _suite_measure)}
 
 

@@ -17,7 +17,6 @@ from .creatures import (Creature, bigness_refine, lognorm_value_cmp, norm,
                         range_refine)
 from .numeric import subset_count
 
-POSS_CAP = 10 ** 6
 BRANCH_CAP = 10 ** 5
 
 
@@ -31,6 +30,11 @@ def _splits(columns) -> list[tuple[int, int]]:
     level."""
     return sorted([(k, j) for j, cells in enumerate(columns)
                    for k, cell in enumerate(cells) if len(cell.members) > 1])
+
+
+def _modest(splits) -> bool:
+    """At most one split per level, in a list of (level, owner) splits."""
+    return len({k for k, _ in splits}) == len(splits)
 
 
 @dataclass(frozen=True)
@@ -98,11 +102,16 @@ class ValidationReport:
     star_rank: int
 
 
+def _meets_staircase(p: TruncCondition, level: int, rank: int) -> bool:
+    """Does the norm of the cell at the level reach d's staircase at the rank?"""
+    return lognorm_value_cmp(norm(p.cells[level]), p.params.d[level], rank) == "AtLeast"
+
+
 def validate(p: TruncCondition) -> ValidationReport:
     splits = p.split_levels()
     rank = 0
     for n, level in enumerate(splits):
-        if lognorm_value_cmp(norm(p.cells[level]), p.params.d[level], n + 1) != "AtLeast":
+        if not _meets_staircase(p, level, n + 1):
             break
         rank = n + 1
     return ValidationReport(True, splits, rank)
@@ -157,7 +166,7 @@ class BranchSpace:
     def set_cell(self, x: int, cell: Creature) -> None:
         """Put cell, whose members are among those at x, at position x,
         dropping the branches through the other members."""
-        stride = prod(len(self.pools[y]) for y in self.order[self.order.index(x) + 1:])
+        stride = self.strides()[x]
         keep = [t in cell.members for t in self.pools[x] for _ in range(stride)]
         self.values = [list(itertools.compress(col, keep * (len(col) // len(keep))))
                        for col in self.values]
@@ -188,17 +197,13 @@ class BranchSpace:
     def poss(self, k: int) -> list[tuple]:
         """Flat selections of one member per level <= k of every
         coordinate, levels ascending within each coordinate."""
-        if self.count(k) > POSS_CAP:
-            raise ValueError("possibility enumeration cap exceeded")
-        return list(itertools.product(*[self.pools[x] for x in self.below(k + 1)]))
+        pools = [self.pools[x] for x in self.capped(k).below(k + 1)]
+        return list(itertools.product(*pools))
 
-    def capped(self) -> "BranchSpace":  # itself, once its branches are within the cap
-        if self.count(self.N - 1) > BRANCH_CAP:
+    def capped(self, k: int) -> "BranchSpace":  # itself, once count(k) is within the cap
+        if self.count(k) > BRANCH_CAP:
             raise ValueError("branch enumeration cap exceeded")
         return self
-
-    def branches(self) -> list[tuple]:
-        return self.capped().poss(self.N - 1)
 
     def strides(self) -> list[int]:
         """Each position's place value in the level-major rank."""
@@ -284,7 +289,7 @@ def poss_count(p, k: int) -> int:
 
 def branches(p) -> list[tuple]:
     space = BranchSpace.of(p)
-    return [space.shape(b, space.N) for b in space.branches()]
+    return [space.shape(b, space.N) for b in space.poss(space.N - 1)]
 
 
 def _parts(p) -> dict:
@@ -320,7 +325,7 @@ def and_restrict(p, eta: tuple):
             sel, cell = frozenset(sel), cells[xi][level]
             if sel not in cell.members:
                 raise ValueError(f"selection at level {level} is not a member")
-            cells[xi][level] = Creature(cell.arena, cell.cap, frozenset({sel}))
+            cells[xi][level] = _singleton(cell, sel)
     return _assemble(p, cells)
 
 
@@ -402,8 +407,10 @@ def fuse(chain):
     return q
 
 
-def _singleton(cell: Creature) -> Creature:
-    return Creature(cell.arena, cell.cap, frozenset({cell.sorted_members()[0]}))
+def _singleton(cell: Creature, member=None) -> Creature:
+    """The cell frozen to one member, which may be empty; by default its first."""
+    member = cell.sorted_members()[0] if member is None else member
+    return Creature(cell.arena, cell.cap, frozenset({member}))
 
 
 def thin(p: TruncCondition, gbound) -> TruncCondition:
@@ -426,8 +433,7 @@ def thin(p: TruncCondition, gbound) -> TruncCondition:
         cands = [l for l in splits if l > prev and count < gbound[l]]
         if not cands:
             break
-        chosen = next((l for l in cands if lognorm_value_cmp(
-            norm(p.cells[l]), p.params.d[l], rank + 1) == "AtLeast"), cands[0])
+        chosen = next((l for l in cands if _meets_staircase(p, l, rank + 1)), cands[0])
         for l in splits:
             if prev < l < chosen:
                 cells[l] = _singleton(cells[l])
@@ -454,8 +460,7 @@ def catch_real(p: TruncCondition, x, n0: int = 0):
             for t in p.cells[k].sorted_members():
                 if x[k] in t:
                     cells = list(p.cells)
-                    cells[k] = Creature(p.cells[k].arena, p.cells[k].cap,
-                                        frozenset({t}))
+                    cells[k] = _singleton(p.cells[k], t)
                     return TruncCondition(p.params, tuple(cells)), k
     raise PreconditionError(f"no level >= {n0} has norm >= 1 within the horizon")
 
@@ -511,7 +516,7 @@ class NameOracle:
         """Table keyed by ``BranchSpace.key``, looked up among the base's keys
         enumerated with their ranks; each distinct value is checked once."""
         nu = cls(base, tuple(tuple(a) for a in profile), None)
-        space = nu._space.capped()
+        space = nu._space.capped(nu._space.N - 1)
         index = dict(zip(map("".join, itertools.product(*space.labels())),
                          space.ranks(range(len(space.pools)))))
         try:
@@ -555,7 +560,7 @@ def _read(p, nu: NameOracle) -> BranchSpace:
     if not all(c.members <= b.members for c, b in zip(space.cells, base.cells)):
         raise PreconditionError("condition is not an extension of the oracle base")
     # p's branches in level-major order, by their ranks in the base's space
-    pools = space.capped().pools
+    pools = space.capped(space.N - 1).pools
     ranks = _sums([list(map(nu._digits[x].__getitem__, pools[x])) for x in space.order])
     space.values = list(map(list, zip(*[nu._cache.get(r) or nu._values(r) for r in ranks])))
     return space
@@ -587,11 +592,9 @@ def _refine_split(space: BranchSpace, k: int, j: int, n: int, refine) -> None:
     """Refine coordinate j's cell at level k once per possibility below k,
     in enumeration order: refine(M, pre) takes the cell so far and each of
     its members' first n values through that possibility.  The space is
-    modest, so the branches through one possibility and one member form a
-    block of the levels <= k, read at its head."""
+    modest and, as its caller checked, its levels <= k fix the first n
+    values: one possibility and one member make a block, read at its head."""
     x, cols = j * space.N + k, space.values[:n]
-    if not space.decides(space.order[:(k + 1) * space.W], slice(n)):
-        raise PreconditionError(f"branches disagree on the first {n} values")
     pool, heads = space.pools[x], space.ranks(space.below(k) + [x])
     M = space.cells[x]
     for e in range(0, len(heads), len(pool)):
@@ -612,7 +615,7 @@ def early_read(p, nu: NameOracle):
     """
     space = _read(p, nu)
     splits = space.splits()
-    if len({k for k, _ in splits}) < len(splits):
+    if not _modest(splits):
         raise PreconditionError("condition is not modest")
     if not _reads(space, "timely"):
         raise PreconditionError("condition does not read the name timely")

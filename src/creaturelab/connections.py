@@ -88,17 +88,13 @@ def build_partition(lengths) -> IntervalPartition:
 
 def gch_profile(c, h, horizon: int) -> tuple[int, ...]:
     """Step profile: floor(log2 c(n)) repeated h(n) times, cut at horizon."""
-    _one_per_index(c, h)
-    if any(v < 2 for v in c) or any(v < 1 for v in h):
-        raise ValueError("need c >= 2 and h >= 1 pointwise")
+    _pair("ch", c, h)
     return _steps([cn.bit_length() - 1 for cn in c], h, horizon)
 
 
 def fbg_profile(b, g, horizon: int) -> tuple[int, ...]:
     """Cumulative profile: sum of ceil(log2 b(l)) for l <= n, repeated g(n) times."""
-    _one_per_index(b, g)
-    if any(v < 2 for v in b) or any(v < 1 for v in g):
-        raise ValueError("need b >= 2 and g >= 1 pointwise")
+    _pair("bg", b, g)
     return _steps(list(itertools.accumulate(map(_ceil_log2, b))), g, horizon)
 
 
@@ -114,6 +110,14 @@ def _steps(values, reps, horizon: int) -> tuple[int, ...]:
 def _one_per_index(*seqs) -> None:
     if len({len(s) for s in seqs}) > 1:
         raise ValueError("the per-index sequences differ in length")
+
+
+def _pair(names: str, sizes, widths, *more) -> None:
+    """Check the pair (c, h) or (b, g), as names spells it, with the
+    per-index sequences more: one length, sizes >= 2 and widths >= 1."""
+    _one_per_index(sizes, widths, *more)
+    if any(v < 2 for v in sizes) or any(v < 1 for v in widths):
+        raise ValueError("need {} >= 2 and {} >= 1 pointwise".format(*names))
 
 
 def _first_violation(n: int, fails):
@@ -140,9 +144,7 @@ def l24_maps(c, h, y: str, S: Slalom):
     Decoder: the cells of S spread over an |I_n| = h(n) partition as binary
     strings (unencodable or missing slots become all-zeros strings).
     """
-    _one_per_index(c, h, S.cells)
-    if any(v < 2 for v in c) or any(v < 1 for v in h):
-        raise ValueError("need c >= 2 and h >= 1 pointwise")
+    _pair("ch", c, h, S.cells)
     widths = [cn.bit_length() - 1 for cn in c]
     if len(y) < max(widths, default=0):
         raise ValueError("y is too short for the widest index")
@@ -172,9 +174,7 @@ def l25_maps(b, g, y, X: SigmaCover):
     Decoder: entry k in the |J_n| = g(n) block contributes the value its bits
     spell at the n-th width window, when defined and in range.
     """
-    _one_per_index(b, g, y)
-    if any(v < 2 for v in b) or any(v < 1 for v in g):
-        raise ValueError("need b >= 2 and g >= 1 pointwise")
+    _pair("bg", b, g, y)
     widths = [_ceil_log2(bn) for bn in b]
     bitpart = build_partition(widths)
     if any(not 0 <= y[n] < b[n] for n in range(len(b))):

@@ -20,6 +20,7 @@ from .numeric import (Cmp, tower_add, tower_cmp, tower_exp2, tower_le,
                       tower_mul, tower_pow, tower_sub, tower_to_json, _bits)
 
 FAMILY_HEIGHT_CAP = 24  # the builders and the checker refuse taller values
+FIELDS = ("d", "h", "g", "b", "c", "a")  # a chain level's or tree node's values
 
 
 class TowerOverflowError(ArithmeticError):
@@ -50,16 +51,16 @@ def _value_json(v):
 
 @dataclass
 class FamilyTuple:
-    """One growth tuple: per-level a, d, b, g, c, h and the f-intervals
+    """One growth tuple: per-level d, h, g, b, c, a and the f-intervals
     (exact ints at level 0, towers beyond)."""
 
     depth: int
-    a: tuple
     d: tuple
-    b: tuple
-    g: tuple
-    c: tuple
     h: tuple
+    g: tuple
+    b: tuple
+    c: tuple
+    a: tuple
     f_records: tuple      # per level: {"k", "start", "end", "offset"}
     constructed: bool = True
 
@@ -71,8 +72,7 @@ class FamilyTuple:
 
     def to_json(self) -> dict:
         return {"depth": self.depth,
-                "levels": [{name: _value_json(getattr(self, name)[k])
-                            for name in ("a", "d", "b", "g", "c", "h")}
+                "levels": [{name: _value_json(getattr(self, name)[k]) for name in FIELDS}
                            for k in range(self.depth)]}
 
 
@@ -114,8 +114,7 @@ class TreeFamily:
 
     def to_json(self) -> dict:
         return {"depth": self.depth,
-                "nodes": {t: {name: _value_json(getattr(n, name))
-                              for name in ("d", "h", "g", "b", "c", "a")}
+                "nodes": {t: {name: _value_json(getattr(n, name)) for name in FIELDS}
                           for t, n in sorted(self.nodes.items())},
                 "bounding": self.bounding.to_json()}
 
@@ -130,8 +129,8 @@ def _staircase(k: int, d):
 
 
 def _stage_values(k: int, d, state, tree: bool):
-    """One level of the recursion from d(k) and the running block state
-    (min I_k, min J_k, sum of g+d below k)."""
+    """One level's FIELDS, next state and f offset, from d(k) and the running
+    block state (min I_k, min J_k, sum of g+d below k)."""
     min_i, min_j, total = state
     h = _staircase(k, d)
     min_j_next = tower_add(min_j, h)
@@ -149,9 +148,9 @@ def _stage_values(k: int, d, state, tree: bool):
         base = ch
     # on a tower, + 1 widens the upper bound by the slack that covers doubling
     a = tower_add(base, 1)
-    return {"h": h, "g": g, "b": b, "c": c, "a": a,
-            "state": (tower_add(min_i, g), min_j_next, total_next),
-            "offset": _sub_offset(total_next, min_i)}
+    return dict(zip(FIELDS, (d, h, g, b, c, a)),
+                state=(tower_add(min_i, g), min_j_next, total_next),
+                offset=_sub_offset(total_next, min_i))
 
 
 def _sub_offset(total, min_i):
@@ -172,27 +171,24 @@ def build_single(n0_minus: int, d0: int, depth: int = 2, *,
         raise ValueError("need 2 < n0_minus < d0")
     if depth < 1:
         raise ValueError("depth must be positive")
-    seqs = {name: [] for name in "adbgch"}
+    seqs = {name: [] for name in FIELDS}
     f_records = []
     n_minus, n_plus = [n0_minus], []
     d = d0
     state = (0, 0, 0)
     for k in range(depth):
         vals = _stage_values(k, d, state, tree=False)
-        for name in "bgch":
+        for name in FIELDS:
             seqs[name].append(vals[name])
-        seqs["d"].append(d)
-        seqs["a"].append(vals["a"])
         f_records.append({"k": k, "start": state[0],
                           "end": vals["state"][0], "offset": vals["offset"]})
         n_plus.append(vals["a"])
         nm = tower_add(tower_mul(n_minus[-1], vals["a"]), 1)
-        _capped(cap, [d, nm, *(vals[name] for name in "hgbca")])
+        _capped(cap, [nm, *(vals[name] for name in FIELDS)])
         n_minus.append(nm)
         d = tower_add(nm, 1)
         state = vals["state"]
-    fam = FamilyTuple(depth, *(tuple(seqs[n]) for n in "adbgch"),
-                      tuple(f_records))
+    fam = FamilyTuple(depth, *(tuple(seqs[n]) for n in FIELDS), tuple(f_records))
     return fam, BoundingSequences(tuple(n_minus), tuple(n_plus))
 
 
@@ -223,9 +219,8 @@ def build_tree(d0: int = 3, depth: int = 2, *, cap: int = FAMILY_HEIGHT_CAP):
                 d = tower_mul(k + 1, nodes[prev_label].a)
                 d_from = prev_label
             vals = _stage_values(k, d, state[t[:-1]], tree=True)
-            nodes[t] = TreeNode(t, k, d, vals["h"], vals["g"], vals["b"],
-                                vals["c"], vals["a"], d_from)
-            _capped(cap, [getattr(nodes[t], name) for name in "dhgbca"])
+            nodes[t] = TreeNode(t, k, *(vals[name] for name in FIELDS), d_from)
+            _capped(cap, [vals[name] for name in FIELDS])
             next_state[t] = vals["state"]
             prev_label = t
         n_plus.append(nodes["1" * (k + 1)].a)
@@ -271,8 +266,8 @@ def verify_suitable(family, bounding: BoundingSequences, *,
     """Per-level certificate for the growth clauses and the bounding
     conditions; entries are {"clause", "k", "status", "method", ...}."""
     tree = isinstance(family, TreeFamily)
-    values = ([getattr(n, name) for n in family.nodes.values() for name in "dhgbca"]
-              if tree else [v for name in "dhgbca" for v in getattr(family, name)])
+    values = ([getattr(n, name) for n in family.nodes.values() for name in FIELDS]
+              if tree else [v for name in FIELDS for v in getattr(family, name)])
     _capped(cap, [*values, *bounding.n_minus, *bounding.n_plus])
     level = _tree_level if tree else _single_level
     entries, con = [], family.constructed
@@ -313,7 +308,7 @@ def _node_clauses(k, d, h, g, b, c, a, bounds, s4_credit, con, entries, **extra)
 def _single_level(fam: FamilyTuple, k, nm, np_, con, entries):
     # the single tuple's a = c^h + 1 can genuinely fail S4, so no
     # construction credit there
-    _node_clauses(k, *(getattr(fam, name)[k] for name in "dhgbca"),
+    _node_clauses(k, *(getattr(fam, name)[k] for name in FIELDS),
                   [_lt(nm, fam.d[k]), tower_le(fam.a[k], np_)], False, con, entries)
     # S5: the cumulative profile never overtakes f on the k-th interval:
     # both offsets are sums of g + d below, so f leads by j - min(I_k)
@@ -338,7 +333,7 @@ def _tree_level(fam: TreeFamily, k, nm, np_, con, entries):
         # all-ones node's a, so those two nodes skip that bound
         bounds = [True if t == "0" * (k + 1) else _lt(nm, n.d),
                   True if t == "1" * (k + 1) else _lt(n.a, np_)]
-        _node_clauses(k, *(getattr(n, name) for name in "dhgbca"), bounds,
+        _node_clauses(k, *(getattr(n, name) for name in FIELDS), bounds,
                       con, con, entries, node=t)
     # S7: for lex-adjacent and all earlier pairs, (k+1) a_t <= d_{t'}
     for i, t in enumerate(labels):

@@ -96,9 +96,8 @@ def _shr_ceil(n: int, s: int) -> int:
 
 
 def _floor_log2(x: Fraction) -> int:
+    """floor(log2(x)) for x > 0."""
     n, d = x.numerator, x.denominator
-    if n <= 0:
-        raise TowerDomainError("log2 of a non-positive value")
     e = n.bit_length() - d.bit_length()
     if e >= 0:
         ge = (n >> e) >= d
@@ -409,7 +408,10 @@ def tower_div(a, b) -> LogTower:
         if y.low <= 0:
             raise TowerDomainError("division by a bound interval touching zero")
         return _canonical(0, x.low / y.high, x.high / y.low)
-    return tower_exp2(tower_sub(tower_log2(x), tower_log2(y)))
+    lx, ly = tower_log2(x), tower_log2(y)
+    if lx.height == 0 and ly.height == 0:  # a rational difference, maybe negative
+        return tower_exp2(_canonical(0, lx.low - ly.high, lx.high - ly.low))
+    return tower_exp2(tower_sub(lx, ly))
 
 
 def tower_pow(a, b):

@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 
 from .conditions import (BranchSpace, NameOracle, ParamTriple,
                          PreconditionError, TruncCondition,
-                         _localization_space, _localize, _read, _reads,
-                         _singleton, _splits, catch_real, check_reading,
-                         early_read)
+                         _assemble, _localization_space, _localize, _modest,
+                         _read, _reads, _singleton, _splits, catch_real,
+                         check_reading, early_read)
 
 
 @dataclass(frozen=True)
@@ -23,35 +23,31 @@ class CoordinateSpace:
     """Index set of coordinates, each owned by a parameter family."""
 
     coords: tuple[str, ...]
-    owner: tuple[tuple[str, str], ...]          # coord -> family label
-    params: tuple[tuple[str, ParamTriple], ...]  # family label -> parameters
+    owner: dict[str, str]            # coord -> family label
+    params: dict[str, ParamTriple]   # family label -> parameters
 
     def __post_init__(self):
-        own = dict(self.owner)
-        fams = dict(self.params)
-        if set(own) != set(self.coords):
+        if set(self.owner) != set(self.coords):
             raise ValueError("owner map must cover exactly the coordinates")
-        if not set(own.values()) <= set(fams):
+        if not set(self.owner.values()) <= set(self.params):
             raise ValueError("owner targets an unknown family")
-        horizons = {t.horizon for t in fams.values()}
-        if len(horizons) > 1:
-            raise ValueError("families must share a horizon")
+        if len({t.horizon for t in self.params.values()}) != 1:
+            raise ValueError("need one or more families, sharing a horizon")
 
     @staticmethod
     def of(owner: dict, params: dict) -> "CoordinateSpace":
-        return CoordinateSpace(tuple(sorted(owner)),
-                               tuple(sorted(owner.items())),
-                               tuple(sorted(params.items())))
+        return CoordinateSpace(tuple(sorted(owner)), dict(sorted(owner.items())),
+                               dict(sorted(params.items())))
 
     def family_of(self, coord: str) -> str:
-        return dict(self.owner)[coord]
+        return self.owner[coord]
 
     def triple_of(self, coord: str) -> ParamTriple:
-        return dict(self.params)[self.family_of(coord)]
+        return self.params[self.owner[coord]]
 
     @property
     def horizon(self) -> int:
-        return dict(self.params)[self.params[0][0]].horizon
+        return next(iter(self.params.values())).horizon
 
 
 @dataclass
@@ -78,8 +74,7 @@ class ProductCondition:
         return [xi for k, xi in self.split_levels() if k == level]
 
     def is_modest(self) -> bool:
-        levels = [k for k, _ in self.split_levels()]
-        return len(levels) == len(set(levels))
+        return _modest(self.split_levels())
 
     def split_levels(self) -> list[tuple[int, str]]:
         """(level, owning coordinate) per product split, ascending; only
@@ -94,12 +89,11 @@ class ProductCondition:
         return ProductCondition(self.space, parts)
 
     def to_json(self) -> dict:
-        fams = dict(self.space.params)
         return {"coords": {xi: {"owner": self.space.family_of(xi)}
                            for xi in self.space.coords},
                 "families": {fam: {"c": list(t.c), "h": list(t.h),
                                    "d": list(t.d)}
-                             for fam, t in sorted(fams.items())},
+                             for fam, t in self.space.params.items()},
                 "parts": {xi: self.parts[xi].to_json()
                           for xi in self.support}}
 
@@ -139,9 +133,7 @@ def modest_refine(p: ProductCondition) -> ProductCondition:
         for xi in splitters:
             if xi != keep:
                 parts[xi][level] = _singleton(p.parts[xi].cells[level])
-    out = ProductCondition(
-        p.space, {xi: TruncCondition(p.parts[xi].params, tuple(parts[xi]))
-                  for xi in support})
+    out = _assemble(p, parts)
     if not out.is_modest():
         raise PreconditionError("refinement failed to reach modesty")
     return out
@@ -197,7 +189,8 @@ def branch_key(p, branch: tuple, coords=None) -> str:
 def bounding_extract(q: ProductCondition, nu: ProductNameOracle) -> tuple:
     """f(k) = max of the values the name can take at level k."""
     space = _read(q, nu)
-    if not (_reads(space, "early") or _reads(space, "timely")):
+    # early implies timely: levels <= k that fix the values up to k fix those below k
+    if not _reads(space, "timely"):
         raise PreconditionError("condition reads the name neither early nor timely")
     return tuple(map(max, space.values))
 

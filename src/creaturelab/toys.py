@@ -229,11 +229,11 @@ def _widen_d(p: ProductCondition, floors) -> ProductCondition:
     from .conditions import ParamTriple, TruncCondition
     from .products import CoordinateSpace, ProductCondition
     fams = {}
-    for fam, triple in p.space.params:
+    for fam, triple in p.space.params.items():
         fams[fam] = ParamTriple(triple.c, triple.h,
                                 tuple(max(dv, floors[k])
                                       for k, dv in enumerate(triple.d)))
-    space = CoordinateSpace.of(dict(p.space.owner), fams)
+    space = CoordinateSpace.of(p.space.owner, fams)
     parts = {xi: TruncCondition(fams[space.family_of(xi)], p.parts[xi].cells)
              for xi in p.support}
     return ProductCondition(space, parts)

@@ -469,6 +469,33 @@ def test_integer_field_of_another_type_exits_2(tmp_path, capsys, sub, payload, f
     assert "Traceback" not in err and message in err
 
 
+@pytest.mark.parametrize("sub, payload, message", [
+    ("order", dict(_INPUTS["order"], mode={"at_n": "1"}),
+     'the field mode must be "plain" or {"at_n": <integer>}, got {\'at_n\': \'1\'}'),
+    ("order", dict(_INPUTS["order"], mode={"at": 1}),
+     'the field mode must be "plain" or {"at_n": <integer>}, got {\'at\': 1}'),
+    ("order", dict(_INPUTS["order"], mode={"at_n": True}),
+     'the field mode must be "plain" or {"at_n": <integer>}, got {\'at_n\': True}'),
+    ("fuse", {"chain": [[1]]}, "the field chain must list objects, got [[1]]"),
+    ("and", dict(_INPUTS["and"], eta=5), "the field eta must be a list, got 5"),
+    ("poss", dict(_INPUTS["poss"], condition=[1]),
+     "the field condition must be an object, got [1]"),
+    ("tukey", dict(_INPUTS["tukey"], Rp=3), "the field Rp must be an object, got 3"),
+], ids=["order-at_n-string", "order-no-at_n", "order-at_n-true", "fuse-chain-of-lists",
+        "and-eta-int", "poss-condition-list", "tukey-Rp-int"])
+def test_field_of_another_shape_exits_2_naming_it(tmp_path, capsys, sub, payload, message):
+    code, body = run(tmp_path, sub, payload)
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert err == f"error: ValueError: {message}\n"
+
+
+def test_input_that_is_not_an_object_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[1]"))
+    assert main(["norm"]) == 2
+    assert capsys.readouterr() == ("", "error: ValueError: the JSON input must be an object\n")
+
+
 @pytest.mark.parametrize("sub, payload, flags, message", [
     ("maps", _INPUTS["maps-ed"], ["--mode", "zz"],
      "the field mode must be one of l24, l25, l26, l27, ed, got 'zz'"),

@@ -364,3 +364,62 @@ def test_branch_slalom_shape():
 
 def test_condition_json_roundtrip():
     assert TruncCondition.from_json(P3.to_json()) == P3
+
+
+def _over(params, *levels):
+    """The condition over params with the given member lists per level."""
+    return TruncCondition(params, tuple(Creature.of(c, h, m) for c, h, m
+                                        in zip(params.c, params.h, levels)))
+
+
+def _const(p):
+    """A name over p that is 0 at every level, read early by any p."""
+    return NameOracle(p, ((0,),) * p.horizon, lambda b: (0,) * p.horizon)
+
+
+_P2 = ParamTriple((3, 3), (2, 2), (2, 2))
+_P8 = ParamTriple((3, 3), (2, 2), (8, 8))
+_SPLIT = [[0], [1]]
+
+
+# the entry checks of the module, one input that fails each
+@pytest.mark.parametrize("call, message", [
+    (lambda: ParamTriple((3,), (1, 1), (2,)), "parameter sequences must share a length"),
+    (lambda: ParamTriple((2,), (2,), (2,)), "need c > h >= 1 at level 0"),
+    (lambda: ParamTriple((3,), (1,), (1,)), "need d >= 2 at level 0"),
+    (lambda: TruncCondition(ParamTriple((3,), (1,), (2,)), (Creature.of(4, 1, [[0]]),)),
+     "cell 0 does not match its parameters"),
+    (lambda: order_check(_over(_P2, [[0]], [[0]]), _over(_P2, [[0]], [[0]]), ("at_m", 0)),
+     "unknown mode ('at_m', 0)"),
+    (lambda: order_check(_over(_P8, [[0]], [[0]]), _over(_P2, [[0]], [[0]])),
+     "parameter mismatch"),
+    (lambda: fuse([]), "empty chain"),
+    (lambda: thin(_over(_P2, _SPLIT, [[0]]), [1, 1]),
+     "horizon exhausted before any split was retained"),
+    (lambda: NameOracle(_over(_P2, [[0]], [[0]]), ((0,),), None),
+     "the profile needs one entry per level"),
+    # early_read: a second split with as many possibilities below it as d,
+    # and a value space below a split larger than d
+    (lambda: early_read(_over(_P2, _SPLIT, _SPLIT), _const(_over(_P2, _SPLIT, _SPLIT))),
+     "|poss| >= d at split level 1"),
+    (lambda: early_read(_over(_P2, [[0]], _SPLIT), NameOracle(
+        _over(_P2, [[0]], _SPLIT), ((0, 1, 2), (0,)), lambda b: (0, 0))),
+     "value-space product exceeds d at level 1"),
+    # the localisation's entry: early reading, a and e per level, the
+    # profile inside range(a), then L1 and clause ii
+    (lambda: localize(_over(_P8, [[0]], _SPLIT), NameOracle(
+        _over(_P8, [[0]], _SPLIT), ((0, 1), (0,)), lambda b: (min(b[1]), 0)),
+        (2, 2), (7, 50)), "condition does not read the name early"),
+    (lambda: localize(_over(_P8, [[0]], _SPLIT), _const(_over(_P8, [[0]], _SPLIT)),
+                      (2,), (7, 50)), "a and e need an entry per level"),
+    (lambda: localize(_over(_P8, [[0]], _SPLIT), NameOracle(
+        _over(_P8, [[0]], _SPLIT), ((0, 1), (0,)), lambda b: (0, 0)),
+        (1, 1), (7, 50)), "profile leaves range(a) at level 0"),
+    (lambda: localize(_over(_P2, [[0]], [[0]]), _const(_over(_P2, [[0]], [[0]])),
+                      (3, 1), (7, 7)), "clause L1 fails at level 1: prod a > d"),
+    (lambda: localize(_over(_P8, _SPLIT, [[0]]), _const(_over(_P8, _SPLIT, [[0]])),
+                      (8, 1), (1, 7)), "clause ii fails at split level 0"),
+])
+def test_each_entry_check_names_its_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 from random import Random
 
@@ -140,3 +141,39 @@ def test_escape_measure_frozen_value():
 def test_slalom_json_roundtrip():
     S = Slalom.of([3, 5], [1, 2], [[2], [0, 4]])
     assert Slalom.from_json(S.to_json()) == S
+
+
+_S1 = Slalom.of([4], [1], [[0]])
+
+
+# every input check of the module, one input that fails it
+@pytest.mark.parametrize("call, message", [
+    (lambda: Slalom((3,), (1,), ()), "length mismatch"),
+    (lambda: Slalom.of([3], [1], [[0, 1]]), "cell 0 exceeds its width bound"),
+    (lambda: Slalom.of([3], [1], [[3]]), "cell 0 leaves the arena"),
+    (lambda: SigmaCover(("012",)), "entries must be binary strings"),
+    (lambda: build_partition([2, 0]), "partition lengths must be positive"),
+    (lambda: gch_profile([1], [1], 1), "need c >= 2 and h >= 1 pointwise"),
+    (lambda: fbg_profile([2], [0], 0), "need b >= 2 and g >= 1 pointwise"),
+    (lambda: l24_maps([4], [0], "11", _S1), "need c >= 2 and h >= 1 pointwise"),
+    (lambda: l24_maps([4], [1], "1", _S1), "y is too short for the widest index"),
+    (lambda: l25_maps([1], [1], (0,), SigmaCover(())), "need b >= 2 and g >= 1 pointwise"),
+    (lambda: l25_maps([2], [1], (2,), SigmaCover(())), "y leaves its product space"),
+    (lambda: l25_maps([2], [1], (0,), SigmaCover(("0", "0"))),
+     "cover longer than the index window"),
+    (lambda: l25_maps([4], [1], (0,), SigmaCover(("0",))),
+     "entry 0 shorter than the required height 2"),
+    (lambda: l26_maps([3], [0], [1], Slalom.of([3], [0], [[]]), [[]]), "need h >= 1"),
+    (lambda: l26_maps([5], [1], [1], _S1, [[[0], [1]]]), "phi(0) too wide"),
+    (lambda: l26_maps([5], [1], [1], _S1, [[[]]]), "phi(0) holds an invalid cell"),
+    (lambda: l27_maps([1], [1], [[0]], [0]), "need c >= 2 and h >= 1"),
+    (lambda: l27_maps([13], [1], [[0]], [0]), "arena too large to materialize"),
+    (lambda: l27_maps([3], [1], [[]], [0]), "S(0) must be a nonempty cell of size <= h"),
+    (lambda: ed_maps([4], [2], [2], [0]), "block index out of range at 0"),
+    (lambda: ed_maps([4], [2], [0], [4]), "y out of range at 0"),
+    (lambda: escape_measure(Slalom.of([0], [0], [[]]), (0, 1)), "arena must be positive"),
+    (lambda: build_partition([2, 3]).block_of(5), "5 not covered"),
+])
+def test_each_input_check_names_its_input(call, message):
+    with pytest.raises((ValueError, IndexError), match=re.escape(message)):
+        call()

@@ -312,3 +312,15 @@ def test_lognorm_value_cmp_rejects_non_integer_d():
         lognorm_value_cmp(3, 3.0, Fraction(1, 2))
     with pytest.raises(TypeError):
         lognorm_value_cmp(3, 2.5, Fraction(0))
+
+
+# every input check of the module that no other test reaches, one input
+# that fails it
+@pytest.mark.parametrize("call, message", [
+    (lambda: Creature(0, 1, frozenset({frozenset()})), "arena must be at least 1"),
+    (lambda: lognorm_value_cmp(0, 1, 1), "d must be at least 2"),
+    (lambda: bigness_refine(full_creature(3, 1), lambda m: 0, 1), "d must be at least 2"),
+])
+def test_each_input_check_names_its_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

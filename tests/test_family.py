@@ -120,3 +120,15 @@ def test_toy_family_manifest():
     assert not set(manifest["held"]) & set(manifest["waived"])
     with pytest.raises(ValueError):
         toy_family(0, horizon=7)
+
+
+# the input checks of the module that no other test reaches, one input
+# that fails each: no toy horizon of 5 keeps its values within 10^4
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_tree(2), "need d0 >= 3"),
+    (lambda: toy_family(0, 5), "no in-range assignment at this horizon"),
+    (lambda: toy_family(7, 5), "no in-range assignment at this horizon"),
+])
+def test_each_input_check_names_its_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

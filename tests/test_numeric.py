@@ -343,7 +343,9 @@ _NUMERIC_GOLDEN = {
     "add": "3992673de4c0abd4e02e65b99840a501a78d20de11160558e7770440b39e9f40",
     "sub": "e7534f3b26ed2f0cfe731f664aaf092e54aaf1d431572cbc395b8c8c50f23c2d",
     "mul": "e8911d59de8dadcfc7b8174deb96d7f8e50795198069875dd38c5596ef2ecf22",
-    "div": "a8073cce4b08fba9d4e5f00eb5525b6e409086bc4a3e10fb69bbe09d41c4860d",
+    # re-pinned when a quotient below 1 of operands of heights 0-1 stopped
+    # being refused as a negative difference: its 27 lines went to an enclosure
+    "div": "70fbe55b4fe076a3de99b7808212259192c48d15d07c4031fde9227ae047fe07",
     # re-pinned when a zero base met an exponent above 0 past the exact
     # budget: its 9 lines went from a refused log2(0) to 0
     "pow": "0bdb6493df6e7b725ba1b2f347358a381a721430ccd4702a0b7fe2288f68e842",
@@ -380,3 +382,48 @@ def test_every_op_on_every_operand_pair_is_pinned():
         body = "\n".join(_golden_line(fn, *p) for p in pairs)
         got[name] = hashlib.sha256(body.encode()).hexdigest()
     assert got == _NUMERIC_GOLDEN
+
+
+# the input checks of the module that no other test reaches, one input
+# that fails each; a hand-built tower may be far from canonical
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: subset_count(-1, 0), ValueError, "subset_count needs non-negative"),
+    (lambda: LogTower(0, Fraction(2), Fraction(1)), ValueError, "tower bounds out of order"),
+    (lambda: tower("7"), TypeError, "cannot make a tower from str"),
+    (lambda: tower_add(LogTower(1, Fraction(1, 2), Fraction(1, 2)),
+                       LogTower(0, Fraction(1, 2), Fraction(3))),
+     TowerDomainError, "cannot add across an unresolved height gap"),
+    (lambda: tower_eval({"op": "zz", "args": [1]}), ValueError, "unknown op 'zz'"),
+])
+def test_each_input_check_names_its_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("a, b", [(1, 2 ** 100), (3, 2 ** 65), (2 ** 100, 2 ** 101),
+                                  (2 ** 64 + 1, 2 ** 64 + 1), (Fraction(7, 3), _H1)])
+def test_div_below_one_encloses_the_exact_quotient(a, b):
+    exact = Fraction(a) / (2 ** 100 if b is _H1 else b)
+    assert encloses(tower_div(a, b), exact) is True
+
+
+def test_div_encloses_every_exact_quotient_of_the_golden_operands():
+    """The operands with a buildable value (all but the height-0 interval
+    and the towers of heights 2 and 3) give 107 quotients that resolve, and
+    each holds the exact value."""
+    def exact(v):
+        if isinstance(v, LogTower):
+            return None if not v.is_point or v.height > 1 else \
+                v.low if v.height == 0 else Fraction(2) ** int(v.low)
+        return Fraction(v)
+    verdicts = Counter()
+    for x in _OPERANDS:
+        for y in _OPERANDS:
+            if exact(x) is None or not exact(y):
+                continue
+            try:
+                out = tower_div(x, y)
+            except TowerDomainError:
+                continue
+            verdicts[encloses(out, exact(x) / exact(y))] += 1
+    assert verdicts == {True: 107}

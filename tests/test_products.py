@@ -1,3 +1,4 @@
+import re
 from random import Random
 
 import pytest
@@ -372,3 +373,54 @@ def test_product_restrict_wants_one_eta_entry_per_support_coordinate(eta_len):
     with pytest.raises(ValueError, match=f"eta has {eta_len} entries for the 2 "
                                          "coordinates of the support"):
         and_restrict(p, (eta + eta)[:eta_len])
+
+
+_T2 = ParamTriple((3, 3), (1, 1), (8, 8))
+
+
+def _over(space, **parts):
+    """A product over a space of _T2 families from per-coordinate member
+    lists, and the name over it that is 0 at every level."""
+    p = ProductCondition(space, {xi: TruncCondition(_T2, tuple(
+        Creature.of(3, 1, members) for members in cells)) for xi, cells in parts.items()})
+    return p, NameOracle(p, ((0,), (0,)), lambda b: (0, 0))
+
+
+_XY2 = CoordinateSpace.of({"x": "A", "y": "A"}, {"A": _T2})
+
+
+def _late_name():
+    """A one-coordinate product splitting at levels 1 and 2, and a name
+    whose level-0 value its level-2 member decides: not read timely."""
+    t3 = ParamTriple((3,) * 3, (1,) * 3, (8,) * 3)
+    p = ProductCondition(CoordinateSpace.of({"x": "A"}, {"A": t3}), {"x": TruncCondition(
+        t3, tuple(Creature.of(3, 1, members) for members in (_S, _A, _A)))})
+    return p, NameOracle(p, ((0, 1), (0,), (0,)), lambda b: (min(b[0][2]), 0, 0))
+
+
+# the entry checks of the module, one input that fails each
+@pytest.mark.parametrize("call, message", [
+    (lambda: CoordinateSpace(("x",), {}, {"A": _T2}),
+     "owner map must cover exactly the coordinates"),
+    (lambda: CoordinateSpace.of({"x": "B"}, {"A": _T2}), "owner targets an unknown family"),
+    (lambda: CoordinateSpace.of({"x": "A", "y": "B"}, {"A": _T2, "B": _T5}),
+     "need one or more families, sharing a horizon"),
+    (lambda: CoordinateSpace.of({}, {}), "need one or more families, sharing a horizon"),
+    (lambda: ProductCondition(_XY2, {"z": _over(_XY2, x=[_S, _S])[0].parts["x"]}),
+     "coordinate 'z' outside the space"),
+    (lambda: ProductCondition(_XY, {"x": _over(_XY2, x=[_S, _S])[0].parts["x"]}),
+     "part 'x' disagrees with its family"),
+    (lambda: bounding_extract(*_late_name()),
+     "condition reads the name neither early nor timely"),
+    (lambda: product_catch(*_over(_XY2, x=[_A, _S], y=[_S, _S]), {"x"}, "x"),
+     "target coordinate cannot carry the name"),
+    (lambda: restricted_localize(*_over(_XY2, x=[_A, _S], y=[_A, _S]), {"x"}, (1, 1), (7, 7)),
+     "condition is not modest"),
+    # y's split at level 1 has 2 possibilities below it but e(1) = 1, so
+    # its range refinement may keep no value
+    (lambda: restricted_localize(*_over(_XY2, x=[_A, _S], y=[_S, _A]), {"x"}, (1, 1), (7, 1)),
+     "block bound fails at level 1"),
+])
+def test_each_entry_check_names_its_input(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

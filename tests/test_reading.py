@@ -5,15 +5,17 @@ their definitions."""
 
 import gc
 import itertools
+from collections import Counter
 from math import prod
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from creaturelab import conditions
 from creaturelab.conditions import (BranchSpace, NameOracle, ParamTriple,
-                                    PreconditionError, TruncCondition, branches,
-                                    check_reading, early_read)
+                                    PreconditionError, TruncCondition, _localization_space,
+                                    _localize, branches, check_reading, early_read)
 from creaturelab.creatures import Creature
 from creaturelab.products import CoordinateSpace, ProductCondition, branch_key
 
@@ -88,6 +90,49 @@ def test_reading_agrees_with_the_definition(case):
                for part in ([q] if single else [q.parts[xi] for xi in q.support])]
     assert all(set(m) <= set(n) for qc, pc in zip(qcoords, coords) for m, n in zip(qc, pc))
     assert reads_direct(qcoords, name, "early")
+
+
+def test_each_split_refinement_keeps_the_reading_its_caller_checked():
+    """early_read refines a split at level k once it has checked timely
+    reading, and the localisation once it has checked early reading: the
+    levels <= k fix the values below k, or up to k.  That holds before each
+    refinement and after it, which only drops branches, at every split.
+    Early reading implies timely reading."""
+    seen, refine = Counter(), conditions._refine_split
+
+    def checked(space, k, j, n, fn):
+        def holds():   # n - k is 0 after timely reading, 1 after early
+            return all(space.decides(space.order[:(s + 1) * space.W], slice(s + n - k))
+                       for s, _ in space.splits())
+        assert holds()
+        refine(space, k, j, n, fn)
+        assert holds()
+        seen["early_read" if n == k else "localize"] += 1
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(named_conditions(), st.data())
+    def check(case, data):
+        p, _, name = case
+        nu = NameOracle(p, ((0, 1, 2),) * p.horizon,
+                        (lambda b: name((b,))) if isinstance(p, TruncCondition) else name)
+        early = check_reading(p, nu, "early")
+        assert check_reading(p, nu, "timely") or not early
+        seen["early"] += early
+        e = data.draw(st.lists(st.integers(1, 30), min_size=p.horizon, max_size=p.horizon))
+        runs = [lambda: early_read(p, nu)]
+        if isinstance(p, TruncCondition) or p.is_modest():   # as restricted_localize checks
+            runs.append(lambda: _localize(_localization_space(p, nu, (3,) * p.horizon, e),
+                                          (3,) * p.horizon, e, 0, ()))
+        for run in runs:
+            try:
+                run()
+            except PreconditionError:
+                pass
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conditions, "_refine_split", checked)
+        check()
+    assert min(seen["early"], seen["early_read"], seen["localize"]) >= 20, seen
 
 
 @settings(max_examples=80, deadline=None)

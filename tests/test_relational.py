@@ -92,3 +92,20 @@ def test_pair_shape_validation():
 def test_system_json_roundtrip():
     R = FinRelSystem.of([[1, 0], [0, 1], [1, 1]])
     assert FinRelSystem.from_json(R.to_json()) == R
+
+
+_ID2 = FinRelSystem.of([[True, False], [False, True]])
+
+
+# every input check of the module, one input that fails it
+@pytest.mark.parametrize("call, message", [
+    (lambda: brute_characteristics(FinRelSystem.of([[True]] * 21)),
+     "system exceeds the exhaustive size cap"),
+    (lambda: check_tukey(_ID2, _ID2, TukeyPair((0,), (0, 1))),
+     "pair domains do not match the systems"),
+    (lambda: check_tukey(_ID2, _ID2, TukeyPair((0, 2), (0, 1))),
+     "pair maps leave their codomains"),
+])
+def test_each_input_check_names_its_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -53,8 +53,8 @@ def test_library_binds_no_second_names():
 
 def _referenced_names() -> set:
     """Every name a Name, an Attribute or an import uses anywhere in src/,
-    tests/ or perfbench/, plus the names the package table and the CLI's
-    suite table give as strings."""
+    tests/ or perfbench/, plus the names the package table gives as
+    strings."""
     root = Path(__file__).resolve().parent.parent
     names = {n for line in creaturelab._EXPORTS.values() for n in line.split()}
     for path in sorted(p for d in ("src", "tests", "perfbench")
@@ -67,12 +67,6 @@ def _referenced_names() -> set:
                 names.add(node.attr)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 names.update(alias.name.split(".")[-1] for alias in node.names)
-            elif (isinstance(node, ast.Assign) and path.name == "cli.py"
-                  and ast.unparse(node.targets[0]) == "_SUITES"):
-                # the toy generators a suite names by string
-                names.update(call.args[0].value for call in ast.walk(node.value)
-                             if isinstance(call, ast.Call) and call.args
-                             and isinstance(call.args[0], ast.Constant))
     return names
 
 
