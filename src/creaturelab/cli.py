@@ -104,9 +104,16 @@ def _cap(cap, default) -> int:
     return cap
 
 
+def _typed(field, v, kind):
+    """v, the value of the field, which must be of the kind."""
+    if type(v) is not kind:
+        raise ValueError(f"the field {field} must be {_KINDS[kind]}, got {v!r}")
+    return v
+
+
 def _condition(obj):
     """A product from a JSON object with parts, else a condition."""
-    if isinstance(obj, dict) and "parts" in obj:
+    if "parts" in _typed("condition", obj, dict):
         from .products import ProductCondition
         return ProductCondition.from_json(obj)
     from .conditions import TruncCondition
@@ -199,8 +206,8 @@ def _order(lib, q, p, mode="plain"):
 def _fuse(lib, chain):
     if not all(type(c) is dict for c in chain):
         raise ValueError(f"the field chain must list objects, got {chain!r}")
-    chain = [(_condition(c["condition"]), tuple(c["frozen"])) if "condition" in c
-             else _condition(c) for c in chain]
+    chain = [(_condition(c["condition"]), tuple(_typed("frozen", c["frozen"], list)))
+             if "condition" in c else _condition(c) for c in chain]
     return 0, {"condition": lib.fuse(chain).to_json()}
 
 

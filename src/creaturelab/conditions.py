@@ -37,6 +37,16 @@ def _modest(splits) -> bool:
     return len({k for k, _ in splits}) == len(splits)
 
 
+def _json_list(obj, field: str, ints: bool = False) -> list:
+    """obj[field], which must be a JSON list, of integers if ints (a bool is
+    no integer)."""
+    v = obj[field]
+    if type(v) is not list or ints and not all(type(x) is int for x in v):
+        raise ValueError(f"the field {field} must be a list{' of integers' * ints}, "
+                         f"got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class ParamTriple:
     c: tuple[int, ...]
@@ -55,6 +65,10 @@ class ParamTriple:
     @property
     def horizon(self) -> int:
         return len(self.c)
+
+    @staticmethod
+    def from_json(obj) -> "ParamTriple":
+        return ParamTriple(*(tuple(_json_list(obj, k, ints=True)) for k in "chd"))
 
 
 @dataclass(frozen=True)
@@ -88,10 +102,10 @@ class TruncCondition:
 
     @staticmethod
     def from_json(obj) -> "TruncCondition":
-        params = ParamTriple(tuple(obj["c"]), tuple(obj["h"]), tuple(obj["d"]))
+        params = ParamTriple.from_json(obj)
         # a short or long cells list fails the one-per-level check
         cells = tuple(Creature.of(c, h, members) for c, h, members
-                      in zip(params.c, params.h, obj["cells"]))
+                      in zip(params.c, params.h, _json_list(obj, "cells")))
         return TruncCondition(params, cells)
 
 

@@ -76,7 +76,7 @@ def _exact_pow(x: int, y: int):
     """x ** y for integers x and y >= 0, or None when the result could pass
     EXACT_BIT_LIMIT bits.  A power-of-two base is a shift."""
     bits = _bits(x)
-    if y * bits > EXACT_BIT_LIMIT:
+    if y > EXACT_BIT_LIMIT // bits:  # y * bits > EXACT_BIT_LIMIT, unbuilt
         return None
     if x > 0 and _is_pow2(x):
         return 1 << ((bits - 1) * y)
@@ -87,22 +87,22 @@ def _exact_pow(x: int, y: int):
 # directed rational log2 / pow2
 
 
+def _bit_below(n: int, r: int) -> bool:
+    """n >= 0 has a set bit below bit r >= 0.  The low 64 bits decide most
+    huge n without scanning them."""
+    return bool(n & ((1 << min(r, 64)) - 1)) or r > 64 and 0 < (n & -n).bit_length() <= r
+
+
 def _shr_ceil(n: int, s: int) -> int:
-    """ceil(n / 2**s) without materializing 2**s."""
-    q = n >> s
-    if n > 0 and (n & -n).bit_length() - 1 < s:
-        q += 1
-    return q
+    """ceil(n / 2**s) for n >= 0, without materializing 2**s."""
+    return (n >> s) + _bit_below(n, s)
 
 
 def _floor_log2(x: Fraction) -> int:
-    """floor(log2(x)) for x > 0."""
+    """floor(log2(x)) for x > 0; neither side is shifted up."""
     n, d = x.numerator, x.denominator
     e = n.bit_length() - d.bit_length()
-    if e >= 0:
-        ge = (n >> e) >= d
-    else:
-        ge = (n << -e) >= d
+    ge = (n >> e) >= d if e >= 0 else n >= _shr_ceil(d, -e)
     return e if ge else e - 1
 
 
@@ -122,22 +122,25 @@ def _sq_chain_floor(t: int, prec: int) -> int:
 def _shifted_quotient(n: int, s: int, d: int, keep: int) -> int:
     """floor(n * 2**s / d) for n, d > 0.
 
-    An operand longer than ``keep`` bits is cut to its top ``keep`` bits;
-    the cut operands bound the quotient from both sides, and when the two
-    floors agree that is the answer.  Otherwise the full division decides.
+    An operand longer than ``keep`` bits is cut to its top ``keep`` bits,
+    with a sticky flag for a set bit the cut dropped.  The cut operands
+    bound the quotient from both sides, the upper end open when a flag is
+    set; when the two floors agree that is the answer.  Otherwise the full
+    division decides.
     """
     rn = max(0, n.bit_length() - keep)
     rd = max(0, d.bit_length() - keep)
     if rn or rd:
+        sn, sd = _bit_below(n, rn), _bit_below(d, rd)
         nt, dt = n >> rn, d >> rd
         e = s + rn - rd
-        lo_n, hi_n = nt, nt + (1 if rn else 0)
-        lo_d, hi_d = dt + (1 if rd else 0), dt
+        a_lo, a_hi, b_lo, b_hi = nt, nt + sn, dt + sd, dt
         if e >= 0:
-            lo, hi = (lo_n << e) // lo_d, (hi_n << e) // hi_d
+            a_lo, a_hi = a_lo << e, a_hi << e
         else:
-            lo, hi = lo_n // (lo_d << -e), hi_n // (hi_d << -e)
-        if lo == hi:
+            b_lo, b_hi = b_lo << -e, b_hi << -e
+        lo = a_lo // b_lo
+        if not (sn or sd) or lo == (a_hi - 1) // b_hi:
             return lo
     return ((n << s) if s >= 0 else (n >> -s)) // d
 
@@ -408,6 +411,8 @@ def tower_div(a, b) -> LogTower:
         if y.low <= 0:
             raise TowerDomainError("division by a bound interval touching zero")
         return _canonical(0, x.low / y.high, x.high / y.low)
+    if _is_zero(x):  # y is above height 0, so positive
+        return tower(0)
     lx, ly = tower_log2(x), tower_log2(y)
     if lx.height == 0 and ly.height == 0:  # a rational difference, maybe negative
         return tower_exp2(_canonical(0, lx.low - ly.high, lx.high - ly.low))

@@ -101,8 +101,7 @@ class ProductCondition:
     def from_json(obj) -> "ProductCondition":
         if not all(isinstance(obj[k], dict) for k in ("families", "coords", "parts")):
             raise ValueError("families, coords and parts must be JSON objects")
-        fams = {fam: ParamTriple(tuple(v["c"]), tuple(v["h"]), tuple(v["d"]))
-                for fam, v in obj["families"].items()}
+        fams = {fam: ParamTriple.from_json(v) for fam, v in obj["families"].items()}
         owner = {xi: v["owner"] for xi, v in obj["coords"].items()}
         space = CoordinateSpace.of(owner, fams)
         parts = {xi: TruncCondition.from_json(v)

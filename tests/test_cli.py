@@ -469,6 +469,12 @@ def test_integer_field_of_another_type_exits_2(tmp_path, capsys, sub, payload, f
     assert "Traceback" not in err and message in err
 
 
+_PRODUCT = _INPUTS["poss-product"]["condition"]
+_PRODUCT_FAMILY_H_TRUE = dict(_INPUTS["poss-product"], condition=dict(
+    _PRODUCT, families=dict(_PRODUCT["families"], A=dict(_PRODUCT["families"]["A"],
+                                                         h=[True, 2, 1]))))
+
+
 @pytest.mark.parametrize("sub, payload, message", [
     ("order", dict(_INPUTS["order"], mode={"at_n": "1"}),
      'the field mode must be "plain" or {"at_n": <integer>}, got {\'at_n\': \'1\'}'),
@@ -481,8 +487,23 @@ def test_integer_field_of_another_type_exits_2(tmp_path, capsys, sub, payload, f
     ("poss", dict(_INPUTS["poss"], condition=[1]),
      "the field condition must be an object, got [1]"),
     ("tukey", dict(_INPUTS["tukey"], Rp=3), "the field Rp must be an object, got 3"),
+    # a wrong type nested in a condition, a product family or a fuse link
+    ("poss", dict(_INPUTS["poss"], condition=dict(_INPUTS["poss"]["condition"], c=5)),
+     "the field c must be a list of integers, got 5"),
+    ("poss", dict(_INPUTS["poss"], condition=dict(_INPUTS["poss"]["condition"], d=[2, "4"])),
+     "the field d must be a list of integers, got [2, '4']"),
+    ("poss", dict(_INPUTS["poss"], condition=dict(_INPUTS["poss"]["condition"], cells=7)),
+     "the field cells must be a list, got 7"),
+    ("poss", _PRODUCT_FAMILY_H_TRUE,
+     "the field h must be a list of integers, got [True, 2, 1]"),
+    ("fuse", {"chain": [{"condition": [1], "frozen": []}]},
+     "the field condition must be an object, got [1]"),
+    ("fuse", {"chain": [dict(_INPUTS["product-fuse"]["chain"][0], frozen="xy")]},
+     "the field frozen must be a list, got 'xy'"),
 ], ids=["order-at_n-string", "order-no-at_n", "order-at_n-true", "fuse-chain-of-lists",
-        "and-eta-int", "poss-condition-list", "tukey-Rp-int"])
+        "and-eta-int", "poss-condition-list", "tukey-Rp-int", "poss-c-int",
+        "poss-d-string-item", "poss-cells-int", "product-family-h-bool",
+        "fuse-link-condition-list", "fuse-link-frozen-string"])
 def test_field_of_another_shape_exits_2_naming_it(tmp_path, capsys, sub, payload, message):
     code, body = run(tmp_path, sub, payload)
     err = capsys.readouterr().err

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from random import Random
@@ -167,9 +168,11 @@ def test_log2_bounds_match_full_division_on_huge_operands(nbits, dbits,
 
 
 def test_log2_bounds_fall_back_when_the_top_bits_cannot_decide():
-    # 3 / 2**M: the quotient 3 * 2**(prec - 1) is an exact integer, and the
-    # bounds read from the top bits of 2**M straddle it, so the full
-    # division decides; 2**M + 1 and 2**M - 1 sit just off such a quotient
+    # each of these once reached the full division: the top bits of 2**M or
+    # 2**M +- 1 could not tell the quotient from an exact integer.  The
+    # sticky bit of the cut now decides all of them from the top bits but
+    # the lower quotient of 3 / (2**100003 + 1); either way the bounds are
+    # those of the full division
     for M in (1000, 5000, 100_003):
         for x in (Fraction(3, 2 ** M), Fraction(5, 2 ** M),
                   Fraction(2 ** M + 1), Fraction(1, 2 ** M + 1),
@@ -181,16 +184,57 @@ def test_log2_bounds_fall_back_when_the_top_bits_cannot_decide():
     assert _shifted_quotient(n, 100, 3 ** 4000, 64) == (n << 100) // 3 ** 4000
 
 
+@pytest.mark.parametrize("K", [300, 5000, 100_003])
+def test_log2_bounds_of_the_family_shapes_match_full_division(K):
+    """The level-0 values the families build: 2^K + 1, 3 * 2^K + 4 and
+    3 * 2^K + 5 (a set bit far below the cut), and k * 2^K (a zero tail)."""
+    for n in (2 ** K + 1, 3 * 2 ** K + 4, 3 * 2 ** K + 5,
+              *(k * 2 ** K for k in (3, 5, 7, 12, 2 ** 70 + 1))):
+        for x in (Fraction(n), Fraction(1, n)):
+            assert _log2_bounds(x, 96) == _log2_bounds_full_division(x, 96)
+
+
+def test_shifted_quotient_falls_back_where_the_cut_straddles_an_integer():
+    # n / d is 2^62 +- 1/d: the top 64 bits of n and d put the floor at
+    # 2^62 - 1 or 2^62, so only the full division decides
+    d = 2 ** 300 + 12345
+    for n in (d * 2 ** 62 + 1, d * 2 ** 62 - 1):
+        nt, dt = n >> n.bit_length() - 64, d >> d.bit_length() - 64
+        assert (nt << 62) // (dt + 1) < 2 ** 62 <= ((nt + 1 << 62) - 1) // dt
+        assert _shifted_quotient(n, 0, d, 64) == n // d
+
+
+def test_log2_of_a_33m_bit_operand_builds_nothing_of_its_size():
+    """The log2 bounds of 2^(2^25) + 1, of 3 (2^(2^25) + 1) + 1 and of
+    their reciprocal, and the refusal of a 2^25-bit exponent, each peak
+    under 1 MB: none builds a shifted copy, a full-width quotient or a
+    product the size of its 4 MB operand."""
+    big = 2 ** 2 ** 25 + 1
+    calls = [lambda x=x: _log2_bounds(x, 96)
+             for x in (Fraction(big), Fraction(3 * big + 1), Fraction(1, big))]
+    calls.append(lambda: _exact_pow(3, big))
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+
 def test_exact_pow_shift_and_limit():
     for x in (1, 2, 3, 4, 7, 8, 1024, -2, -3, 0):
         for y in (0, 1, 2, 5, 33):
             assert _exact_pow(x, y) == x ** y
     assert _exact_pow(4, 256) == 2 ** 512
-    # the guard is y * bitlen(x), so base 2 stops at half the limit
+    # the guard is y > EXACT_BIT_LIMIT // bitlen(x), so base 2 stops at
+    # half the limit, and a 2^25-bit exponent is refused unmultiplied
     half = EXACT_BIT_LIMIT // 2
     assert _exact_pow(2, half) == 1 << half
     assert _exact_pow(2, half + 1) is None
     assert _exact_pow(3, EXACT_BIT_LIMIT // 2 + 1) is None
+    assert _exact_pow(3, 2 ** 2 ** 25) is None
 
 
 def test_two_ints_stay_exact_under_the_bit_limit():
@@ -344,8 +388,11 @@ _NUMERIC_GOLDEN = {
     "sub": "e7534f3b26ed2f0cfe731f664aaf092e54aaf1d431572cbc395b8c8c50f23c2d",
     "mul": "e8911d59de8dadcfc7b8174deb96d7f8e50795198069875dd38c5596ef2ecf22",
     # re-pinned when a quotient below 1 of operands of heights 0-1 stopped
-    # being refused as a negative difference: its 27 lines went to an enclosure
-    "div": "70fbe55b4fe076a3de99b7808212259192c48d15d07c4031fde9227ae047fe07",
+    # being refused as a negative difference: its 27 lines went to an enclosure;
+    # re-pinned again when 0 / y became 0 for y above height 0: the 5 lines of
+    # 0 against 2^64+1, 2^100 and the towers of heights 1-3 went from a refused
+    # log2(0) to 0
+    "div": "e4685d01f27f1961df6a0042593c5cb72b88e7eb4481b9ad4a687543d1fa9d5a",
     # re-pinned when a zero base met an exponent above 0 past the exact
     # budget: its 9 lines went from a refused log2(0) to 0
     "pow": "0bdb6493df6e7b725ba1b2f347358a381a721430ccd4702a0b7fe2288f68e842",
@@ -409,7 +456,7 @@ def test_div_below_one_encloses_the_exact_quotient(a, b):
 
 def test_div_encloses_every_exact_quotient_of_the_golden_operands():
     """The operands with a buildable value (all but the height-0 interval
-    and the towers of heights 2 and 3) give 107 quotients that resolve, and
+    and the towers of heights 2 and 3) give 110 quotients that resolve, and
     each holds the exact value."""
     def exact(v):
         if isinstance(v, LogTower):
@@ -426,4 +473,4 @@ def test_div_encloses_every_exact_quotient_of_the_golden_operands():
             except TowerDomainError:
                 continue
             verdicts[encloses(out, exact(x) / exact(y))] += 1
-    assert verdicts == {True: 107}
+    assert verdicts == {True: 110}
