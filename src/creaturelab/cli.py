@@ -129,9 +129,10 @@ def _product(obj):
 def _oracle(p, oracle):
     """The table oracle over p (a condition or a product) from its JSON."""
     from .conditions import NameOracle
-    if not isinstance(oracle["table"], dict):
-        raise ValueError("the oracle table must be a JSON object")
-    return NameOracle.from_table(p, oracle["profile"], oracle["table"])
+    profile = oracle["profile"]
+    if type(profile) is not list or not all(type(a) is list for a in profile):
+        raise ValueError(f"the field profile must be a list of lists, got {profile!r}")
+    return NameOracle.from_table(p, profile, _typed("table", oracle["table"], dict))
 
 
 # ---------------------------------------------------------------------------

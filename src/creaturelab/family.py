@@ -16,8 +16,9 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-from .numeric import (Cmp, tower_add, tower_cmp, tower_exp2, tower_le,
-                      tower_mul, tower_pow, tower_sub, tower_to_json, _bits)
+from .numeric import (PROMOTION_THRESHOLD, Cmp, tower, tower_add, tower_cmp,
+                      tower_exp2, tower_le, tower_mul, tower_pow, tower_sub,
+                      tower_to_json, _bits)
 
 FAMILY_HEIGHT_CAP = 24  # the builders and the checker refuse taller values
 FIELDS = ("d", "h", "g", "b", "c", "a")  # a chain level's or tree node's values
@@ -27,10 +28,12 @@ class TowerOverflowError(ArithmeticError):
     """A family value is taller than the height cap."""
 
 
-def _capped(cap, values):
-    """Raise if one of the values is more than cap exponentials tall."""
-    if any(getattr(v, "height", 0) > cap for v in values):
-        raise TowerOverflowError(f"height cap {cap} exceeded")
+def _capped(cap, k, values):
+    """Raise if one of stage k's values is more than cap exponentials tall."""
+    height = max(getattr(v, "height", 0) for v in values)
+    if height > cap:
+        raise TowerOverflowError(f"height cap {cap} exceeded: stage {k} reaches height "
+                                 f"{height} (raise the cap field, or --cap)")
 
 
 def _lt(x, y):
@@ -124,7 +127,13 @@ class TreeFamily:
 
 
 def _staircase(k: int, d):
-    """h = d^{(k+1)d}."""
+    """h = d^{(k+1)d}.  For an exact d above the promotion threshold
+    tower_pow refuses the exact power and reads the exponent only through
+    its log2 enclosure.  When k + 1 is a power of two, the enclosure of
+    log2(k + 1) + log2(d) is that of log2((k + 1) d) bit for bit, so the
+    exact product is not built."""
+    if isinstance(d, int) and d > PROMOTION_THRESHOLD and not k & (k + 1):
+        d = tower(d)
     return tower_pow(d, tower_mul(k + 1, d))
 
 
@@ -184,7 +193,7 @@ def build_single(n0_minus: int, d0: int, depth: int = 2, *,
                           "end": vals["state"][0], "offset": vals["offset"]})
         n_plus.append(vals["a"])
         nm = tower_add(tower_mul(n_minus[-1], vals["a"]), 1)
-        _capped(cap, [nm, *(vals[name] for name in FIELDS)])
+        _capped(cap, k, [nm, *(vals[name] for name in FIELDS)])
         n_minus.append(nm)
         d = tower_add(nm, 1)
         state = vals["state"]
@@ -220,7 +229,7 @@ def build_tree(d0: int = 3, depth: int = 2, *, cap: int = FAMILY_HEIGHT_CAP):
                 d_from = prev_label
             vals = _stage_values(k, d, state[t[:-1]], tree=True)
             nodes[t] = TreeNode(t, k, *(vals[name] for name in FIELDS), d_from)
-            _capped(cap, [vals[name] for name in FIELDS])
+            _capped(cap, k, [vals[name] for name in FIELDS])
             next_state[t] = vals["state"]
             prev_label = t
         n_plus.append(nodes["1" * (k + 1)].a)
@@ -266,9 +275,12 @@ def verify_suitable(family, bounding: BoundingSequences, *,
     """Per-level certificate for the growth clauses and the bounding
     conditions; entries are {"clause", "k", "status", "method", ...}."""
     tree = isinstance(family, TreeFamily)
-    values = ([getattr(n, name) for n in family.nodes.values() for name in FIELDS]
-              if tree else [v for name in FIELDS for v in getattr(family, name)])
-    _capped(cap, [*values, *bounding.n_minus, *bounding.n_plus])
+    for k in range(family.depth):
+        values = ([getattr(family.nodes[t], name) for t in family.stage(k)
+                   for name in FIELDS]
+                  if tree else [getattr(family, name)[k] for name in FIELDS])
+        # a chain's n_{k+1}^- is built at stage k, its n_0^- is given
+        _capped(cap, k, [*values, bounding.n_minus[k + (not tree)], bounding.n_plus[k]])
     level = _tree_level if tree else _single_level
     entries, con = [], family.constructed
     for k in range(family.depth):

@@ -67,9 +67,8 @@ def _exact_subset_count(m: int, k: int):
 
 
 def _is_pow2(n: int) -> bool:
-    """n > 0 is a power of two.  A set bit among the low 64 rejects most
-    huge n without scanning them."""
-    return (n < 1 << 64 or not n & 0xFFFFFFFFFFFFFFFF) and n.bit_count() == 1
+    """n > 0 is a power of two: no set bit below its top bit."""
+    return not _bit_below(n, n.bit_length() - 1)
 
 
 def _exact_pow(x: int, y: int):
@@ -78,6 +77,8 @@ def _exact_pow(x: int, y: int):
     bits = _bits(x)
     if y > EXACT_BIT_LIMIT // bits:  # y * bits > EXACT_BIT_LIMIT, unbuilt
         return None
+    if y == 1:
+        return x
     if x > 0 and _is_pow2(x):
         return 1 << ((bits - 1) * y)
     return x ** y
@@ -89,8 +90,9 @@ def _exact_pow(x: int, y: int):
 
 def _bit_below(n: int, r: int) -> bool:
     """n >= 0 has a set bit below bit r >= 0.  The low 64 bits decide most
-    huge n without scanning them."""
-    return bool(n & ((1 << min(r, 64)) - 1)) or r > 64 and 0 < (n & -n).bit_length() <= r
+    huge n without scanning them; past them n is compared with itself
+    shifted off bit r and back, cheaper than isolating its lowest set bit."""
+    return bool(n & ((1 << min(r, 64)) - 1)) or r > 64 and n >> r << r != n
 
 
 def _shr_ceil(n: int, s: int) -> int:

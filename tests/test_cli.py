@@ -475,6 +475,12 @@ _PRODUCT_FAMILY_H_TRUE = dict(_INPUTS["poss-product"], condition=dict(
                                                          h=[True, 2, 1]))))
 
 
+def _product_with(field, **entries):
+    """The poss-product input with entries of the product's field replaced."""
+    return dict(_INPUTS["poss-product"], condition=dict(
+        _PRODUCT, **{field: dict(_PRODUCT[field], **entries)}))
+
+
 @pytest.mark.parametrize("sub, payload, message", [
     ("order", dict(_INPUTS["order"], mode={"at_n": "1"}),
      'the field mode must be "plain" or {"at_n": <integer>}, got {\'at_n\': \'1\'}'),
@@ -500,10 +506,21 @@ _PRODUCT_FAMILY_H_TRUE = dict(_INPUTS["poss-product"], condition=dict(
      "the field condition must be an object, got [1]"),
     ("fuse", {"chain": [dict(_INPUTS["product-fuse"]["chain"][0], frozen="xy")]},
      "the field frozen must be a list, got 'xy'"),
+    # a wrong type nested in a product or an oracle
+    ("poss", _product_with("families", A=5),
+     "the field families must map names to objects, got 'A': 5"),
+    ("poss", _product_with("parts", x=7),
+     "the field parts must map names to objects, got 'x': 7"),
+    ("poss", _product_with("coords", x={"owner": [1]}),
+     'the field coords must map each coordinate to {"owner": <family name>}, '
+     "got 'x': {'owner': [1]}"),
+    ("bound", dict(_INPUTS["bound"], oracle=dict(_INPUTS["bound"]["oracle"], profile=5)),
+     "the field profile must be a list of lists, got 5"),
 ], ids=["order-at_n-string", "order-no-at_n", "order-at_n-true", "fuse-chain-of-lists",
         "and-eta-int", "poss-condition-list", "tukey-Rp-int", "poss-c-int",
         "poss-d-string-item", "poss-cells-int", "product-family-h-bool",
-        "fuse-link-condition-list", "fuse-link-frozen-string"])
+        "fuse-link-condition-list", "fuse-link-frozen-string", "product-family-int",
+        "product-part-int", "product-coord-owner-list", "oracle-profile-int"])
 def test_field_of_another_shape_exits_2_naming_it(tmp_path, capsys, sub, payload, message):
     code, body = run(tmp_path, sub, payload)
     err = capsys.readouterr().err
@@ -698,22 +715,23 @@ def test_family_height_cap_is_pinned(tmp_path, capsys):
         lines.append(f"{code}\n{body}\n{capsys.readouterr().err}")
     assert [line[0] for line in lines] == ["2", "0"] * 6 + ["2", "0", "2", "1"] * 3
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
-        "44fcda463af711f76d2e210b670ce4b26e16f15b536a38648b1c07848f5d772e"
+        "353b97a5c2c16fb2158564dbc93d98070e39cce25beac29c1f7d99094503c04b"
 
 
-@pytest.mark.parametrize("mode, payload", [
-    ("tree", {"d0": 3, "depth": 3}),
-    ("tree", {"d0": 3, "depth": 100}),
-    ("build", {"n0_minus": 3, "d0": 4, "depth": 60}),
+@pytest.mark.parametrize("mode, payload, stage", [
+    ("tree", {"d0": 3, "depth": 3}, 2),
+    ("tree", {"d0": 3, "depth": 100}, 2),
+    ("build", {"n0_minus": 3, "d0": 4, "depth": 60}, 12),
 ], ids=["tree-depth-3", "tree-depth-100", "chain-depth-60"])
 def test_family_past_the_default_height_cap_exits_2_at_once(tmp_path, capsys, mode,
-                                                          payload):
+                                                          payload, stage):
     start = time.perf_counter()
     code, body = run(tmp_path, "family", payload, "--mode", mode)
     elapsed = time.perf_counter() - start
     assert code == 2 and body == "" and elapsed < 1.0
     assert capsys.readouterr().err == \
-        "error: TowerOverflowError: height cap 24 exceeded\n"
+        f"error: TowerOverflowError: height cap 24 exceeded: stage {stage} reaches " \
+        "height 25 (raise the cap field, or --cap)\n"
 
 
 def test_family_verify_at_depth_3_under_cap_32(tmp_path):

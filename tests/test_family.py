@@ -1,12 +1,17 @@
+import tracemalloc
+
 import pytest
 
 from creaturelab.family import (
+    TowerOverflowError,
     build_single,
     build_tree,
     certificate_summary,
     toy_family,
     verify_suitable,
+    _staircase,
 )
+from creaturelab.numeric import tower, tower_mul, tower_pow
 
 from oracles import single_family_level0
 
@@ -43,6 +48,32 @@ def test_build_single_interval_offsets():
     assert fam.f_at(rec["k"], rec["start"]) == rec["offset"]
     assert fam.f_at(rec["k"], rec["end"] - 1) == \
         rec["offset"] + (rec["end"] - 1 - rec["start"])
+
+
+def test_staircase_matches_the_exact_exponent_form():
+    """For an exact d above the promotion threshold and k + 1 a power of two
+    the exponent (k + 1) d goes to tower_pow as an enclosure; the staircase
+    is still the one the exact product gives, bit for bit.  At k = 2 the
+    exact product is kept: log2 3 + log2 d need not enclose log2(3 d) as
+    its own bounds do, and for d = 10^30 it does not."""
+    d1 = build_single(3, 4)[0].d[1]
+    for d in (2 ** 64 + 1, 2 ** 100 + 12345, 10 ** 30, d1):
+        for k in (0, 1, 2, 3):
+            assert _staircase(k, d) == tower_pow(d, tower_mul(k + 1, d)), (k, d.bit_length())
+    d = tower(10 ** 30)
+    assert _staircase(2, 10 ** 30) != tower_pow(d, tower_mul(3, d))
+
+
+def test_staircase_of_a_33m_bit_d_builds_nothing_of_its_size():
+    d1 = build_single(3, 4)[0].d[1]
+    assert d1.bit_length() > 2 ** 25
+    tracemalloc.start()
+    try:
+        _staircase(1, d1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_build_tree_node_zero_exact():
@@ -108,6 +139,16 @@ def test_tallest_tree_value_by_depth():
         tf = build_tree(3, depth, cap=64)
         assert max(getattr(getattr(n, name), "height", 0)
                    for n in tf.nodes.values() for name in "dhgbca") == tallest
+
+
+def test_verify_past_its_cap_names_the_stage_and_the_height():
+    tree = build_tree(3, 2)
+    chain = build_single(3, 9, 3)
+    for (fam, bnd), cap, stage, height in (((tree, tree.bounding), 10, 1, 11),
+                                           (chain, 5, 2, 6)):
+        with pytest.raises(TowerOverflowError, match=rf"^height cap {cap} exceeded: "
+                           rf"stage {stage} reaches height {height} \(raise the cap"):
+            verify_suitable(fam, bnd, cap=cap)
 
 
 def test_toy_family_manifest():

@@ -30,9 +30,11 @@ from creaturelab.numeric import (
     tower_pow,
     tower_sub,
     tower_to_json,
+    _bit_below,
     _exact_pow,
     _exact_subset_count,
     _floor_log2,
+    _is_pow2,
     _log2_bounds,
     _pow2_bounds,
     _shifted_quotient,
@@ -235,6 +237,29 @@ def test_exact_pow_shift_and_limit():
     assert _exact_pow(2, half + 1) is None
     assert _exact_pow(3, EXACT_BIT_LIMIT // 2 + 1) is None
     assert _exact_pow(3, 2 ** 2 ** 25) is None
+    # a first power is its base, not a copy; a zeroth power is 1
+    for x in (3, 2 ** 70, 3 ** 1000, 2 ** 2 ** 25 + 1):
+        assert _exact_pow(x, 1) is x
+        assert _exact_pow(x, 0) == 1
+
+
+def test_set_bit_scans_match_their_old_definitions():
+    """_bit_below and _is_pow2 against (n & -n).bit_length() <= r and
+    n.bit_count() == 1, on 1, 2^K, 2^K +- 1, 3 2^K and 2^K + 2^j for K up
+    to 2^25, at r = 0, 1, 63, 64, 65 and around the top bit."""
+    cases = 0
+    for K in (0, 1, 2, 62, 63, 64, 65, 66, 100, 4097, 2 ** 20, 2 ** 25):
+        p = 1 << K
+        shapes = {1, p, p + 1, p - 1, 3 * p}
+        shapes |= {p + (1 << j) for j in {0, 1, 63, 64, 65, K // 2, K - 1} if 0 <= j < K}
+        for n in shapes:
+            if n > 0:
+                assert _is_pow2(n) == (n.bit_count() == 1), (K, n.bit_length())
+            top = n.bit_length()
+            for r in {0, 1, 63, 64, 65, max(top - 1, 0), top, top + 1}:
+                assert _bit_below(n, r) == (0 < (n & -n).bit_length() <= r), (K, r)
+                cases += 1
+    assert cases > 400
 
 
 def test_two_ints_stay_exact_under_the_bit_limit():
