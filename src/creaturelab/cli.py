@@ -65,24 +65,65 @@ def _params(fn):
             code.co_flags & 0x08)  # inspect.CO_VARKEYWORDS
 
 
-# the fields of one type in every subcommand (a bool is no int); colors and f
-# are typed with their length (_per_member), and S and y vary with the map
-_TYPES = {**dict.fromkeys("k n d m n0 k0 horizon seed depth d0 n0_minus".split(), int),
-          **dict.fromkeys("creature condition q p oracle R Rp slalom X".split(), dict),
-          **dict.fromkeys("chain eta gbound x a e B C F G lengths window c h b g "
-                          "hprime phi".split(), list)}
-_KINDS = {int: "an integer", dict: "an object", list: "a list"}
+# each field's JSON shape: a type (a bool is no int), a set of types for a union,
+# [s] a list of s, (s,) an object of any names to s, {"k": s, ...} an object of
+# exactly these fields; conditions, eta, corrupt, mode, S and y are shaped by kind
+_TRUNC = {"c": [int], "h": [int], "d": [int], "cells": [[[int]]]}
+_PRODUCT = {"families": ({"c": [int], "h": [int], "d": [int]},),
+            "coords": ({"owner": str},), "parts": (_TRUNC,)}
+_SLALOM = {"c": [int], "h": [int], "cells": [[int]]}
+_SYSTEM = {"x_size": int, "y_size": int, "rel": [[{int, bool}]]}
+_SHAPES = {**dict.fromkeys("k n d m n0 k0 horizon seed depth d0 n0_minus".split(), int),
+           **dict.fromkeys("gbound x a e F G lengths window c h b g hprime colors f"
+                           .split(), [int]),
+           "creature": {"arena": int, "cap": int, "members": [[int]]}, "R": _SYSTEM,
+           "Rp": _SYSTEM, "oracle": {"profile": [[int]], "table": ([int],)},
+           "slalom": _SLALOM, "X": {"entries": [str]}, "condition": dict, "q": dict,
+           "p": dict, "chain": [dict], "eta": list, "phi": [[[int]]], "B": [str],
+           "C": [str], "xi": str, "t": {int, str}}
+_KINDS = {int: "an integer", bool: "a boolean", str: "a string", list: "a list",
+          dict: "an object", tuple: "an object"}
 
 
-def _call(fn, lib, fields):
+def _path(field) -> str:
+    """The dotted path of a field: its name, or (its parent's field, key)."""
+    return field if type(field) is str else _path(field[0]) + (
+        f"[{field[1]}]" if type(field[1]) is int else f".{field[1]}")
+
+
+def _shaped(field, value, shape):
+    """value, once it has the shape; field names it, spelled out only in a message."""
+    form = type(shape)
+    if form is dict and type(value) is dict:
+        bad = [f"unknown field {_path((field, k))!r}" for k in value if k not in shape]
+        bad += [f"missing field {_path((field, k))!r}" for k in shape if k not in value]
+        if bad:
+            raise ValueError(", ".join(bad))
+        for k, s in shape.items():
+            _shaped((field, k), value[k], s)
+    elif form is list and type(value) is list or form is tuple and type(value) is dict:
+        for k, v in enumerate(value) if form is list else value.items():
+            _shaped((field, k), v, shape[0])
+    elif not (type(value) in shape if form is set else type(value) is shape):
+        kinds = shape if form is set else {shape if form is type else form}
+        raise ValueError(f"the field {_path(field)} must be "
+                         f"{' or '.join(v for k, v in _KINDS.items() if k in kinds)}, "
+                         f"got {value!r}")
+    return value
+
+
+def _call(fn, lib, fields, shapes=_SHAPES):
     """fn(lib, **fields), once the fields are checked against fn's and
-    against their type in _TYPES."""
+    against their shape in shapes."""
     params, required, open_ = _params(fn)
     bad = [f"unknown field {k!r}" for k in fields if k not in params and not open_]
     bad += [f"missing field {k!r}" for k in required if k not in fields]
-    bad += [f"the field {k} must be {_KINDS[_TYPES[k]]}, got {v!r}"
-            for k, v in fields.items()
-            if k in _TYPES and k in params and type(v) is not _TYPES[k]]
+    for k, v in fields.items():
+        if k in shapes and k in params:
+            try:
+                _shaped(k, v, shapes[k])
+            except ValueError as ex:
+                bad.append(str(ex))
     if bad:
         raise ValueError(", ".join(bad))
     return fn(lib, **fields)
@@ -104,35 +145,29 @@ def _cap(cap, default) -> int:
     return cap
 
 
-def _typed(field, v, kind):
-    """v, the value of the field, which must be of the kind."""
-    if type(v) is not kind:
-        raise ValueError(f"the field {field} must be {_KINDS[kind]}, got {v!r}")
-    return v
-
-
-def _condition(obj):
-    """A product from a JSON object with parts, else a condition."""
-    if "parts" in _typed("condition", obj, dict):
+def _condition(obj, field="condition", only=None):
+    """A product from an object with parts, else a condition (only the kind if given)."""
+    if only is _PRODUCT and "parts" not in obj:
+        raise ValueError(f"the field {field} must be a product, with parts")
+    if "parts" in obj and only is not _TRUNC:
         from .products import ProductCondition
-        return ProductCondition.from_json(obj)
+        return ProductCondition.from_json(_shaped(field, obj, _PRODUCT))
     from .conditions import TruncCondition
-    return TruncCondition.from_json(obj)
+    return TruncCondition.from_json(_shaped(field, obj, _TRUNC))
 
 
-def _product(obj):
-    if "parts" not in obj:   # _call has checked that it is an object
-        raise ValueError("the field condition must be a product, with parts")
-    return _condition(obj)
+def _link(obj, field):
+    """A fuse link: (product, frozen coordinates) from an object with condition."""
+    if "condition" not in obj:
+        return _condition(obj, field)
+    _shaped(field, obj, {"condition": dict, "frozen": [str]})
+    return _condition(obj["condition"], (field, "condition")), tuple(obj["frozen"])
 
 
 def _oracle(p, oracle):
     """The table oracle over p (a condition or a product) from its JSON."""
     from .conditions import NameOracle
-    profile = oracle["profile"]
-    if type(profile) is not list or not all(type(a) is list for a in profile):
-        raise ValueError(f"the field profile must be a list of lists, got {profile!r}")
-    return NameOracle.from_table(p, profile, _typed("table", oracle["table"], dict))
+    return NameOracle.from_table(p, oracle["profile"], oracle["table"])
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +189,9 @@ def _per_member(M, field, values) -> dict:
     """The field's list, one value per member of M in canonical order, keyed
     by member."""
     members = M.sorted_members()
-    if type(values) is not list or len(values) != len(members):
-        got = f"{len(values)} entries" if type(values) is list else repr(values)
+    if len(values) != len(members):
         raise ValueError(f"the field {field} must list one value per member: "
-                         f"{len(members)} members, got {got}")
+                         f"{len(members)} members, got {len(values)} entries")
     return dict(zip(members, values))
 
 
@@ -188,39 +222,33 @@ def _poss(lib, condition, k):
 
 @_op("conditions")
 def _and(lib, condition, eta):
+    eta = _shaped("eta", eta, [[[int]]] if "parts" in condition else [[int]])
     return 0, {"condition": lib.and_restrict(_condition(condition), eta).to_json()}
 
 
 @_op("conditions")
 def _order(lib, q, p, mode="plain"):
     if mode != "plain":
-        if not (type(mode) is dict and set(mode) == {"at_n"}
-                and type(mode["at_n"]) is int):
-            raise ValueError('the field mode must be "plain" or {"at_n": <integer>}, '
-                             f"got {mode!r}")
-        mode = ("at_n", mode["at_n"])
-    ok = lib.order_check(_condition(q), _condition(p), mode)
+        mode = ("at_n", _shaped("mode", mode, {"at_n": int})["at_n"])
+    ok = lib.order_check(_condition(q, "q"), _condition(p, "p"), mode)
     return (0 if ok else 1), {"extends": ok}
 
 
 @_op("conditions", "product-fuse")
 def _fuse(lib, chain):
-    if not all(type(c) is dict for c in chain):
-        raise ValueError(f"the field chain must list objects, got {chain!r}")
-    chain = [(_condition(c["condition"]), tuple(_typed("frozen", c["frozen"], list)))
-             if "condition" in c else _condition(c) for c in chain]
+    chain = [_link(c, ("chain", i)) for i, c in enumerate(chain)]
     return 0, {"condition": lib.fuse(chain).to_json()}
 
 
 @_op("conditions")
 def _thin(lib, condition, gbound):
-    p = lib.TruncCondition.from_json(condition)
+    p = _condition(condition, only=_TRUNC)
     return 0, {"condition": lib.thin(p, gbound).to_json()}
 
 
 @_op("conditions")
 def _catch(lib, condition, x, n0=0):
-    q, k = lib.catch_real(lib.TruncCondition.from_json(condition), x, n0)
+    q, k = lib.catch_real(_condition(condition, only=_TRUNC), x, n0)
     return 0, {"condition": q.to_json(), "level": k}
 
 
@@ -239,14 +267,15 @@ def _early_read(lib, condition, oracle):
 
 @_op("conditions")
 def _localize(lib, condition, oracle, a, e, k0=0):
-    p = lib.TruncCondition.from_json(condition)
+    p = _condition(condition, only=_TRUNC)
     q, phi = lib.localize(p, _oracle(p, oracle), tuple(a), tuple(e), k0)
     return 0, {"condition": q.to_json(), "slalom": phi.to_json()}
 
 
 @_op("products")
 def _modest(lib, condition):
-    return 0, {"condition": lib.modest_refine(_product(condition)).to_json()}
+    p = _condition(condition, only=_PRODUCT)
+    return 0, {"condition": lib.modest_refine(p).to_json()}
 
 
 @_op("products")
@@ -262,14 +291,14 @@ def _bound(lib, condition, oracle):
 
 @_op("products")
 def _product_catch(lib, condition, oracle, B, xi, n0=0):
-    p = _product(condition)
+    p = _condition(condition, only=_PRODUCT)
     q, k = lib.product_catch(p, _oracle(p, oracle), set(B), xi, n0)
     return 0, {"condition": q.to_json(), "level": k}
 
 
 @_op("products")
 def _restricted_localize(lib, condition, oracle, C, a, e):
-    p = _product(condition)
+    p = _condition(condition, only=_PRODUCT)
     q, name = lib.restricted_localize(p, _oracle(p, oracle), set(C), tuple(a), tuple(e))
     cells = [{lib.branch_key(q, key, name.coords): sorted(vals)
               for key, vals in cell.items()} for cell in name.cells]
@@ -299,22 +328,24 @@ def _brute(lib, R):
 
 @_op("connections")
 def _maps(lib, mode, **fields):
-    f, g, tr = _call(_choice("mode", _MAPS, mode), lib, fields)
+    shapes, fn = _choice("mode", _MAPS, mode)
+    f, g, tr = _call(fn, lib, fields, {**_SHAPES, **shapes})
     return (0 if tr == "ok" else 1), {
         "f": _plain(f), "g": _plain(g),
         "transfer": "ok" if tr == "ok" else {"violation": tr[1]}}
 
 
-# one map pair per mode; its fields are the parameters after the layer module
+# per mode its S and y shapes and its map pair, whose fields follow the layer
 _MAPS = {
-    "l24": lambda lib, c, h, y, S: lib.l24_maps(c, h, y, lib.Slalom.from_json(S)),
-    "l25": lambda lib, b, g, y, X: lib.l25_maps(b, g, tuple(y),
-                                                lib.SigmaCover.from_json(X)),
-    "l26": lambda lib, c, h, hprime, S, phi: lib.l26_maps(
+    "l24": ({"y": str, "S": _SLALOM}, lambda lib, c, h, y, S: lib.l24_maps(
+        c, h, y, lib.Slalom.from_json(S))),
+    "l25": ({"y": [int]}, lambda lib, b, g, y, X: lib.l25_maps(
+        b, g, tuple(y), lib.SigmaCover.from_json(X))),
+    "l26": ({"S": _SLALOM}, lambda lib, c, h, hprime, S, phi: lib.l26_maps(
         c, h, hprime, lib.Slalom.from_json(S),
-        tuple(tuple(tuple(cell) for cell in lvl) for lvl in phi)),
-    "l27": lambda lib, c, h, S, y: lib.l27_maps(c, h, S, y),
-    "ed": lambda lib, c, h, x, y: lib.ed_maps(c, h, x, y)}
+        tuple(tuple(tuple(cell) for cell in lvl) for lvl in phi))),
+    "l27": ({"S": [[int]], "y": [int]}, lambda lib, c, h, S, y: lib.l27_maps(c, h, S, y)),
+    "ed": ({"y": [int]}, lambda lib, c, h, x, y: lib.ed_maps(c, h, x, y))}
 
 
 def _plain(x):
@@ -383,30 +414,26 @@ def _verify(lib, kind="tree", corrupt=None, **fields):
                                cap=_cap(fields.get("cap"), lib.FAMILY_HEIGHT_CAP))
     summary = lib.certificate_summary(cert)
     code = 0 if summary["fail"] == 0 and summary["unknown"] == 0 else 1
-    return code, {"certificate": cert, "summary":
-                  {k: summary[k] for k in ("total", "pass", "fail", "unknown")}}
+    return code, {"certificate": cert, "summary": summary}
 
 
 def _corrupt(fam, tree, corrupt, fields):
     """Overwrite one value of fam as corrupt says: {field, value, node} for
     a tree, {field, value, k} for a chain, with an integer value."""
     at = "node" if tree else "k"
-    if not (isinstance(corrupt, dict) and set(corrupt) == {"field", "value", at}
-            and type(corrupt["value"]) is int):
-        raise ValueError(f"corrupt must be an object of field, {at} and an integer "
-                         f"value, got {corrupt!r}")
+    _shaped("corrupt", corrupt, {"field": str, "value": int, at: str if tree else int})
     field, where = corrupt["field"], corrupt[at]
     if field not in fields:
         raise ValueError(f"corrupt field {field!r} is not a {'node' if tree else 'chain'} "
                          f"field ({', '.join(fields)})")
     fam.constructed = False
     if tree:
-        if type(where) is not str or where not in fam.nodes:
+        if where not in fam.nodes:
             raise ValueError(f"corrupt node {where!r} is not a node of the tree")
         setattr(fam.nodes[where], field, corrupt["value"])
     else:
         vals = list(getattr(fam, field))
-        if type(where) is not int or not 0 <= where < len(vals):
+        if not 0 <= where < len(vals):
             raise ValueError(f"corrupt k = {where!r} is out of range")
         vals[where] = corrupt["value"]
         setattr(fam, field, tuple(vals))

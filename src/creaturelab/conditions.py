@@ -37,16 +37,6 @@ def _modest(splits) -> bool:
     return len({k for k, _ in splits}) == len(splits)
 
 
-def _json_list(obj, field: str, ints: bool = False) -> list:
-    """obj[field], which must be a JSON list, of integers if ints (a bool is
-    no integer)."""
-    v = obj[field]
-    if type(v) is not list or ints and not all(type(x) is int for x in v):
-        raise ValueError(f"the field {field} must be a list{' of integers' * ints}, "
-                         f"got {v!r}")
-    return v
-
-
 @dataclass(frozen=True)
 class ParamTriple:
     c: tuple[int, ...]
@@ -68,7 +58,7 @@ class ParamTriple:
 
     @staticmethod
     def from_json(obj) -> "ParamTriple":
-        return ParamTriple(*(tuple(_json_list(obj, k, ints=True)) for k in "chd"))
+        return ParamTriple(*(tuple(obj[k]) for k in "chd"))
 
 
 @dataclass(frozen=True)
@@ -105,7 +95,7 @@ class TruncCondition:
         params = ParamTriple.from_json(obj)
         # a short or long cells list fails the one-per-level check
         cells = tuple(Creature.of(c, h, members) for c, h, members
-                      in zip(params.c, params.h, _json_list(obj, "cells")))
+                      in zip(params.c, params.h, obj["cells"]))
         return TruncCondition(params, cells)
 
 
@@ -543,11 +533,7 @@ class NameOracle:
             for key, out in table.items():
                 if key not in index:
                     raise ValueError(f"table key {key!r} is not a branch key of the base")
-                try:
-                    out = tuple(out)
-                except TypeError:
-                    raise TypeError(f"table value {out!r} at key {key!r} is not a list") from None
-                nu._checked(out)
+                nu._checked(tuple(out))
         nu._cache.update(zip(ranks, values))
 
         def fn(branch):

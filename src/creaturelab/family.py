@@ -403,5 +403,4 @@ def certificate_summary(entries) -> dict:
     counts = {"pass": 0, "fail": 0, "unknown": 0}
     for e in entries:
         counts[e["status"]] += 1
-    return {"total": len(entries), **counts,
-            "failing": [e for e in entries if e["status"] != "pass"]}
+    return {"total": len(entries), **counts}

@@ -99,29 +99,16 @@ class ProductCondition:
 
     @staticmethod
     def from_json(obj) -> "ProductCondition":
-        fams, coords, parts = (_json_objects(obj, field)
-                               for field in ("families", "coords", "parts"))
+        fams, coords = obj["families"], obj["coords"]
         for xi, v in coords.items():
-            if type(v.get("owner")) is not str or v["owner"] not in fams:
+            if v["owner"] not in fams:
                 raise ValueError('the field coords must map each coordinate to '
                                  f'{{"owner": <family name>}}, got {xi!r}: {v!r}')
         owner = {xi: v["owner"] for xi, v in coords.items()}
         space = CoordinateSpace.of(owner, {fam: ParamTriple.from_json(v)
                                            for fam, v in fams.items()})
         return ProductCondition(space, {xi: TruncCondition.from_json(v)
-                                        for xi, v in parts.items()})
-
-
-def _json_objects(obj, field: str) -> dict:
-    """obj[field], which must be a JSON object whose values are objects."""
-    v = obj[field]
-    if type(v) is not dict:
-        raise ValueError(f"the field {field} must be an object, got {v!r}")
-    for name, entry in v.items():
-        if type(entry) is not dict:
-            raise ValueError(f"the field {field} must map names to objects, "
-                             f"got {name!r}: {entry!r}")
-    return v
+                                        for xi, v in obj["parts"].items()})
 
 
 # ---------------------------------------------------------------------------

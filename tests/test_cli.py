@@ -294,21 +294,20 @@ def test_family_verify_corrupt_naming_no_value_exits_2(tmp_path, capsys, payload
 
 @pytest.mark.parametrize("payload, message", [
     ({"d0": 3, "depth": 1, "corrupt": {"node": "0", "value": 5}},
-     "corrupt must be an object of field, node and an integer value"),
-    ({"d0": 3, "depth": 1, "corrupt": [1]},
-     "corrupt must be an object of field, node and an integer value, got [1]"),
+     "missing field 'corrupt.field'"),
+    ({"d0": 3, "depth": 1, "corrupt": [1]}, "the field corrupt must be an object, got [1]"),
     ({"kind": "single", "n0_minus": 3, "d0": 4, "depth": 1,
       "corrupt": {"field": "a", "k": "0", "value": 5}},
-     "corrupt k = '0' is out of range"),
+     "the field corrupt.k must be an integer, got '0'"),
     ({"d0": 3, "depth": 1, "corrupt": {"node": "0", "field": "a", "value": "5"}},
-     "corrupt must be an object of field, node and an integer value"),
+     "the field corrupt.value must be an integer, got '5'"),
 ], ids=["no-field", "a-list", "k-string", "value-string"])
 def test_family_verify_malformed_corrupt_exits_2_naming_it(tmp_path, capsys, payload,
                                                           message):
     code, body = run(tmp_path, "family", payload, "--mode", "verify")
     err = capsys.readouterr().err
     assert code == 2 and body == ""
-    assert "Traceback" not in err and message in err
+    assert err == f"error: ValueError: {message}\n"
 
 
 @pytest.mark.parametrize("payload, message", [
@@ -483,39 +482,38 @@ def _product_with(field, **entries):
 
 @pytest.mark.parametrize("sub, payload, message", [
     ("order", dict(_INPUTS["order"], mode={"at_n": "1"}),
-     'the field mode must be "plain" or {"at_n": <integer>}, got {\'at_n\': \'1\'}'),
+     "the field mode.at_n must be an integer, got '1'"),
     ("order", dict(_INPUTS["order"], mode={"at": 1}),
-     'the field mode must be "plain" or {"at_n": <integer>}, got {\'at\': 1}'),
+     "unknown field 'mode.at', missing field 'mode.at_n'"),
     ("order", dict(_INPUTS["order"], mode={"at_n": True}),
-     'the field mode must be "plain" or {"at_n": <integer>}, got {\'at_n\': True}'),
-    ("fuse", {"chain": [[1]]}, "the field chain must list objects, got [[1]]"),
+     "the field mode.at_n must be an integer, got True"),
+    ("fuse", {"chain": [[1]]}, "the field chain[0] must be an object, got [1]"),
     ("and", dict(_INPUTS["and"], eta=5), "the field eta must be a list, got 5"),
     ("poss", dict(_INPUTS["poss"], condition=[1]),
      "the field condition must be an object, got [1]"),
     ("tukey", dict(_INPUTS["tukey"], Rp=3), "the field Rp must be an object, got 3"),
     # a wrong type nested in a condition, a product family or a fuse link
     ("poss", dict(_INPUTS["poss"], condition=dict(_INPUTS["poss"]["condition"], c=5)),
-     "the field c must be a list of integers, got 5"),
+     "the field condition.c must be a list, got 5"),
     ("poss", dict(_INPUTS["poss"], condition=dict(_INPUTS["poss"]["condition"], d=[2, "4"])),
-     "the field d must be a list of integers, got [2, '4']"),
+     "the field condition.d[1] must be an integer, got '4'"),
     ("poss", dict(_INPUTS["poss"], condition=dict(_INPUTS["poss"]["condition"], cells=7)),
-     "the field cells must be a list, got 7"),
+     "the field condition.cells must be a list, got 7"),
     ("poss", _PRODUCT_FAMILY_H_TRUE,
-     "the field h must be a list of integers, got [True, 2, 1]"),
+     "the field condition.families.A.h[0] must be an integer, got True"),
     ("fuse", {"chain": [{"condition": [1], "frozen": []}]},
-     "the field condition must be an object, got [1]"),
+     "the field chain[0].condition must be an object, got [1]"),
     ("fuse", {"chain": [dict(_INPUTS["product-fuse"]["chain"][0], frozen="xy")]},
-     "the field frozen must be a list, got 'xy'"),
+     "the field chain[0].frozen must be a list, got 'xy'"),
     # a wrong type nested in a product or an oracle
     ("poss", _product_with("families", A=5),
-     "the field families must map names to objects, got 'A': 5"),
+     "the field condition.families.A must be an object, got 5"),
     ("poss", _product_with("parts", x=7),
-     "the field parts must map names to objects, got 'x': 7"),
+     "the field condition.parts.x must be an object, got 7"),
     ("poss", _product_with("coords", x={"owner": [1]}),
-     'the field coords must map each coordinate to {"owner": <family name>}, '
-     "got 'x': {'owner': [1]}"),
+     "the field condition.coords.x.owner must be a string, got [1]"),
     ("bound", dict(_INPUTS["bound"], oracle=dict(_INPUTS["bound"]["oracle"], profile=5)),
-     "the field profile must be a list of lists, got 5"),
+     "the field oracle.profile must be a list, got 5"),
 ], ids=["order-at_n-string", "order-no-at_n", "order-at_n-true", "fuse-chain-of-lists",
         "and-eta-int", "poss-condition-list", "tukey-Rp-int", "poss-c-int",
         "poss-d-string-item", "poss-cells-int", "product-family-h-bool",
@@ -568,7 +566,8 @@ def test_table_value_of_a_list_exits_2(tmp_path, capsys):
     code, body = run(tmp_path, "check-reading", payload)
     err = capsys.readouterr().err
     assert code == 2 and body == ""
-    assert "ValueError: oracle value [1] outside profile at level 0" in err
+    assert err == "error: ValueError: the field oracle.table.1,0,0[0] must be an integer, " \
+        "got [1]\n"
 
 
 def test_table_value_that_is_no_list_exits_2_naming_its_key(tmp_path, capsys):
@@ -578,15 +577,15 @@ def test_table_value_that_is_no_list_exits_2_naming_its_key(tmp_path, capsys):
     code, body = run(tmp_path, "check-reading", payload)
     err = capsys.readouterr().err
     assert code == 2 and body == ""
-    assert f"TypeError: table value 5 at key {key!r} is not a list" in err
+    assert err == f"error: ValueError: the field oracle.table.{key} must be a list, got 5\n"
 
 
 @pytest.mark.parametrize("sub, field, cut, message", [
-    ("bigness", "colors", -1, "10 members, got 9 entries"),
-    ("bigness", "colors", 1, "10 members, got 11 entries"),
-    ("range-refine", "f", -3, "10 members, got 7 entries"),
-    ("range-refine", "f", 2, "10 members, got 12 entries"),
-    ("range-refine", "f", None, "10 members, got 3"),
+    ("bigness", "colors", -1, "must list one value per member: 10 members, got 9 entries"),
+    ("bigness", "colors", 1, "must list one value per member: 10 members, got 11 entries"),
+    ("range-refine", "f", -3, "must list one value per member: 10 members, got 7 entries"),
+    ("range-refine", "f", 2, "must list one value per member: 10 members, got 12 entries"),
+    ("range-refine", "f", None, "must be a list, got 3"),
 ], ids=["bigness-short", "bigness-long", "range-short", "range-long", "range-int"])
 def test_per_member_list_of_another_length_exits_2(tmp_path, capsys, sub, field,
                                                    cut, message):
@@ -595,7 +594,68 @@ def test_per_member_list_of_another_length_exits_2(tmp_path, capsys, sub, field,
     code, body = run(tmp_path, sub, dict(_INPUTS[sub], **{field: values}))
     err = capsys.readouterr().err
     assert code == 2 and body == ""
-    assert f"the field {field} must list one value per member: {message}" in err
+    assert err == f"error: ValueError: the field {field} {message}\n"
+
+
+def _walk(value, keys=()):
+    """(key chain, value) for every value inside value, parents first."""
+    for key, v in value.items() if isinstance(value, dict) else enumerate(value):
+        yield keys + (key,), v
+        if isinstance(v, (dict, list)):
+            yield from _walk(v, keys + (key,))
+
+
+def _path(keys):
+    """A key chain as the CLI names it: .key for an object's key, [i] for an index."""
+    return "".join(f"[{k}]" if type(k) is int else f".{k}" for k in keys)[1:]
+
+
+def _changed(payload, keys, change):
+    """A copy of payload with change(parent, key) made at the key chain."""
+    payload = json.loads(json.dumps(payload))
+    parent = payload
+    for key in keys[:-1]:
+        parent = parent[key]
+    change(parent, keys[-1])
+    return payload
+
+
+def _exit_and_error(sub, payload):
+    err = io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(payload))
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([sub])
+    finally:
+        sys.stdin = stdin
+    return code, err.getvalue()
+
+
+# objects that map any names to values: a product's families, coords and
+# parts, and an oracle's table; every other nested object has fixed fields
+_NAME_MAPS = {"families", "coords", "parts", "table"}
+
+
+@pytest.mark.parametrize("name", sorted(_INPUTS))
+def test_nested_missing_key_or_boolean_integer_exits_2_naming_its_path(name):
+    payload, cases = _INPUTS[name], []
+    for keys, value in _walk(payload):
+        if isinstance(value, dict) and keys[-1] not in _NAME_MAPS:
+            for key in value:
+                # without parts a product, and without condition a fuse link,
+                # is read as a condition: exit 2, but not for a missing key
+                kind = key == "parts" or key == "condition" and "frozen" in value
+                cases.append((keys + (key,), dict.pop, None if kind else
+                              f"missing field '{_path(keys + (key,))}'"))
+        # a relation's entries are truth values: 0/1 or false/true
+        elif type(value) is int and "rel" not in keys:
+            cases.append((keys, lambda parent, key: parent.__setitem__(key, True),
+                          f"the field {_path(keys)} must be an integer, got True"))
+    assert cases
+    for keys, change, message in cases:
+        code, err = _exit_and_error(_subcommand(name), _changed(payload, keys, change))
+        assert code == 2 and "Traceback" not in err, (keys, err)
+        assert message is None or err == f"error: ValueError: {message}\n", (keys, err)
 
 
 _PRODUCT_AND = _INPUTS["and-product"]

@@ -217,10 +217,6 @@ def test_from_table_names_the_first_bad_entry_in_table_order():
         table.update([first, second])
         with pytest.raises(ValueError, match=message):
             NameOracle.from_table(P3, _P3_PROFILE, table)
-    table = _p3_table()
-    table["0,0,1"] = 5
-    with pytest.raises(TypeError, match="table value 5 at key '0,0,1' is not a list"):
-        NameOracle.from_table(P3, _P3_PROFILE, table)
 
 
 def test_from_table_takes_values_equal_to_unhashable_profile_entries():

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -130,6 +131,29 @@ def test_single_s1_fails_when_a_tops_n_plus():
         "clause": "S1", "k": 0, "status": "fail", "method": "comparison"}
     fam.a = bnd.n_plus
     assert verify_suitable(fam, bnd)[0]["status"] == "pass"
+
+
+def test_single_bounding_ii_fails_when_n_plus_drops_below_the_power():
+    """Bounding (ii), n_k^+ >= (n_k^-)^k, fails at k = 1 once n_1^+ is 1."""
+    fam, bnd = build_single(3, 4)
+    fam.constructed = False
+    bnd = replace(bnd, n_plus=(bnd.n_plus[0], 1, *bnd.n_plus[2:]))
+    assert [e["status"] for e in verify_suitable(fam, bnd)
+            if e["clause"] == "bounding_ii"] == ["pass", "fail"]
+
+
+def test_single_s6_at_its_boundary():
+    """At depth 1, k = 0, f reaches offset + end - 1 = 131075 = log2 c(0) - 1
+    on the built c(0) = 2^131076.  S6 holds for c(0) = 2^131075, where the
+    bound is met with equality, and fails one bit lower."""
+    fam, bnd = build_single(3, 4, 1)
+    rec = fam.f_records[0]
+    assert rec["offset"] + rec["end"] - 1 == 131075
+    fam.constructed = False
+    for c, status in ((2 ** 131075, "pass"), (2 ** 131074, "fail")):
+        fam.c = (c,)
+        assert [e["status"] for e in verify_suitable(fam, bnd)
+                if e["clause"] == "S6"] == [status]
 
 
 def test_tallest_tree_value_by_depth():

@@ -206,6 +206,28 @@ def test_shifted_quotient_falls_back_where_the_cut_straddles_an_integer():
         assert _shifted_quotient(n, 0, d, 64) == n // d
 
 
+def test_shifted_quotient_matches_the_full_division():
+    """20,000 seeded cases against floor(n 2^s / d): n and d of 1-600 bits,
+    s in [-300, 300], keep 64 or 256.  Answering from the cut operands
+    whenever either cut is exact (`not (sn and sd)`) gets 2,236 of them
+    wrong."""
+    rng = Random(2118)
+    for _ in range(20000):
+        n, d = (rng.getrandbits(b) | 1 << b - 1 for b in (rng.randint(1, 600),
+                                                          rng.randint(1, 600)))
+        s, keep = rng.randint(-300, 300), rng.choice((64, 256))
+        assert _shifted_quotient(n, s, d, keep) == \
+            ((n << s) if s >= 0 else n >> -s) // d, (n, s, d, keep)
+
+
+def test_overlapping_enclosures_are_undecided():
+    """[5, 6] against [4, 5]: both values may be 5, so neither <= nor a
+    three-way answer is proved."""
+    x, y = LogTower(0, Fraction(5), Fraction(6)), LogTower(0, Fraction(4), Fraction(5))
+    assert tower_le(x, y) is None
+    assert tower_cmp(x, y) is Cmp.UNKNOWN
+
+
 def test_log2_of_a_33m_bit_operand_builds_nothing_of_its_size():
     """The log2 bounds of 2^(2^25) + 1, of 3 (2^(2^25) + 1) + 1 and of
     their reciprocal, and the refusal of a 2^25-bit exponent, each peak
