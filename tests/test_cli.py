@@ -620,15 +620,16 @@ def _changed(payload, keys, change):
     return payload
 
 
-def _exit_and_error(sub, payload):
-    err = io.StringIO()
+def _main_on_stdin(sub, payload):
+    """main([sub]) with payload on stdin: the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
     stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(payload))
     try:
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        with redirect_stdout(out), redirect_stderr(err):
             code = main([sub])
     finally:
         sys.stdin = stdin
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 # objects that map any names to values: a product's families, coords and
@@ -653,7 +654,7 @@ def test_nested_missing_key_or_boolean_integer_exits_2_naming_its_path(name):
                           f"the field {_path(keys)} must be an integer, got True"))
     assert cases
     for keys, change, message in cases:
-        code, err = _exit_and_error(_subcommand(name), _changed(payload, keys, change))
+        code, _, err = _main_on_stdin(_subcommand(name), _changed(payload, keys, change))
         assert code == 2 and "Traceback" not in err, (keys, err)
         assert message is None or err == f"error: ValueError: {message}\n", (keys, err)
 
@@ -901,19 +902,13 @@ def _mutated_inputs(draw):
 @example(("measure", dict(_INPUTS["measure"], window=[1, 7])))  # past the slalom
 def test_mutated_inputs_keep_the_exit_contract(case):
     sub, payload = case
-    out, err = io.StringIO(), io.StringIO()
-    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(payload))
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main([sub])
-    finally:
-        sys.stdin = stdin
+    code, out, err = _main_on_stdin(sub, payload)
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code == 2:
-        assert out.getvalue() == ""
+        assert out == ""
     else:
-        report = json.loads(out.getvalue())
-        assert isinstance(report, dict) and out.getvalue().count("\n") == 1
+        report = json.loads(out)
+        assert isinstance(report, dict) and out.count("\n") == 1
         if code == 1:
             assert _WITNESS[sub](report), report
