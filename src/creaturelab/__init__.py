@@ -18,8 +18,8 @@ _EXPORTS = {
         ed_maps escape_measure fbg_profile gch_profile l24_maps l25_maps
         l26_maps l27_maps""",
     "conditions": """NameOracle ParamTriple PreconditionError TruncCondition
-        and_restrict branch_slalom branches catch_real check_reading early_read
-        fuse localize order_check poss_count possibilities thin validate""",
+        and_restrict branches catch_real check_reading early_read fuse localize
+        order_check poss_count possibilities thin validate""",
     "products": """CoordinateSpace ProductCondition ProductNameOracle RestrictedName
         bounding_extract branch_key modest_refine product_catch product_check_reading
         product_early_read restricted_localize schedule_plan""",

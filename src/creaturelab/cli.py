@@ -361,6 +361,8 @@ def _plain(x):
 
 @_op("connections")
 def _measure(lib, slalom, window):
+    if len(window) != 2:
+        raise ValueError(f"the field window must list two integers, got {window!r}")
     m = lib.escape_measure(lib.Slalom.from_json(slalom), tuple(window))
     return 0, {"measure": f"{m.numerator}/{m.denominator}"}
 
@@ -565,7 +567,8 @@ def main(argv=None) -> int:
             raise ValueError("the JSON input must be an object")
         lib = importlib.import_module(f".{layer}", __package__)
         code, payload = _call(fn, lib, {**data, **flags})
-    except (OSError, KeyError, TypeError, ValueError, ArithmeticError) as ex:
+    except (OSError, KeyError, TypeError, ValueError, ArithmeticError,
+            RecursionError) as ex:
         sys.stderr.write(f"error: {type(ex).__name__}: {ex}\n")
         return 2
     _emit(ns, payload)

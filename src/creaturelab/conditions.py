@@ -80,10 +80,6 @@ class TruncCondition:
     def split_levels(self) -> list[int]:
         return [k for k, _ in _splits([self.cells])]
 
-    def s(self, n: int) -> int:
-        """Level of the n-th split."""
-        return self.split_levels()[n]
-
     def to_json(self) -> dict:
         return {"c": list(self.params.c), "h": list(self.params.h),
                 "d": list(self.params.d),
@@ -542,12 +538,6 @@ class NameOracle:
         return nu
 
 
-def branch_slalom(p: TruncCondition, branch: tuple) -> Slalom:
-    """The per-level chosen members of a branch, as a slalom over (c, h)."""
-    from .connections import Slalom
-    return Slalom(p.params.c, p.params.h, tuple(branch))
-
-
 def _read(p, nu: NameOracle) -> BranchSpace:
     """p's branch space with its rows read from the oracle, once p (a
     condition or a product) is checked to extend the oracle's base: the
@@ -610,8 +600,10 @@ def early_read(p, nu: NameOracle):
 
     p must be modest and read the name timely, and at each split k of the
     partly refined space there must be fewer than d(k) possibilities below
-    k and at most d(k) value prefixes of length k.  The result is checked
-    to read the name early.
+    k and at most d(k) value prefixes of length k.  The result reads the
+    name early: at split k the levels <= k fix the first k values and one
+    prefix class per possibility below k is kept, so the levels < k fix
+    them, and a level without a split has one member.
     """
     space = _read(p, nu)
     splits = space.splits()
@@ -631,8 +623,6 @@ def early_read(p, nu: NameOracle):
             classes = list(dict.fromkeys(pre.values()))
             return bigness_refine(M, lambda t: classes.index(pre[t]), d)[1]
         _refine_split(space, k, j, k, by_class)
-    if not _reads(space, "early"):
-        raise PreconditionError("early agreement failed after refinement")
     return space.rebuild(p)
 
 
@@ -708,10 +698,9 @@ def localize(p: TruncCondition, nu: NameOracle, a, e, k0: int = 0):
     for n in range(k0, N):
         if prod(a[:n]) > d[n]:
             raise PreconditionError(f"clause L1 fails at level {n}: prod a > d")
+        # a cell has at most cdh members: this bounds count(n - 1) too (clause iii)
         if prod(cdh[:n]) > e[n]:
             raise PreconditionError(f"clause L1 fails at level {n}: prod c-count > e")
-        if space.count(n - 1) > e[n]:
-            raise PreconditionError(f"clause iii fails at level {n}")
     phi = [cell[()] for cell in _localize(space, a, e, k0, ())]
     widths = tuple(max(e[k], len(phi[k])) if k < k0 else e[k] for k in range(N))
     return space.rebuild(p), Slalom(tuple(a), widths, tuple(phi))

@@ -67,12 +67,6 @@ class FamilyTuple:
     f_records: tuple      # per level: {"k", "start", "end", "offset"}
     constructed: bool = True
 
-    def f_at(self, k: int, j):
-        """f(j) for j in the k-th interval; j - start must be meaningful."""
-        rec = self.f_records[k]
-        return rec["offset"] + j if isinstance(j, int) \
-            and isinstance(rec["offset"], int) else None
-
     def to_json(self) -> dict:
         return {"depth": self.depth,
                 "levels": [{name: _value_json(getattr(self, name)[k]) for name in FIELDS}
@@ -234,11 +228,11 @@ def build_tree(d0: int = 3, depth: int = 2, *, cap: int = FAMILY_HEIGHT_CAP):
             prev_label = t
         n_plus.append(nodes["1" * (k + 1)].a)
         state = next_state
-    # n_k^- is one below the all-zeros node's d at stage k; level 0 exact
+    # n_0^- is one below d0; for k >= 1 n_k^- is the all-zeros node's d,
+    # a tower from stage 1 on, and S1 skips that node
     nm = [d0 - 1]
     for k in range(1, depth):
-        dk = nodes["0" * (k + 1)].d
-        nm.append(dk - 1 if isinstance(dk, int) else dk)
+        nm.append(nodes["0" * (k + 1)].d)
     bounding = BoundingSequences(tuple(nm), tuple(n_plus))
     return TreeFamily(depth, nodes, bounding)
 

@@ -529,10 +529,3 @@ def tower_to_json(t: LogTower) -> dict:
     return {"height": t.height,
             "low": f"{t.low.numerator}/{t.low.denominator}",
             "high": f"{t.high.numerator}/{t.high.denominator}"}
-
-
-def tower_from_json(obj: dict) -> LogTower:
-    def frac(s):
-        n, _, d = s.partition("/")
-        return Fraction(int(n), int(d or 1))
-    return LogTower(obj["height"], frac(obj["low"]), frac(obj["high"]))

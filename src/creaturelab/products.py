@@ -29,8 +29,10 @@ class CoordinateSpace:
     def __post_init__(self):
         if set(self.owner) != set(self.coords):
             raise ValueError("owner map must cover exactly the coordinates")
-        if not set(self.owner.values()) <= set(self.params):
-            raise ValueError("owner targets an unknown family")
+        for xi, fam in self.owner.items():
+            if fam not in self.params:
+                raise ValueError(f"owner targets an unknown family: coordinate {xi!r} "
+                                 f"is owned by {fam!r}")
         if len({t.horizon for t in self.params.values()}) != 1:
             raise ValueError("need one or more families, sharing a horizon")
 
@@ -99,14 +101,9 @@ class ProductCondition:
 
     @staticmethod
     def from_json(obj) -> "ProductCondition":
-        fams, coords = obj["families"], obj["coords"]
-        for xi, v in coords.items():
-            if v["owner"] not in fams:
-                raise ValueError('the field coords must map each coordinate to '
-                                 f'{{"owner": <family name>}}, got {xi!r}: {v!r}')
-        owner = {xi: v["owner"] for xi, v in coords.items()}
+        owner = {xi: v["owner"] for xi, v in obj["coords"].items()}
         space = CoordinateSpace.of(owner, {fam: ParamTriple.from_json(v)
-                                           for fam, v in fams.items()})
+                                           for fam, v in obj["families"].items()})
         return ProductCondition(space, {xi: TruncCondition.from_json(v)
                                         for xi, v in obj["parts"].items()})
 
@@ -134,10 +131,7 @@ def modest_refine(p: ProductCondition) -> ProductCondition:
         for xi in splitters:
             if xi != keep:
                 parts[xi][level] = _singleton(p.parts[xi].cells[level])
-    out = _assemble(p, parts)
-    if not out.is_modest():
-        raise PreconditionError("refinement failed to reach modesty")
-    return out
+    return _assemble(p, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +141,7 @@ def modest_refine(p: ProductCondition) -> ProductCondition:
 def schedule_plan(n: int) -> dict:
     """Stage-by-stage split ownership: stage j+1 preserves the old splits,
     revisits coordinates 0..j once each, then gives coordinate j+1 its first
-    split and j+1 further ones.  |L_j| = (j+1)^2."""
+    split and j+1 further ones, 2j + 3 owners in all: |L_j| = (j+1)^2."""
     if not 0 <= n <= 10:
         raise ValueError(f"n = {n} is outside the bookkeeping scale [0, 10]")
     owners = [0]
@@ -159,8 +153,6 @@ def schedule_plan(n: int) -> dict:
         owners.extend([j + 1] * (j + 1))   # and its further splits
         m.append(len(owners) - 1)
         sizes.append(len(owners))
-    if any(sizes[j] != (j + 1) ** 2 for j in range(n + 1)):
-        raise AssertionError("a stage size is not (j+1)^2")
     return {"n": n, "m": m, "sizes": sizes, "owners": owners}
 
 
@@ -221,9 +213,6 @@ def product_catch(p: ProductCondition, nu_x: ProductNameOracle, B, xi: str,
         space.set_cell(x, _singleton(space.cells[x]))
     caught, k = catch_real(p.parts[xi], [col[0] for col in space.values], n0)
     space.set_cell(p.support.index(xi) * N + k, caught.cells[k])
-    t, = caught.cells[k].members
-    if not all(v in t for v in space.values[k]):
-        raise AssertionError(f"a branch escapes the caught member at level {k}")
     return space.rebuild(p), k
 
 
@@ -235,9 +224,6 @@ class RestrictedName:
     coords: tuple[str, ...]
     widths: tuple[int, ...]
     cells: tuple[dict, ...]
-
-    def at(self, k: int, cbranch: tuple):
-        return self.cells[k][cbranch]
 
 
 def restricted_localize(p: ProductCondition, nu_x: ProductNameOracle,

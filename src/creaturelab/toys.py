@@ -156,42 +156,6 @@ def localize_instance(rng: Random):
     return p, nu, a, tuple(e)
 
 
-def antiloc_instance(rng: Random):
-    """(p, nu, a, e) with width-1 levels: a(k) counts the <=1-cells of the
-    arena, e(k) = c(k) - 1, and nu encodes the branch's own chosen cell
-    (empty cell -> 0, {j} -> j + 1)."""
-    from .conditions import NameOracle, ParamTriple, TruncCondition
-    from .family import _toy_windows, toy_arenas
-    N = 3
-    cs = toy_arenas(rng, N)
-    hs = [1] * N
-    cells = []
-    count = 1
-    split_budget = 2
-    for k in range(N):
-        if (split_budget > 0 and count * (cs[k] + 1) <= 60 and cs[k] <= 20
-                and rng.random() < 0.8):
-            cells.append(full_creature(cs[k], 1))
-            split_budget -= 1
-        else:
-            j = rng.randrange(cs[k])
-            cells.append(Creature.of(cs[k], 1, [[j]]))
-        count *= len(cells[k].members)
-    a, e, ds = _toy_windows(cs, [prod(len(c.members) for c in cells[:k])
-                                 for k in range(N)])
-    p = TruncCondition(ParamTriple(tuple(cs), tuple(hs), tuple(ds)), tuple(cells))
-    profile = tuple(tuple(range(a[k])) for k in range(N))
-
-    def fn(branch):
-        return tuple(0 if not cell else min(cell) + 1 for cell in branch)
-    return p, NameOracle(p, profile, fn), tuple(a), tuple(e)
-
-
-def decode_cell(index: int):
-    """Inverse of the width-1 encoding: 0 -> empty, j + 1 -> {j}."""
-    return frozenset() if index == 0 else frozenset({index - 1})
-
-
 # ---------------------------------------------------------------------------
 # product instances
 
@@ -239,15 +203,6 @@ def _widen_d(p: ProductCondition, floors) -> ProductCondition:
     return ProductCondition(space, parts)
 
 
-def product_reading_instance(rng: Random):
-    """(p, nu) on two coordinates, nu read early across the product."""
-    p = product_instance(rng)
-    profile = tuple(tuple(range(rng.randint(1, 3))) for _ in range(p.horizon))
-    p = _widen_d(p, [prod(len(x) for x in profile[:k]) for k in range(p.horizon)])
-    nu = _table_oracle(rng, p, profile, lambda k: k + 1)
-    return p, nu
-
-
 def product_catch_instance(rng: Random):
     """(p, nu_x, B, xi): nu_x reads only the B coordinate, and xi has a
     norm->=1 level (full union) to catch at."""
@@ -264,8 +219,6 @@ def product_catch_instance(rng: Random):
     cells = list(part.cells)
     cells[k0] = full_creature(part.params.c[k0], part.params.h[k0])
     p = p.with_part(xi, TruncCondition(part.params, tuple(cells)))
-    if not p.is_modest():
-        raise AssertionError("the catch instance is not modest")
     c_xi = p.parts[xi].params.c
     profile = tuple(tuple(range(c_xi[k])) for k in range(p.horizon))
     pos_b = p.support.index(beta)

@@ -14,7 +14,6 @@ import pytest
 from creaturelab.conditions import (
     NameOracle,
     PreconditionError,
-    branch_slalom,
     branches,
     check_reading,
     early_read,
@@ -52,8 +51,6 @@ from creaturelab.relational import (
     leq_card,
 )
 from creaturelab.toys import (
-    antiloc_instance,
-    decode_cell,
     localize_instance,
     product_catch_instance,
     random_coloring,
@@ -65,6 +62,7 @@ from creaturelab.toys import (
 )
 
 from oracles import escape_measure_direct, norm_direct, single_family_level0
+from toy_instances import antiloc_instance, decode_cell
 
 
 def test_criterion_01_norm_oracle_equivalence():
@@ -155,7 +153,7 @@ def test_criterion_05_antilocalisation_composition():
                   (decode_cell(v) for v in sorted(phi.cells[k])) if cell)
             for k in range(p.horizon))
         for b in branches(q):
-            S = branch_slalom(q, b)
+            S = Slalom(q.params.c, q.params.h, tuple(b))
             f, y, transfer = l26_maps(q.params.c, q.params.h, e, S, decoded)
             assert transfer == "ok"
             for k in range(p.horizon):
@@ -276,7 +274,7 @@ def test_criterion_11_restricted_localisation():
             key = tuple(b[i] for i in cidx)
             v = nu.eval(b)
             for k in range(q.horizon):
-                cell = name.at(k, key)
+                cell = name.cells[k][key]
                 assert len(cell) <= e[k]
                 assert v[k] in cell
                 assert seen.setdefault((k, key), cell) == cell

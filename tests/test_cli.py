@@ -14,6 +14,8 @@ from creaturelab import cli, toys
 from creaturelab.cli import main
 from creaturelab.conditions import branches
 
+import toy_instances
+
 
 def run(tmp_path, sub, payload, *flags):
     inp = tmp_path / "in.json"
@@ -284,7 +286,10 @@ def test_family_integer_field_of_a_wrong_type_or_range_exits_2(tmp_path, capsys,
     ({"kind": "single", "n0_minus": 3, "d0": 4, "depth": 1,
       "corrupt": {"field": "zzz", "k": 0, "value": 5}},
      "corrupt field 'zzz' is not a chain field"),
-], ids=["tree-field", "tree-node", "chain-field"])
+    ({"kind": "single", "n0_minus": 3, "d0": 4, "depth": 1,
+      "corrupt": {"field": "a", "k": 5, "value": 5}},
+     "corrupt k = 5 is out of range"),
+], ids=["tree-field", "tree-node", "chain-field", "chain-k"])
 def test_family_verify_corrupt_naming_no_value_exits_2(tmp_path, capsys, payload, message):
     code, body = run(tmp_path, "family", payload, "--mode", "verify")
     err = capsys.readouterr().err
@@ -514,11 +519,15 @@ def _product_with(field, **entries):
      "the field condition.coords.x.owner must be a string, got [1]"),
     ("bound", dict(_INPUTS["bound"], oracle=dict(_INPUTS["bound"]["oracle"], profile=5)),
      "the field oracle.profile must be a list, got 5"),
+    # an owner of the right type that names no family
+    ("poss", _product_with("coords", x={"owner": "Z"}),
+     "owner targets an unknown family: coordinate 'x' is owned by 'Z'"),
 ], ids=["order-at_n-string", "order-no-at_n", "order-at_n-true", "fuse-chain-of-lists",
         "and-eta-int", "poss-condition-list", "tukey-Rp-int", "poss-c-int",
         "poss-d-string-item", "poss-cells-int", "product-family-h-bool",
         "fuse-link-condition-list", "fuse-link-frozen-string", "product-family-int",
-        "product-part-int", "product-coord-owner-list", "oracle-profile-int"])
+        "product-part-int", "product-coord-owner-list", "oracle-profile-int",
+        "product-coord-owner-unknown"])
 def test_field_of_another_shape_exits_2_naming_it(tmp_path, capsys, sub, payload, message):
     code, body = run(tmp_path, sub, payload)
     err = capsys.readouterr().err
@@ -530,6 +539,16 @@ def test_input_that_is_not_an_object_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("[1]"))
     assert main(["norm"]) == 2
     assert capsys.readouterr() == ("", "error: ValueError: the JSON input must be an object\n")
+
+
+def test_input_nested_past_the_recursion_limit_exits_2(capsys, monkeypatch):
+    depth = 100_000
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        '{"creature": ' + "[" * depth + "]" * depth + "}"))
+    assert main(["norm"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: RecursionError: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("sub, payload, flags, message", [
@@ -673,12 +692,17 @@ _PRODUCT_AND = _INPUTS["and-product"]
     ("measure", {"slalom": _SLALOM, "window": [0, 5]}, [], "window (0, 5)"),
     ("measure", {"slalom": _SLALOM, "window": [-1, 2]}, [], "window (-1, 2)"),
     ("measure", {"slalom": _SLALOM, "window": [2, 1]}, [], "window (2, 1)"),
+    ("measure", {"slalom": _SLALOM, "window": [0]}, [],
+     "the field window must list two integers, got [0]"),
+    ("measure", {"slalom": _SLALOM, "window": [0, 1, 1]}, [],
+     "the field window must list two integers, got [0, 1, 1]"),
     ("gch", dict(_INPUTS["gch"], horizon=-1), [], "horizon -1"),
     ("fbg", dict(_INPUTS["fbg"], horizon=-1), [], "horizon -1"),
     ("family", {"seed": 3, "horizon": 0}, ["--mode", "toy"], "toy horizon 0"),
     ("schedule", {"n": -1}, [], "n = -1"),
 ], ids=["and", "and-product-long", "and-product-short", "order",
-        "measure-long", "measure-negative", "measure-reversed",
+        "measure-long", "measure-negative", "measure-reversed", "measure-one",
+        "measure-three",
         "gch", "fbg", "toy", "schedule"])
 def test_index_or_size_outside_its_range_exits_2(tmp_path, capsys, sub, payload,
                                                  flags, message):
@@ -814,12 +838,12 @@ def test_toy_instances_are_pinned():
         rng = Random(seed)
         p, nu = toys.reading_instance(rng)
         q, mu, a, e = toys.localize_instance(rng)
-        r, rho, a2, e2 = toys.antiloc_instance(rng)
+        r, rho, a2, e2 = toy_instances.antiloc_instance(rng)
         for c, o in ((p, nu), (q, mu), (r, rho)):
             out.append([c.to_json(), [[_members(b), list(o.eval(b))]
                                       for b in branches(c)]])
         out.append([a, e, a2, e2])
-        s, sig = toys.product_reading_instance(rng)
+        s, sig = toy_instances.product_reading_instance(rng)
         t, tau, B, xi = toys.product_catch_instance(rng)
         u, ups, Cs, a3, e3 = toys.restricted_instance(rng)
         for c, o in ((s, sig), (t, tau), (u, ups)):

@@ -1,5 +1,6 @@
 import itertools
 import re
+from math import prod
 from random import Random
 
 import pytest
@@ -10,7 +11,6 @@ from creaturelab.conditions import (
     PreconditionError,
     TruncCondition,
     and_restrict,
-    branch_slalom,
     branches,
     catch_real,
     check_reading,
@@ -24,6 +24,7 @@ from creaturelab.conditions import (
     validate,
 )
 from creaturelab.creatures import Creature, full_creature, norm
+from creaturelab.numeric import subset_count
 from creaturelab.products import branch_key
 from creaturelab.toys import localize_instance, reading_instance
 
@@ -46,7 +47,6 @@ P3 = _cond([(3, 1, [[0], [1]]),          # split
 def test_shape_and_splits():
     assert P3.horizon == 3
     assert P3.split_levels() == [0, 2]
-    assert P3.s(0) == 0 and P3.s(1) == 2
     with pytest.raises(ValueError):
         TruncCondition(P3.params, P3.cells[:2])
 
@@ -85,6 +85,11 @@ def test_validate_star_rank():
     assert rep.valid
     assert rep.split_levels == [0, 2]
     assert rep.star_rank >= 0
+    # norm 3 meets d = 2's staircase at rank 1, (3 + 1)^1 >= 2^(2*1), and
+    # misses it at rank 2, 4 < 2^(2*2)
+    full = full_creature(4, 3)
+    rep = validate(TruncCondition(ParamTriple((4, 4), (3, 3), (2, 2)), (full, full)))
+    assert rep.split_levels == [0, 1] and rep.star_rank == 1
 
 
 def test_fuse_takes_blocks_from_the_chain():
@@ -146,6 +151,9 @@ def test_thin_respects_gbound_and_staircase():
         running *= cnt
     assert q.split_levels()  # something was retained
     assert all(q.cells[i].members <= base.cells[i].members for i in range(3))
+    # with no split there is nothing to retain or sacrifice
+    flat = _cond([(3, 1, [[0]]), (3, 1, [[1]])])
+    assert thin(flat, [1, 1]) is flat
 
 
 def test_catch_real_freezes_a_covering_level():
@@ -352,14 +360,23 @@ def test_localize_rejects_window_violations():
         localize(p, nu, a, tuple(0 for _ in e))
 
 
-def test_branch_slalom_shape():
-    b = branches(P3)[0]
-    S = branch_slalom(P3, b)
-    assert S.c == P3.params.c and S.cells == b
-
-
 def test_condition_json_roundtrip():
     assert TruncCondition.from_json(P3.to_json()) == P3
+
+
+def test_localize_l1_bounds_the_possibilities_below_each_level():
+    """A cell has at most subset_count(c, h) members, the full creature
+    exactly that many, so localize's L1 bound prod c-count(<n) <= e(n)
+    bounds the possibilities below n as well (clause iii)."""
+    full = TruncCondition(ParamTriple((3, 4), (1, 2), (2, 2)),
+                          (full_creature(3, 1), full_creature(4, 2)))
+    assert poss_count(full, 1) == subset_count(3, 1) * subset_count(4, 2)
+    rng = Random(7)
+    for _ in range(50):
+        for p in (reading_instance(rng)[0], localize_instance(rng)[0]):
+            cdh = [subset_count(c, h) for c, h in zip(p.params.c, p.params.h)]
+            for n in range(p.horizon):
+                assert poss_count(p, n - 1) <= prod(cdh[:n])
 
 
 def _over(params, *levels):

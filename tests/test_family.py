@@ -43,14 +43,6 @@ def test_build_single_bounding_recursion():
     assert fam.d[1] == bnd.n_minus[1] + 1
 
 
-def test_build_single_interval_offsets():
-    fam, _ = build_single(3, 4)
-    rec = fam.f_records[0]
-    assert fam.f_at(rec["k"], rec["start"]) == rec["offset"]
-    assert fam.f_at(rec["k"], rec["end"] - 1) == \
-        rec["offset"] + (rec["end"] - 1 - rec["start"])
-
-
 def test_staircase_matches_the_exact_exponent_form():
     """For an exact d above the promotion threshold and k + 1 a power of two
     the exponent (k + 1) d goes to tower_pow as an enclosure; the staircase
@@ -191,6 +183,7 @@ def test_toy_family_manifest():
 # that fails each: no toy horizon of 5 keeps its values within 10^4
 @pytest.mark.parametrize("call, message", [
     (lambda: build_tree(2), "need d0 >= 3"),
+    (lambda: build_tree(3, 0), "depth must be positive"),
     (lambda: toy_family(0, 5), "no in-range assignment at this horizon"),
     (lambda: toy_family(7, 5), "no in-range assignment at this horizon"),
 ])

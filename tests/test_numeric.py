@@ -23,7 +23,6 @@ from creaturelab.numeric import (
     tower_div,
     tower_eval,
     tower_exp2,
-    tower_from_json,
     tower_le,
     tower_log2,
     tower_mul,
@@ -131,14 +130,9 @@ def test_eval_expression_tree():
     assert tower_cmp(tower_eval(expr), tower(1025)) is Cmp.EQUAL
     expr2 = {"op": "subset_count_bound", "args": [4, 2]}
     assert tower_cmp(tower_eval(expr2), tower(11)) is Cmp.EQUAL
-
-
-def test_tower_json_roundtrip():
-    for t in (tower(17), tower(Fraction(3, 7)),
-              tower_exp2(tower_exp2(tower(9)))):
-        back = tower_from_json(tower_to_json(t))
-        assert back.height == t.height
-        assert back.low == t.low and back.high == t.high
+    # the three leaf forms: an int, a decimal string and a const node
+    expr3 = {"op": "mul", "args": [3, "5", {"op": "const", "value": 7}]}
+    assert tower_cmp(tower_eval(expr3), tower(105)) is Cmp.EQUAL
 
 
 def _log2_bounds_full_division(x, prec):

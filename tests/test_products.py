@@ -23,10 +23,11 @@ from creaturelab.toys import (
     localize_instance,
     product_catch_instance,
     product_instance,
-    product_reading_instance,
     reading_instance,
     restricted_instance,
 )
+
+from toy_instances import product_reading_instance
 
 
 def test_product_poss_count_checks_its_level():
@@ -179,7 +180,7 @@ def test_restricted_localize_invariance_and_membership():
             key = tuple(b[i] for i in cidx)
             v = nu.eval(b)
             for k in range(q.horizon):
-                cell = name.at(k, key)
+                cell = name.cells[k][key]
                 assert v[k] in cell
                 assert len(cell) <= e[k]
                 # the cell is a function of the restricted branch alone
@@ -323,6 +324,29 @@ def test_product_fuse_of_a_chain_with_growing_support_and_frozen_sets():
         fuse(chain[:2] + [(chain[2][0], ("y",))])
 
 
+def test_product_fuse_takes_a_coordinate_frozen_before_it_enters_from_its_first_link():
+    # y is in the frozen set from link 0 but enters the support at link 1,
+    # so its block-0 level comes from link 1, the first link that has y
+    chain = [(_prod(x=[_A, _S, _A, _S, _A]), ("x", "y")),
+             (_prod(x=[_A, _S, _A, _S, _S1], y=[_S, _A, _S, _A, _S]), ("x", "y"))]
+    q = fuse(chain)
+    assert q == chain[1][0]
+    for n, (pn, Fn) in enumerate(chain):
+        assert order_check(q, pn, ("at_n", n, Fn))
+
+
+def test_product_order_check_needs_every_coordinate_of_p():
+    p = _prod(x=[_A, _S, _A, _S, _A], y=[_S] * 5)
+    q = _prod(x=[_A, _S, _A, _S, _A])
+    assert order_check(p, q)
+    assert not order_check(q, p)
+
+
+def test_modest_refine_leaves_a_one_coordinate_product_as_it_is():
+    p = _prod(x=[_A, _A, _S, _A, _S])
+    assert modest_refine(p) is p
+
+
 def test_fuse_names_a_product_link_without_its_frozen_set():
     p = _prod(x=[_A, _S, _A, _S, _A])
     with pytest.raises(ValueError, match=r"chain link 0 is not a condition or a \("):
@@ -398,6 +422,24 @@ def _late_name():
     return p, NameOracle(p, ((0, 1), (0,), (0,)), lambda b: (min(b[0][2]), 0, 0))
 
 
+def _y_name():
+    """x frozen and y split at level 0, and a name whose level-1 value y's
+    level-0 member decides."""
+    p, _ = _over(_XY2, x=[_S, _S], y=[_A, _S])
+    return p, NameOracle(p, ((0,), (0, 1)), lambda b: (0, min(b[1][0])))
+
+
+def test_product_catch_collapses_B_where_the_value_reads_another_level():
+    # x(1) is y's level-0 member, and y splits only at level 0: the member
+    # caught at level 1 holds x(1) on every branch only once y is collapsed
+    p, _ = _over(_XY2, x=[_S, [[], [0], [1], [2]]], y=[_A, _S])
+    nu = NameOracle(p, ((0,), (0, 1, 2)), lambda b: (0, min(b[1][0])))
+    q, k = product_catch(p, nu, {"y"}, "x")
+    assert k == 1 and len(branches(q)) == 1
+    for b in branches(q):
+        assert nu.eval(b)[1] in b[0][1]
+
+
 # the entry checks of the module, one input that fails each
 @pytest.mark.parametrize("call, message", [
     (lambda: CoordinateSpace(("x",), {}, {"A": _T2}),
@@ -414,12 +456,18 @@ def _late_name():
      "condition reads the name neither early nor timely"),
     (lambda: product_catch(*_over(_XY2, x=[_A, _S], y=[_S, _S]), {"x"}, "x"),
      "target coordinate cannot carry the name"),
+    (lambda: product_catch(*_over(_XY2, x=[_A, _S], y=[_S, _S]), {"y"}, "z"),
+     "coordinate 'z' outside the support"),
     (lambda: restricted_localize(*_over(_XY2, x=[_A, _S], y=[_A, _S]), {"x"}, (1, 1), (7, 7)),
      "condition is not modest"),
     # y's split at level 1 has 2 possibilities below it but e(1) = 1, so
     # its range refinement may keep no value
     (lambda: restricted_localize(*_over(_XY2, x=[_A, _S], y=[_S, _A]), {"x"}, (1, 1), (7, 1)),
      "block bound fails at level 1"),
+    # y's split at level 0, outside C, is range-refined on level 0's one
+    # value, so both members stay and level 1 keeps two values where e(1) = 1
+    (lambda: restricted_localize(*_y_name(), {"x"}, (1, 2), (7, 1)),
+     "clause i fails at level 1: 2 values"),
 ])
 def test_each_entry_check_names_its_input(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

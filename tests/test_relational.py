@@ -105,6 +105,9 @@ _ID2 = FinRelSystem.of([[True, False], [False, True]])
      "pair domains do not match the systems"),
     (lambda: check_tukey(_ID2, _ID2, TukeyPair((0, 2), (0, 1))),
      "pair maps leave their codomains"),
+    (lambda: brute_characteristics(FinRelSystem.from_json(
+        {"x_size": 3, "y_size": 2, "rel": [[1, 0], [0, 1]]})),
+     "relation matrix dimensions do not match"),
 ])
 def test_each_input_check_names_its_input(call, message):
     with pytest.raises(ValueError, match=message):

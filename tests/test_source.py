@@ -52,12 +52,11 @@ def test_library_binds_no_second_names():
 
 
 def _referenced_names() -> set:
-    """Every name a Name, an Attribute or an import uses anywhere in src/,
-    tests/ or perfbench/, plus the names the package table gives as
-    strings."""
+    """Every name a Name, an Attribute or an import uses anywhere in src/
+    or perfbench/, plus the names the package table gives as strings."""
     root = Path(__file__).resolve().parent.parent
     names = {n for line in creaturelab._EXPORTS.values() for n in line.split()}
-    for path in sorted(p for d in ("src", "tests", "perfbench")
+    for path in sorted(p for d in ("src", "perfbench")
                        for p in (root / d).rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
@@ -71,9 +70,10 @@ def _referenced_names() -> set:
 
 
 def test_library_defines_nothing_unused():
-    """A function, class or method that nothing names is dead code; dunders
-    and the CLI's @_op handlers, which the subcommand table calls, are
-    exempt."""
+    """A function, class or method that neither the library nor the
+    benchmark names is dead code, though a test may call it: a fixture only
+    tests use belongs in tests/.  Dunders and the CLI's @_op handlers, which
+    the subcommand table calls, are exempt."""
     used = _referenced_names()
     found = []
     for path in sorted(Path(creaturelab.__file__).parent.glob("*.py")):
