@@ -478,7 +478,7 @@ class NameOracle:
 
     base: TruncCondition | ProductCondition
     profile: tuple[tuple, ...]
-    fn: object
+    fn: object            # None for a table: a branch it lacks raises KeyError
 
     def __post_init__(self):
         self._cache = {}
@@ -499,6 +499,8 @@ class NameOracle:
         if out is None:
             space = self._space
             flat = tuple(p[rank // s % len(p)] for p, s in zip(space.pools, self._strides))
+            if self.fn is None:  # a branch the table lacks
+                raise KeyError(space.key(flat))
             out = self._checked(tuple(self.fn(space.shape(flat, space.N))))
             self._cache[rank] = out
         return out
@@ -531,10 +533,6 @@ class NameOracle:
                     raise ValueError(f"table key {key!r} is not a branch key of the base")
                 nu._checked(tuple(out))
         nu._cache.update(zip(ranks, values))
-
-        def fn(branch):
-            raise KeyError(space.key(space.flat(branch)))
-        nu.fn = fn
         return nu
 
 

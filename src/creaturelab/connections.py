@@ -26,6 +26,9 @@ class Slalom:
         for i, cell in enumerate(self.cells):
             if len(cell) > self.h[i]:
                 raise ValueError(f"cell {i} exceeds its width bound")
+            for v in cell:
+                if type(v) is not int:  # a bool is not an element either
+                    raise ValueError(f"cell {i} element {v!r} is not an integer")
             if any(v < 0 or v >= self.c[i] for v in cell):
                 raise ValueError(f"cell {i} leaves the arena")
 

@@ -36,6 +36,9 @@ class Creature:
         for m in self.members:  # find the first bad member, for its message
             if len(m) > self.cap:
                 raise ValueError("member exceeds the size cap")
+            for v in m:
+                if type(v) is not int:  # a bool is not an element either
+                    raise ValueError(f"member element {v!r} is not an integer")
             if any(v < 0 or v >= self.arena for v in m):
                 raise ValueError("member leaves the arena")
 

@@ -64,7 +64,7 @@ class FamilyTuple:
     b: tuple
     c: tuple
     a: tuple
-    f_records: tuple      # per level: {"k", "start", "end", "offset"}
+    f_records: tuple      # per level: {"end": min I_{k+1}, "offset": f's lead}
     constructed: bool = True
 
     def to_json(self) -> dict:
@@ -86,15 +86,14 @@ class BoundingSequences:
 
 @dataclass
 class TreeNode:
-    label: str            # binary string, length k + 1
-    k: int
+    """A node's FIELDS; its label, of length k + 1, is its key in the tree."""
+
     d: object
     h: object
     g: object
     b: object
     c: object
     a: object
-    d_from: str           # "seed" | "stage" | label of the lex predecessor
 
 
 @dataclass
@@ -132,8 +131,8 @@ def _staircase(k: int, d):
 
 
 def _stage_values(k: int, d, state, tree: bool):
-    """One level's FIELDS, next state and f offset, from d(k) and the running
-    block state (min I_k, min J_k, sum of g+d below k)."""
+    """One level's FIELDS and next state, from d(k) and the running block
+    state (min I_k, min J_k, sum of g+d below k)."""
     min_i, min_j, total = state
     h = _staircase(k, d)
     min_j_next = tower_add(min_j, h)
@@ -152,8 +151,7 @@ def _stage_values(k: int, d, state, tree: bool):
     # on a tower, + 1 widens the upper bound by the slack that covers doubling
     a = tower_add(base, 1)
     return dict(zip(FIELDS, (d, h, g, b, c, a)),
-                state=(tower_add(min_i, g), min_j_next, total_next),
-                offset=_sub_offset(total_next, min_i))
+                state=(tower_add(min_i, g), min_j_next, total_next))
 
 
 def _sub_offset(total, min_i):
@@ -183,8 +181,8 @@ def build_single(n0_minus: int, d0: int, depth: int = 2, *,
         vals = _stage_values(k, d, state, tree=False)
         for name in FIELDS:
             seqs[name].append(vals[name])
-        f_records.append({"k": k, "start": state[0],
-                          "end": vals["state"][0], "offset": vals["offset"]})
+        end, _, total = vals["state"]
+        f_records.append({"end": end, "offset": _sub_offset(total, state[0])})
         n_plus.append(vals["a"])
         nm = tower_add(tower_mul(n_minus[-1], vals["a"]), 1)
         _capped(cap, k, [nm, *(vals[name] for name in FIELDS)])
@@ -207,25 +205,19 @@ def build_tree(d0: int = 3, depth: int = 2, *, cap: int = FAMILY_HEIGHT_CAP):
     state = {"": (0, 0, 0)}
     n_plus = []
     for k in range(depth):
-        prev_label = None
         next_state = {}
-        for t in TreeFamily.stage(k):
-            if prev_label is None:
-                if k == 0:
-                    d, d_from = d0, "seed"
-                else:
-                    lo = nodes["0" * k]
-                    hi = nodes["1" * k]
-                    d = tower_add(tower_mul(lo.d, hi.a), 3)
-                    d_from = "stage"
+        labels = TreeFamily.stage(k)
+        for i, t in enumerate(labels):
+            if i:
+                d = tower_mul(k + 1, nodes[labels[i - 1]].a)
+            elif k:
+                d = tower_add(tower_mul(nodes["0" * k].d, nodes["1" * k].a), 3)
             else:
-                d = tower_mul(k + 1, nodes[prev_label].a)
-                d_from = prev_label
+                d = d0
             vals = _stage_values(k, d, state[t[:-1]], tree=True)
-            nodes[t] = TreeNode(t, k, *(vals[name] for name in FIELDS), d_from)
+            nodes[t] = TreeNode(*(vals[name] for name in FIELDS))
             _capped(cap, k, [vals[name] for name in FIELDS])
             next_state[t] = vals["state"]
-            prev_label = t
         n_plus.append(nodes["1" * (k + 1)].a)
         state = next_state
     # n_0^- is one below d0; for k >= 1 n_k^- is the all-zeros node's d,
@@ -341,12 +333,12 @@ def _tree_level(fam: TreeFamily, k, nm, np_, con, entries):
                   True if t == "1" * (k + 1) else _lt(n.a, np_)]
         _node_clauses(k, *(getattr(n, name) for name in FIELDS), bounds,
                       con, con, entries, node=t)
-    # S7: for lex-adjacent and all earlier pairs, (k+1) a_t <= d_{t'}
+    # S7: for lex-adjacent and all earlier pairs, (k+1) a_t <= d_{t'}; the
+    # builder makes each d (k+1) times its lex predecessor's a
     for i, t in enumerate(labels):
         for tp in labels[i + 1:]:
             r = tower_le(tower_mul(k + 1, fam.nodes[t].a), fam.nodes[tp].d)
-            adjacent = fam.nodes[tp].d_from == t
-            _check("S7", k, r, con and adjacent, entries, pair=[t, tp])
+            _check("S7", k, r, con and tp == labels[i + 1], entries, pair=[t, tp])
 
 
 def toy_arenas(rng, horizon: int) -> list[int]:

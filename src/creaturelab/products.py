@@ -20,15 +20,12 @@ from .conditions import (BranchSpace, NameOracle, ParamTriple,
 
 @dataclass(frozen=True)
 class CoordinateSpace:
-    """Index set of coordinates, each owned by a parameter family."""
+    """Coordinates, the owner map's keys, each owned by a parameter family."""
 
-    coords: tuple[str, ...]
     owner: dict[str, str]            # coord -> family label
     params: dict[str, ParamTriple]   # family label -> parameters
 
     def __post_init__(self):
-        if set(self.owner) != set(self.coords):
-            raise ValueError("owner map must cover exactly the coordinates")
         for xi, fam in self.owner.items():
             if fam not in self.params:
                 raise ValueError(f"owner targets an unknown family: coordinate {xi!r} "
@@ -38,11 +35,7 @@ class CoordinateSpace:
 
     @staticmethod
     def of(owner: dict, params: dict) -> "CoordinateSpace":
-        return CoordinateSpace(tuple(sorted(owner)), dict(sorted(owner.items())),
-                               dict(sorted(params.items())))
-
-    def family_of(self, coord: str) -> str:
-        return self.owner[coord]
+        return CoordinateSpace(dict(sorted(owner.items())), dict(sorted(params.items())))
 
     def triple_of(self, coord: str) -> ParamTriple:
         return self.params[self.owner[coord]]
@@ -59,7 +52,7 @@ class ProductCondition:
 
     def __post_init__(self):
         for xi, part in self.parts.items():
-            if xi not in self.space.coords:
+            if xi not in self.space.owner:
                 raise ValueError(f"coordinate {xi!r} outside the space")
             if part.params != self.space.triple_of(xi):
                 raise ValueError(f"part {xi!r} disagrees with its family")
@@ -91,8 +84,8 @@ class ProductCondition:
         return ProductCondition(self.space, parts)
 
     def to_json(self) -> dict:
-        return {"coords": {xi: {"owner": self.space.family_of(xi)}
-                           for xi in self.space.coords},
+        return {"coords": {xi: {"owner": self.space.owner[xi]}
+                           for xi in sorted(self.space.owner)},
                 "families": {fam: {"c": list(t.c), "h": list(t.h),
                                    "d": list(t.d)}
                              for fam, t in self.space.params.items()},

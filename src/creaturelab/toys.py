@@ -198,7 +198,7 @@ def _widen_d(p: ProductCondition, floors) -> ProductCondition:
                                 tuple(max(dv, floors[k])
                                       for k, dv in enumerate(triple.d)))
     space = CoordinateSpace.of(p.space.owner, fams)
-    parts = {xi: TruncCondition(fams[space.family_of(xi)], p.parts[xi].cells)
+    parts = {xi: TruncCondition(fams[space.owner[xi]], p.parts[xi].cells)
              for xi in p.support}
     return ProductCondition(space, parts)
 

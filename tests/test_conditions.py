@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from creaturelab.conditions import (
+    BRANCH_CAP,
     NameOracle,
     ParamTriple,
     PreconditionError,
@@ -66,6 +67,10 @@ def test_and_restrict_prefix():
     assert q.cells[1:] == P3.cells[1:]
     with pytest.raises(ValueError):
         and_restrict(P3, (frozenset({2}),))
+    # an eta may cover the whole horizon
+    q = and_restrict(P3, (frozenset({1}), frozenset({0, 1}), frozenset({1, 2})))
+    assert [cell.sorted_members() for cell in q.cells] == \
+        [[frozenset({1})], [frozenset({0, 1})], [frozenset({1, 2})]]
 
 
 def test_order_check_modes():
@@ -78,13 +83,23 @@ def test_order_check_modes():
     # q's 0th split is level 2, so the freeze covers levels 0..2
     r = TruncCondition(q.params, q.cells)
     assert order_check(r, q, ("at_n", 0))
+    # the freeze covers q's n-th split level itself: q's 0th split is
+    # level 1, where it dropped a member of p's cell
+    p = _cond([(3, 1, [[0]]), (3, 1, [[0], [1], [2]])], d=(2, 2))
+    q = _cond([(3, 1, [[0]]), (3, 1, [[0], [1]])], d=(2, 2))
+    assert order_check(q, p) and not order_check(q, p, ("at_n", 0))
+    # with no n-th split in q it covers the whole horizon, the last level too
+    p = _cond([(3, 1, [[0]]), (3, 1, [[0], [1]])], d=(2, 2))
+    q = _cond([(3, 1, [[0]]), (3, 1, [[0]])], d=(2, 2))
+    assert order_check(q, p) and not order_check(q, p, ("at_n", 0))
 
 
 def test_validate_star_rank():
     rep = validate(P3)
     assert rep.valid
     assert rep.split_levels == [0, 2]
-    assert rep.star_rank >= 0
+    # norm 0 at level 0 misses d = 4's staircase at rank 1
+    assert rep.star_rank == 0
     # norm 3 meets d = 2's staircase at rank 1, (3 + 1)^1 >= 2^(2*1), and
     # misses it at rank 2, 4 < 2^(2*2)
     full = full_creature(4, 3)
@@ -154,6 +169,27 @@ def test_thin_respects_gbound_and_staircase():
     # with no split there is nothing to retain or sacrifice
     flat = _cond([(3, 1, [[0]]), (3, 1, [[1]])])
     assert thin(flat, [1, 1]) is flat
+    # a split at level 0 may be retained; after its two members the count
+    # is 2, which is not below gbound(1) = 2 but is below 3
+    p = _cond([(3, 1, _SPLIT), (3, 1, _SPLIT)], d=(2, 2))
+    assert thin(p, [2, 2]).split_levels() == [0]
+    assert thin(p, [2, 3]) == p
+    # a retained split is not a candidate again, however high its gbound
+    assert thin(p, [5, 5]) == p
+
+
+def test_thin_prefers_the_split_that_meets_the_staircase_at_the_next_rank():
+    """With d = 2 a norm n meets rank r when n + 1 >= 2^(2r).  Level 0 (norm
+    1) misses rank 1, level 1 (norm 3) meets it; at rank 2 level 2 misses
+    and level 3 (norm 15) meets it.  So thin keeps levels 1 and 3."""
+    top = Creature.of(16, 15, itertools.combinations(range(16), 15))
+    p = TruncCondition(ParamTriple((3, 4, 3, 16), (1, 3, 1, 15), (2,) * 4),
+                       (Creature.of(3, 1, [[0], [1], [2]]), full_creature(4, 3),
+                        Creature.of(3, 1, _SPLIT), top))
+    assert [norm(cell) for cell in p.cells] == [1, 3, 0, 15]
+    q = thin(p, [10 ** 6] * 4)
+    assert q.split_levels() == [1, 3]
+    assert q.cells[1:4:2] == p.cells[1:4:2]
 
 
 def test_catch_real_freezes_a_covering_level():
@@ -185,6 +221,8 @@ def test_name_oracle_from_table_and_profile_guard():
     bad = NameOracle(P3, ((0,), (0,), (0,)), lambda b: (9, 0, 0))
     with pytest.raises(ValueError):
         bad.eval(branches(P3)[0])
+    with pytest.raises(ValueError):  # a branch short of a level
+        nu.eval(branches(P3)[0][:2])
 
 
 _P3_PROFILE = [(0, 1), (0,), (0, 1, 2)]
@@ -241,6 +279,22 @@ def test_from_table_rejects_a_base_above_the_branch_cap():
     full = _cond([(6, 3, [m for m in itertools.combinations(range(6), 3)])] * 4)
     with pytest.raises(ValueError, match="branch enumeration cap exceeded"):
         NameOracle.from_table(full, [(0,)] * 4, {})
+
+
+def test_reading_enumerates_every_level_within_the_branch_cap():
+    # 42^3 = 74088 choices below the last level, twice as many branches
+    cells = [full_creature(6, 3)] * 3 + [Creature.of(6, 3, _SPLIT)]
+    p = TruncCondition(ParamTriple((6,) * 4, (3,) * 4, (2,) * 4), tuple(cells))
+    assert poss_count(p, 2) < BRANCH_CAP < poss_count(p, 3)
+    nu = NameOracle(p, ((0,),) * 4, lambda b: (0,) * 4)
+    with pytest.raises(ValueError, match="branch enumeration cap exceeded"):
+        check_reading(p, nu, "early")
+
+
+def test_the_branch_cap_admits_exactly_its_count():
+    ten = Creature.of(4, 2, [m for k in (1, 2) for m in itertools.combinations(range(4), k)])
+    p = TruncCondition(ParamTriple((4,) * 5, (2,) * 5, (2,) * 5), (ten,) * 5)
+    assert len(branches(p)) == BRANCH_CAP == 10 ** 5
 
 
 def test_a_branch_missing_from_the_table_raises_its_key():
@@ -360,6 +414,29 @@ def test_localize_rejects_window_violations():
         localize(p, nu, a, tuple(0 for _ in e))
 
 
+def test_localize_keeps_a_split_wide_at_twice_m_times_its_subset_count():
+    """One split of c = 3, h = 1 (subset count 4) with m = 1 possibility
+    below it: e = 8 keeps it wide, e = 7 takes the narrow path, whose
+    clause ii holds with equality at 2 m a = d and fails above it."""
+    p = _over(ParamTriple((3,), (1,), (2,)), [[0], [1], [2]])
+    nu = _const(p)
+    assert localize(p, nu, (5,), (8,))[0] == p
+    assert localize(p, nu, (1,), (7,))[0] == p
+    with pytest.raises(PreconditionError, match="clause ii fails at split level 0"):
+        localize(p, nu, (5,), (7,))
+
+
+def test_localize_leaves_the_splits_below_k0_alone():
+    refined = 0
+    for seed in range(40):
+        p, nu, a, e = localize_instance(Random(seed))
+        for k0 in (1, 2):
+            q, _ = localize(p, nu, a, e, k0)
+            assert q.cells[:k0] == p.cells[:k0], (seed, k0)
+        refined += localize(p, nu, a, e)[0].cells[:2] != p.cells[:2]
+    assert refined  # the same splits are refined from level 0
+
+
 def test_condition_json_roundtrip():
     assert TruncCondition.from_json(P3.to_json()) == P3
 
@@ -399,14 +476,24 @@ _SPLIT = [[0], [1]]
 @pytest.mark.parametrize("call, message", [
     (lambda: ParamTriple((3,), (1, 1), (2,)), "parameter sequences must share a length"),
     (lambda: ParamTriple((2,), (2,), (2,)), "need c > h >= 1 at level 0"),
+    (lambda: ParamTriple((3, 3), (1, 0), (2, 2)), "need c > h >= 1 at level 1"),
     (lambda: ParamTriple((3,), (1,), (1,)), "need d >= 2 at level 0"),
+    (lambda: poss_count(P3, 3), "k = 3 is not a level in [-1, 2]"),
     (lambda: TruncCondition(ParamTriple((3,), (1,), (2,)), (Creature.of(4, 1, [[0]]),)),
      "cell 0 does not match its parameters"),
     (lambda: order_check(_over(_P2, [[0]], [[0]]), _over(_P2, [[0]], [[0]]), ("at_m", 0)),
      "unknown mode ('at_m', 0)"),
     (lambda: order_check(_over(_P8, [[0]], [[0]]), _over(_P2, [[0]], [[0]])),
      "parameter mismatch"),
+    (lambda: order_check(P3, P3, ("at_n", 0, (0,), (0,))),
+     "unknown mode ('at_n', 0, (0,), (0,))"),
     (lambda: fuse([]), "empty chain"),
+    (lambda: fuse([_over(_P2, [[0]], [[0]])]), "chain element 0 has fewer than 1 splits"),
+    (lambda: fuse([_over(_P2, _SPLIT, [[0]])] * 2), "chain element 1 has fewer than 2 splits"),
+    (lambda: fuse([_over(_P2, _SPLIT, _SPLIT), _over(_P2, _SPLIT, _SPLIT),
+                   _over(_P2, [[0]], _SPLIT)]),
+     "chain link 2 does not extend link 1 with the stage-1 freeze"),
+    (lambda: thin(_over(_P2, _SPLIT, _SPLIT), [5]), "gbound has no entry for split level 1"),
     (lambda: thin(_over(_P2, _SPLIT, [[0]]), [1, 1]),
      "horizon exhausted before any split was retained"),
     (lambda: NameOracle(_over(_P2, [[0]], [[0]]), ((0,),), None),

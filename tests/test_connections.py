@@ -151,6 +151,8 @@ _S1 = Slalom.of([4], [1], [[0]])
     (lambda: Slalom((3,), (1,), ()), "length mismatch"),
     (lambda: Slalom.of([3], [1], [[0, 1]]), "cell 0 exceeds its width bound"),
     (lambda: Slalom.of([3], [1], [[3]]), "cell 0 leaves the arena"),
+    (lambda: Slalom.of([3], [1], [[0.5]]), "cell 0 element 0.5 is not an integer"),
+    (lambda: Slalom.of([3], [1], [[True]]), "cell 0 element True is not an integer"),
     (lambda: SigmaCover(("012",)), "entries must be binary strings"),
     (lambda: build_partition([2, 0]), "partition lengths must be positive"),
     (lambda: gch_profile([1], [1], 1), "need c >= 2 and h >= 1 pointwise"),

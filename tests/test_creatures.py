@@ -318,6 +318,8 @@ def test_lognorm_value_cmp_rejects_non_integer_d():
 # that fails it
 @pytest.mark.parametrize("call, message", [
     (lambda: Creature(0, 1, frozenset({frozenset()})), "arena must be at least 1"),
+    (lambda: Creature.of(3, 1, [[0.5]]), "member element 0.5 is not an integer"),
+    (lambda: Creature.of(3, 1, [[True]]), "member element True is not an integer"),
     (lambda: lognorm_value_cmp(0, 1, 1), "d must be at least 2"),
     (lambda: bigness_refine(full_creature(3, 1), lambda m: 0, 1), "d must be at least 2"),
 ])

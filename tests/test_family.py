@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import pytest
 
+from creaturelab import family
 from creaturelab.family import (
     TowerOverflowError,
+    TreeFamily,
     build_single,
     build_tree,
     certificate_summary,
@@ -78,10 +80,24 @@ def test_build_tree_node_zero_exact():
 def test_build_tree_lex_successors():
     tf = build_tree(3, 2)
     # d_{t+}(k) = (k+1) * a_t(k) for lex-adjacent labels of the same stage
-    for label, node in tf.nodes.items():
-        assert node.d_from in {"seed", "stage"} | set(tf.nodes)
-        if node.d_from in tf.nodes:
-            assert tf.nodes[node.d_from].k == node.k
+    for k in range(tf.depth):
+        labels = TreeFamily.stage(k)
+        for t, tp in zip(labels, labels[1:]):
+            assert tf.nodes[tp].d == tower_mul(k + 1, tf.nodes[t].a), (t, tp)
+
+
+def test_tree_s7_credits_exactly_the_lex_adjacent_pairs(monkeypatch):
+    """With every tower_le undecided, an S7 entry passes by construction
+    exactly when its pair is lex-adjacent in its stage; every other pair
+    stays unknown."""
+    tf = build_tree(3, 3, cap=32)
+    monkeypatch.setattr(family, "tower_le", lambda x, y: None)
+    s7 = [e for e in verify_suitable(tf, tf.bounding, cap=32) if e["clause"] == "S7"]
+    adjacent = {pair for k in range(tf.depth)
+                for pair in zip(TreeFamily.stage(k), TreeFamily.stage(k)[1:])}
+    assert len(s7) == 1 + 6 + 28 and len(adjacent) == 1 + 3 + 7
+    assert {tuple(e["pair"]) for e in s7 if e["method"] == "construction"} == adjacent
+    assert all(e["status"] == "unknown" for e in s7 if tuple(e["pair"]) not in adjacent)
 
 
 def test_tree_certificate_all_pass():

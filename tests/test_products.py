@@ -187,6 +187,16 @@ def test_restricted_localize_invariance_and_membership():
                 assert seen.setdefault((k, key), cell) == cell
 
 
+def test_restricted_localize_leaves_the_coordinates_of_C_alone():
+    refined = 0
+    for seed in range(40):
+        p, nu, C, a, e = restricted_instance(Random(seed))
+        q, _ = restricted_localize(p, nu, C, a, e)
+        assert all(q.parts[xi] == p.parts[xi] for xi in C), seed
+        refined += q != p
+    assert refined  # the splits outside C are refined
+
+
 def test_restricted_cells_are_the_values_of_the_branches_of_q():
     """Each cell of phi holds exactly the values the name takes on the
     branches of q through its restricted branch."""
@@ -335,6 +345,17 @@ def test_product_fuse_takes_a_coordinate_frozen_before_it_enters_from_its_first_
         assert order_check(q, pn, ("at_n", n, Fn))
 
 
+def test_product_fuse_takes_a_never_frozen_coordinate_from_the_last_link():
+    # y is in no frozen set, so every level of it, level 0 in block 0
+    # too, comes from the last link, which shrank it there
+    chain = [(_prod(x=[_A, _S, _A, _S, _A], y=[_A, _S, _S, _S, _S]), ("x",)),
+             (_prod(x=[_A, _S, _A, _S, _A], y=[_S, _S, _S, _S, _S]), ("x",))]
+    q = fuse(chain)
+    assert q == chain[1][0]
+    for n, (pn, Fn) in enumerate(chain):
+        assert order_check(q, pn, ("at_n", n, Fn))
+
+
 def test_product_order_check_needs_every_coordinate_of_p():
     p = _prod(x=[_A, _S, _A, _S, _A], y=[_S] * 5)
     q = _prod(x=[_A, _S, _A, _S, _A])
@@ -442,8 +463,6 @@ def test_product_catch_collapses_B_where_the_value_reads_another_level():
 
 # the entry checks of the module, one input that fails each
 @pytest.mark.parametrize("call, message", [
-    (lambda: CoordinateSpace(("x",), {}, {"A": _T2}),
-     "owner map must cover exactly the coordinates"),
     (lambda: CoordinateSpace.of({"x": "B"}, {"A": _T2}), "owner targets an unknown family"),
     (lambda: CoordinateSpace.of({"x": "A", "y": "B"}, {"A": _T2, "B": _T5}),
      "need one or more families, sharing a horizon"),
