@@ -399,7 +399,7 @@ def fuse(chain):
         while xi not in parts[stage]:
             stage += 1
         return parts[stage][xi].cells[k]
-    q = _assemble(links[0][0], {xi: [cell(xi, k) for k in range(N)]
+    q = _assemble(links[-1][0], {xi: [cell(xi, k) for k in range(N)]
                                 for xi in sorted(set().union(*parts))})
     for n, (pn, Fn) in enumerate(links):
         if not order_check(q, pn, ("at_n", n, Fn)):

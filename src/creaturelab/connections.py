@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -294,6 +293,7 @@ def ed_maps(c, h, x, y):
 
 def escape_measure(S: Slalom, window: tuple[int, int]) -> Fraction:
     """Product measure of "no index in the window lands in its cell"."""
+    from fractions import Fraction
     m, n = window
     if not 0 <= m <= n <= len(S.c):
         raise ValueError(f"window {window} needs 0 <= m <= n <= {len(S.c)}")

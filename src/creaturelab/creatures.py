@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 ARENA_LIMIT = 20
@@ -46,16 +46,22 @@ class Creature:
     def of(arena: int, cap: int, members) -> "Creature":
         return Creature(arena, cap, frozenset(frozenset(m) for m in members))
 
-    def sorted_members(self) -> list[frozenset[int]]:
+    @cached_property
+    def _order(self) -> tuple[frozenset[int], ...]:
         """Members by size, then by sorted elements: the one integer key
-        len(m) * 2^arena - sum of 2^(arena-1-v) over m gives that order."""
+        len(m) * 2^arena - sum of 2^(arena-1-v) over m gives that order.
+        Sorted once per creature, which is frozen."""
         a = self.arena
         w = [-(1 << (a - 1 - v)) for v in range(a)]
-        return sorted(self.members, key=lambda m: sum(map(w.__getitem__, m), len(m) << a))
+        return tuple(sorted(self.members, key=lambda m: sum(map(w.__getitem__, m), len(m) << a)))
+
+    def sorted_members(self) -> list[frozenset[int]]:
+        """The members in canonical order, as a new list on each call."""
+        return list(self._order)
 
     def to_json(self) -> dict:
         return {"arena": self.arena, "cap": self.cap,
-                "members": [sorted(m) for m in self.sorted_members()]}
+                "members": [sorted(m) for m in self._order]}
 
     @staticmethod
     def from_json(obj: dict) -> "Creature":
@@ -85,8 +91,10 @@ def norm(M: Creature) -> int:
     return _norm(M.arena, M.members)
 
 
-def _norm(arena: int, members) -> int:
-    """norm of the creature on range(arena) with these (checked) members."""
+def _norm(arena: int, members, lo: int = 1) -> int:
+    """norm of the creature on range(arena) with these (checked) members
+    when it is at least lo, and some value below lo when it is not: the
+    search starts its low end at lo, so no layer below lo is tested."""
     if arena > ARENA_LIMIT:
         raise ValueError(f"arena {arena} exceeds the exhaustive-cost limit")
     bit = [1 << v for v in range(arena)]
@@ -107,8 +115,8 @@ def _norm(arena: int, members) -> int:
             seen.update(map(sum, itertools.combinations(map(bit.__getitem__, m), k)))
         return len(seen) == need
 
-    lo, hi = 1, len(max(members, key=len))
-    while lo <= hi:  # every k < lo is covered, no k > hi is
+    hi = len(max(members, key=len))
+    while lo <= hi:  # no k > hi is covered; if the norm is >= lo, every k < lo is
         if covered(hi):
             return hi
         hi -= 1
@@ -132,6 +140,8 @@ def lognorm_value_cmp(norm_value: int, d: int, t) -> str:
     where they separate the sides, exactly otherwise.  Raises ValueError
     when the exact powers would pass numeric's exact size limit, TypeError
     when d is not an integer."""
+    from fractions import Fraction
+
     from .numeric import _exact_pow
     d = operator.index(d)
     if d < 2:
@@ -162,12 +172,17 @@ def bigness_refine(M: Creature, coloring, d: int):
     if d < 2:
         raise ValueError("d must be at least 2")
     classes: dict[int, list] = {}
-    for m in M.sorted_members():
+    for m in M._order:
         color = coloring(m)
         if not 0 <= color < d:
             raise ValueError(f"color {color} out of range")
         classes.setdefault(color, []).append(m)
-    best = max(sorted(classes), key=lambda c: _norm(M.arena, classes[c]))
+    colors = sorted(classes)
+    best, top = colors[0], _norm(M.arena, classes[colors[0]])
+    for color in colors[1:]:
+        value = _norm(M.arena, classes[color], top + 1)
+        if value > top:  # strictly: ties keep the smaller color
+            best, top = color, value
     return best, Creature(M.arena, M.cap, frozenset(classes[best]))
 
 

@@ -232,6 +232,17 @@ def test_fuse_of_a_product_link_without_its_frozen_set_exits_2(tmp_path, capsys,
     assert "ValueError: chain link 1 is not a condition or a (product, F) pair" in err
 
 
+def test_product_fuse_of_links_whose_space_gains_a_coordinate(tmp_path):
+    # link 0's space has only x; link 1's adds y, which the fusion keeps
+    first, second, _ = _INPUTS["fuse-product"]["chain"]
+    link0 = json.loads(json.dumps(first))
+    link0["condition"]["coords"] = {"x": {"owner": "A"}}
+    link0["condition"]["families"] = {"A": first["condition"]["families"]["A"]}
+    code, body = run(tmp_path, "product-fuse", {"chain": [link0, second]})
+    assert code == 0
+    assert json.loads(body) == {"condition": second["condition"]}
+
+
 def test_exact_family_count_past_the_bit_budget_exits_2(tmp_path, capsys):
     # the level-1 exact count would sum 257 binomials of a 131,077-bit c;
     # the exact mode is gone, so the request is refused as an unknown field

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import time
 import tracemalloc
@@ -8,9 +9,11 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from creaturelab import creatures
 from creaturelab.creatures import (
     ARENA_LIMIT,
     Creature,
+    _norm,
     bigness_refine,
     full_creature,
     lognorm_cmp,
@@ -176,7 +179,7 @@ def test_range_refine_rejects_bad_window():
     M = full_creature(3, 1)
     with pytest.raises(ValueError):
         range_refine(M, lambda t: 0, 1, 2, 5)   # m > d*k
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="block size must be positive"):
         range_refine(M, lambda t: 0, 0, 2, 1)
 
 
@@ -278,6 +281,63 @@ def test_bigness_refine_colors_in_canonical_order_up_to_the_first_bad_color(case
     assert calls == order[:first + 1]
 
 
+@settings(max_examples=200, deadline=None)
+@given(shaped_creatures())
+def test_norm_from_lo_is_exact_at_or_above_lo_and_below_lo_otherwise(M):
+    direct = norm_direct(M.arena, M.members)
+    for lo in range(1, max(map(len, M.members)) + 2):
+        found = _norm(M.arena, M.members, lo)
+        assert found == direct if direct >= lo else found < lo, (lo, found, direct)
+
+
+# colours 0-2 each have a class of norm 1, and colour 2 comes before colour
+# 0 in canonical order; colour 3's class is the empty member alone
+_TIED = {(): 3, (0,): 2, (1, 2): 2, (0, 1): 0, (2,): 0, (0, 2): 1, (1,): 1}
+
+
+def test_bigness_refine_keeps_the_smallest_color_on_a_tie():
+    M = Creature.of(3, 2, _TIED)
+    assert [norm(Creature.of(3, 2, [m for m in _TIED if _TIED[m] == c]))
+            for c in range(4)] == [1, 1, 1, 0]
+    color, Ms = bigness_refine(M, lambda m: _TIED[tuple(sorted(m))], 4)
+    assert color == 0 and Ms == Creature.of(3, 2, [[0, 1], [2]])
+    # norms 0, 1 and 2 in colour order: each later class replaces the best
+    M = full_creature(3, 2)
+    coloring = {(): 0, (0,): 1, (1,): 1, (2,): 1, (0, 1): 2, (0, 2): 2, (1, 2): 2}
+    assert bigness_refine(M, lambda m: coloring[tuple(sorted(m))], 3)[0] == 2
+
+
+def test_bigness_refine_tests_only_the_layers_that_could_beat_the_best(monkeypatch):
+    # a test of layer k takes C(arena, k) twice here: as the subsets it
+    # needs, and as the arena's term (no member) of its counting bound
+    layers = []
+
+    def comb(n, k, real=creatures.comb):
+        if n == 3:
+            layers.append(k)
+        return real(n, k)
+    monkeypatch.setattr(creatures, "comb", comb)
+    assert bigness_refine(Creature.of(3, 2, _TIED), lambda m: _TIED[tuple(sorted(m))], 4)[0] == 0
+    # colour 0's full search tests layers 2 and 1; colours 1 and 2 each test
+    # only layer 2 (best + 1), and colour 3's largest member, of 0 elements,
+    # rules it out untested
+    assert layers == [2, 2, 1, 1, 2, 2, 2, 2]
+
+
+def test_sorted_members_returns_a_new_list_on_each_call():
+    M = Creature.of(4, 2, [[2, 3], [1], [0, 1], []])
+    # frozen, so its members cannot change under the cached order
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        M.members = frozenset()
+    first = M.sorted_members()
+    first.reverse()
+    first.append(frozenset({3}))
+    again = M.sorted_members()
+    assert again is not first
+    assert again == [frozenset(), frozenset({1}), frozenset({0, 1}), frozenset({2, 3})]
+    assert M.sorted_members() == again
+
+
 def test_norm_on_large_full_creatures():
     assert norm(full_creature(20, 4)) == 4
     assert norm(full_creature(19, 3)) == 3
@@ -305,6 +365,14 @@ def test_lognorm_value_cmp_decides_huge_thresholds_by_bit_length():
     # between the bit-length bounds and past the exact size limit: refuse
     with pytest.raises(ValueError):
         lognorm_value_cmp(2, 3, Fraction(2 ** 25, 2 ** 26 + 1))
+    # each bound decides at equality, where the exact powers are past the
+    # limit: 21^(21 2^21) < 2^(105 2^21) with w nb = d u (db - 1), and
+    # 9^(22 2^21) >= 2^(66 2^21) with w (nb - 1) = d u db
+    assert lognorm_value_cmp(20, 2 ** 21, Fraction(5, 21 * 2 ** 21)) == "Below"
+    assert lognorm_value_cmp(8, 2 ** 21, Fraction(3, 22 * 2 ** 21)) == "AtLeast"
+    # only one side past the limit, 2^(2^25 + 2), still refuses
+    with pytest.raises(ValueError, match="past the exact size limit"):
+        lognorm_value_cmp(1, 2, Fraction(2 ** 24 + 1, 2 ** 25 - 1))
 
 
 def test_lognorm_value_cmp_rejects_non_integer_d():
@@ -322,6 +390,7 @@ def test_lognorm_value_cmp_rejects_non_integer_d():
     (lambda: Creature.of(3, 1, [[True]]), "member element True is not an integer"),
     (lambda: lognorm_value_cmp(0, 1, 1), "d must be at least 2"),
     (lambda: bigness_refine(full_creature(3, 1), lambda m: 0, 1), "d must be at least 2"),
+    (lambda: bigness_refine(full_creature(3, 1), lambda m: 2, 2), "color 2 out of range"),
 ])
 def test_each_input_check_names_its_input(call, message):
     with pytest.raises(ValueError, match=message):

@@ -79,34 +79,44 @@ def test_import_loads_no_submodule():
     assert _loaded("import creaturelab") == set()
 
 
+def _argv(tmp_path, argv, payload, name="in.json") -> list:
+    """argv writing to tmp_path, reading payload (if any) from a file there."""
+    argv = [*argv, "--output", str(tmp_path / "out.json")]
+    if payload is not None:
+        (tmp_path / name).write_text(json.dumps(payload))
+        argv += ["--input", str(tmp_path / name)]
+    return argv
+
+
 @pytest.mark.parametrize("argv, payload, expect", _CALLS,
                          ids=[" ".join(c[0][:3:2]) for c in _CALLS])
 def test_cli_loads_only_its_layers(tmp_path, argv, payload, expect):
-    argv = [*argv, "--output", str(tmp_path / "out.json")]
-    if payload is not None:
-        (tmp_path / "in.json").write_text(json.dumps(payload))
-        argv += ["--input", str(tmp_path / "in.json")]
     code = f"""
 from creaturelab.cli import main
-if main({argv!r}) != 0:
+if main({_argv(tmp_path, argv, payload)!r}) != 0:
     raise SystemExit("the call failed")
 """
     assert _loaded(code) == expect
 
 
 def test_brute_leaves_fractions_unloaded(tmp_path):
-    (tmp_path / "in.json").write_text(json.dumps({"R": _SYSTEM}))
-    argv = ["brute", "--input", str(tmp_path / "in.json"),
-            "--output", str(tmp_path / "out.json")]
+    """brute, and every other call of _CALLS that loads no numeric, runs
+    without fractions (nor the decimal and numbers modules it imports)."""
+    lean = [(argv, payload) for argv, payload, expect in _CALLS
+            if "numeric" not in expect]
+    assert len(lean) == 7
+    calls = [_argv(tmp_path, argv, payload, f"in{i}.json")
+             for i, (argv, payload) in enumerate(lean)]
     probe = f"""
 import sys
 from creaturelab.cli import main
-print(main({argv!r}), "fractions" in sys.modules)
+for argv in {calls!r}:
+    print(argv[0], main(argv), *(m in sys.modules for m in ("fractions", "decimal", "numbers")))
 """
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=_SRC))
-    assert out.stdout.split() == ["0", "False"]
+    assert out.stdout.splitlines() == [f"{argv[0]} 0 False False False" for argv in calls]
 
 
 def test_namespace_is_pinned():

@@ -37,6 +37,7 @@ from creaturelab.numeric import (
     _log2_bounds,
     _pow2_bounds,
     _shifted_quotient,
+    _shr_ceil,
     _sq_chain_floor,
 )
 
@@ -212,6 +213,47 @@ def test_shifted_quotient_matches_the_full_division():
         s, keep = rng.randint(-300, 300), rng.choice((64, 256))
         assert _shifted_quotient(n, s, d, keep) == \
             ((n << s) if s >= 0 else n >> -s) // d, (n, s, d, keep)
+
+
+def _operand(rng) -> int:
+    """A positive integer of 1-600 bits, its top bit set."""
+    b = rng.randint(1, 600)
+    return rng.getrandbits(b) | 1 << b - 1
+
+
+def test_shr_ceil_matches_its_definition():
+    """20,000 seeded cases against -(-n // 2**s), s in [0, 700]: n of 0-600
+    bits, or in a third of the cases such an n times 2**s, or one off it."""
+    rng = Random(2124)
+    for _ in range(20000):
+        s = rng.randint(0, 700)
+        n = _operand(rng) >> rng.randint(0, 1)
+        if rng.random() < 1 / 3:
+            n = max(0, (n << s) + rng.choice((-1, 0, 1)))
+        assert _shr_ceil(n, s) == -(-n // 2 ** s), (n, s)
+
+
+def _floor_log2_direct(x: Fraction) -> int:
+    """The e with 2**e <= x < 2**(e+1), bisected by exact comparisons over
+    the span a quotient of 600-bit integers can reach."""
+    lo, hi = -601, 601  # 2**lo <= x < 2**hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if Fraction(2) ** mid <= x else (lo, mid)
+    return lo
+
+
+def test_floor_log2_matches_exact_comparison_with_powers_of_two():
+    """10,000 seeded cases: n / d with n and d of 1-600 bits, or in a third
+    of the cases d 2**k (k <= 300), or one off it, over d or under it."""
+    rng = Random(2125)
+    for _ in range(10000):
+        n, d = _operand(rng), _operand(rng)
+        if rng.random() < 1 / 3:
+            near = max(1, (d << rng.randint(0, 300)) + rng.choice((-1, 0, 1)))
+            n, d = (near, d) if rng.random() < 0.5 else (d, near)
+        x = Fraction(n, d)
+        assert _floor_log2(x) == _floor_log2_direct(x), (n, d)
 
 
 def test_overlapping_enclosures_are_undecided():

@@ -356,6 +356,21 @@ def test_product_fuse_takes_a_never_frozen_coordinate_from_the_last_link():
         assert order_check(q, pn, ("at_n", n, Fn))
 
 
+def test_product_fuse_of_links_whose_space_gains_a_coordinate():
+    # link 0's space has x alone and link 1's adds y: the fusion is built
+    # over the last link's space, which has every coordinate of the chain
+    x_only = CoordinateSpace.of({"x": "A"}, {"A": _T5})
+    xy = CoordinateSpace.of({"x": "A", "y": "A"}, {"A": _T5})
+    cells = lambda *cs: TruncCondition(_T5, tuple(Creature.of(3, 1, c) for c in cs))
+    chain = [(ProductCondition(x_only, {"x": cells(_A, _S, _A, _S, _A)}), ("x",)),
+             (ProductCondition(xy, {"x": cells(_A, _S, _A, _S, _S1),
+                                    "y": cells(_S, _A, _S, _A, _S)}), ("x",))]
+    q = fuse(chain)
+    assert q == chain[1][0] and q.space == xy
+    for n, (pn, Fn) in enumerate(chain):
+        assert order_check(q, pn, ("at_n", n, Fn))
+
+
 def test_product_order_check_needs_every_coordinate_of_p():
     p = _prod(x=[_A, _S, _A, _S, _A], y=[_S] * 5)
     q = _prod(x=[_A, _S, _A, _S, _A])
