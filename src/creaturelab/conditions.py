@@ -547,10 +547,15 @@ def _read(p, nu: NameOracle) -> BranchSpace:
         raise PreconditionError("oracle base parameters differ")
     if not all(c.members <= b.members for c, b in zip(space.cells, base.cells)):
         raise PreconditionError("condition is not an extension of the oracle base")
-    # p's branches in level-major order, by their ranks in the base's space
+    # p's branches in level-major order, by their ranks in the base's space:
+    # 0, 1, ... when p has the base's pools
     pools = space.capped(space.N - 1).pools
-    ranks = _sums([list(map(nu._digits[x].__getitem__, pools[x])) for x in space.order])
-    space.values = list(map(list, zip(*[nu._cache.get(r) or nu._values(r) for r in ranks])))
+    ranks = range(space.count(space.N - 1)) if pools == base.pools else \
+        _sums([list(map(nu._digits[x].__getitem__, pools[x])) for x in space.order])
+    rows = list(map(nu._cache.get, ranks))
+    if None in rows:  # a function's first reads, or a branch the table lacks
+        rows = [v or nu._values(r) for v, r in zip(rows, ranks)]
+    space.values = list(map(list, zip(*rows)))
     return space
 
 
@@ -581,14 +586,18 @@ def _refine_split(space: BranchSpace, k: int, j: int, n: int, refine) -> None:
     in enumeration order: refine(M, pre) takes the cell so far and each of
     its members' first n values through that possibility.  The space is
     modest and, as its caller checked, its levels <= k fix the first n
-    values: one possibility and one member make a block, read at its head."""
+    values: one possibility and one member make a block, read at its head.
+    A cell every refinement keeps whole stays in place, its branches all kept."""
     x, cols = j * space.N + k, space.values[:n]
     pool, heads = space.pools[x], space.ranks(space.below(k) + [x])
-    M = space.cells[x]
+    M = cell = space.cells[x]
     for e in range(0, len(heads), len(pool)):
-        M = refine(M, {t: tuple(col[r] for col in cols)
-                       for t, r in zip(pool, heads[e:e + len(pool)]) if t in M.members})
-    space.set_cell(x, M)
+        hs = heads[e:e + len(pool)]
+        pre = zip(pool, zip(*[map(col.__getitem__, hs) for col in cols]) if cols
+                  else itertools.repeat(()))
+        M = refine(M, dict(pre) if M is cell else {t: v for t, v in pre if t in M.members})
+    if M is not cell:
+        space.set_cell(x, M)
 
 
 def early_read(p, nu: NameOracle):

@@ -91,12 +91,16 @@ def norm(M: Creature) -> int:
     return _norm(M.arena, M.members)
 
 
+def _check_arena(arena: int) -> None:
+    if arena > ARENA_LIMIT:
+        raise ValueError(f"arena {arena} exceeds the exhaustive-cost limit")
+
+
 def _norm(arena: int, members, lo: int = 1) -> int:
     """norm of the creature on range(arena) with these (checked) members
     when it is at least lo, and some value below lo when it is not: the
     search starts its low end at lo, so no layer below lo is tested."""
-    if arena > ARENA_LIMIT:
-        raise ValueError(f"arena {arena} exceeds the exhaustive-cost limit")
+    _check_arena(arena)
     bit = [1 << v for v in range(arena)]
     by_size = [[] for _ in range(arena + 1)]
     for m in members:
@@ -167,7 +171,7 @@ def bigness_refine(M: Creature, coloring, d: int):
 
     ``coloring`` maps each member to a color below d; it is called on the
     members in canonical order.  The returned class M* satisfies
-    norm(M)+1 <= d*(norm(M*)+1) by pigeonhole.
+    norm(M)+1 <= d*(norm(M*)+1) by pigeonhole; a single class is M itself.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -177,6 +181,9 @@ def bigness_refine(M: Creature, coloring, d: int):
         if not 0 <= color < d:
             raise ValueError(f"color {color} out of range")
         classes.setdefault(color, []).append(m)
+    if len(classes) == 1:  # every member has this color: M* = M, no norm to take
+        _check_arena(M.arena)
+        return color, M
     colors = sorted(classes)
     best, top = colors[0], _norm(M.arena, classes[colors[0]])
     for color in colors[1:]:

@@ -153,6 +153,15 @@ def test_lognorm_with_float_d_exits_2(tmp_path, capsys):
     assert "Traceback" not in err and "integer" in err
 
 
+def test_bigness_of_one_class_past_the_arena_limit_exits_2(tmp_path, capsys):
+    payload = {"creature": {"arena": 21, "cap": 2, "members": [[0, 1], [2, 3]]},
+               "colors": [0, 0], "d": 2}
+    code, body = run(tmp_path, "bigness", payload)
+    err = capsys.readouterr().err
+    assert code == 2 and body == ""
+    assert err == "error: ValueError: arena 21 exceeds the exhaustive-cost limit\n"
+
+
 def test_thin_with_float_d_exits_2(tmp_path, capsys):
     cond = dict(_COND, d=[2, 3.0, 2])
     code, body = run(tmp_path, "thin", {"condition": cond, "gbound": [5] * 3})

@@ -324,6 +324,16 @@ def test_bigness_refine_tests_only_the_layers_that_could_beat_the_best(monkeypat
     assert layers == [2, 2, 1, 1, 2, 2, 2, 2]
 
 
+@pytest.mark.parametrize("M", [Creature.of(3, 2, _TIED), full_creature(ARENA_LIMIT, 2)])
+def test_bigness_refine_of_one_class_is_the_creature_itself(monkeypatch, M):
+    def no_norm(*args):
+        raise AssertionError("a single class takes no norm")
+    monkeypatch.setattr(creatures, "_norm", no_norm)
+    for d, color in [(2, 1), (4, 3)]:
+        got, Ms = bigness_refine(M, lambda m: color, d)
+        assert got == color and Ms is M
+
+
 def test_sorted_members_returns_a_new_list_on_each_call():
     M = Creature.of(4, 2, [[2, 3], [1], [0, 1], []])
     # frozen, so its members cannot change under the cached order
@@ -390,7 +400,12 @@ def test_lognorm_value_cmp_rejects_non_integer_d():
     (lambda: Creature.of(3, 1, [[True]]), "member element True is not an integer"),
     (lambda: lognorm_value_cmp(0, 1, 1), "d must be at least 2"),
     (lambda: bigness_refine(full_creature(3, 1), lambda m: 0, 1), "d must be at least 2"),
+    # every member out of range: one class, refused all the same
     (lambda: bigness_refine(full_creature(3, 1), lambda m: 2, 2), "color 2 out of range"),
+    (lambda: bigness_refine(full_creature(3, 1), lambda m: -1, 2), "color -1 out of range"),
+    # one class past the arena limit: refused though no norm is taken
+    (lambda: bigness_refine(Creature.of(21, 2, [[0, 1], [2, 3]]), lambda t: 0, 2),
+     "arena 21 exceeds the exhaustive-cost limit"),
 ])
 def test_each_input_check_names_its_input(call, message):
     with pytest.raises(ValueError, match=message):

@@ -196,13 +196,25 @@ def test_toy_family_manifest():
 
 
 # the input checks of the module that no other test reaches, one input
-# that fails each: no toy horizon of 5 keeps its values within 10^4
+# that fails each: no toy horizon of 5 or 6 keeps its values within 10^4.
+# Each bound of build_single's 2 < n0_minus < d0 and of the toy horizon's
+# range [1, 6] is tried on its first value outside: 6 is inside the range
+# and fails only the search, and toy_family(0, 1) succeeds
 @pytest.mark.parametrize("call, message", [
     (lambda: build_tree(2), "need d0 >= 3"),
     (lambda: build_tree(3, 0), "depth must be positive"),
+    (lambda: build_single(2, 4), "need 2 < n0_minus < d0"),
+    (lambda: build_single(4, 4), "need 2 < n0_minus < d0"),
+    (lambda: toy_family(0, 0), r"toy horizon 0 is outside \[1, 6\]"),
     (lambda: toy_family(0, 5), "no in-range assignment at this horizon"),
+    (lambda: toy_family(0, 6), "no in-range assignment at this horizon"),
     (lambda: toy_family(7, 5), "no in-range assignment at this horizon"),
 ])
 def test_each_input_check_names_its_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_toy_family_takes_the_lowest_horizon():
+    out = toy_family(0, 1)
+    assert len(out["a"]) == 1 and out["h"] == [1]

@@ -103,23 +103,10 @@ def test_reading_agrees_with_the_definition():
     assert len(results) >= 20, len(results)
 
 
-def test_each_split_refinement_keeps_the_reading_its_caller_checked():
-    """early_read refines a split at level k once it has checked timely
-    reading, and the localisation once it has checked early reading: the
-    levels <= k fix the values below k, or up to k.  That holds before each
-    refinement and after it, which only drops branches, at every split.
-    Early reading implies timely reading."""
-    seen, refine = Counter(), conditions._refine_split
-
-    def checked(space, k, j, n, fn):
-        def holds():   # n - k is 0 after timely reading, 1 after early
-            return all(space.decides(space.order[:(s + 1) * space.W], slice(s + n - k))
-                       for s, _ in space.splits())
-        assert holds()
-        refine(space, k, j, n, fn)
-        assert holds()
-        seen["early_read" if n == k else "localize"] += 1
-
+def _refine_splits(checked, seen):
+    """Run early_read and the localisation on 150 named conditions with
+    ``checked`` in place of ``_refine_split``; count in ``seen`` the names
+    read early."""
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @given(named_conditions(), st.data())
     def check(case, data):
@@ -143,7 +130,60 @@ def test_each_split_refinement_keeps_the_reading_its_caller_checked():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conditions, "_refine_split", checked)
         check()
+
+
+def test_each_split_refinement_keeps_the_reading_its_caller_checked():
+    """early_read refines a split at level k once it has checked timely
+    reading, and the localisation once it has checked early reading: the
+    levels <= k fix the values below k, or up to k.  That holds before each
+    refinement and after it, which only drops branches, at every split.
+    Early reading implies timely reading."""
+    seen, refine = Counter(), conditions._refine_split
+
+    def checked(space, k, j, n, fn):
+        def holds():   # n - k is 0 after timely reading, 1 after early
+            return all(space.decides(space.order[:(s + 1) * space.W], slice(s + n - k))
+                       for s, _ in space.splits())
+        assert holds()
+        refine(space, k, j, n, fn)
+        assert holds()
+        seen["early_read" if n == k else "localize"] += 1
+
+    _refine_splits(checked, seen)
     assert min(seen["early"], seen["early_read"], seen["localize"]) >= 20, seen
+
+
+def test_each_refinement_sees_the_prefixes_of_the_cell_so_far():
+    """Every refine(M, pre) call is given a prefix for exactly M's members,
+    also once an earlier possibility's refinement has shrunk the cell (the
+    classes of early_read are numbered by first appearance in pre); early
+    reading at split 0 gives every member the empty prefix."""
+    seen, refine = Counter(), conditions._refine_split
+
+    def checked(space, k, j, n, fn):
+        kind, start = "early_read" if n == k else "localize", space.cells[j * space.N + k]
+
+        def keyed(M, pre):
+            assert set(pre) == M.members
+            assert all(len(v) == n for v in pre.values())
+            seen[kind, "shrunk" if M is not start else "whole", n > 0] += 1
+            return fn(M, pre)
+        refine(space, k, j, n, keyed)
+
+    _refine_splits(checked, seen)
+    assert min(seen[kind, "shrunk", True] for kind in ("early_read", "localize")) >= 5, seen
+    assert seen["early_read", "whole", False] >= 20, seen
+    # two possibilities below split 1, whose member there sets value 0 (read
+    # timely) or value 1 (read early): the first one's refinement shrinks it
+    p, profile = _built([[_SUBSETS[1:3], _SUBSETS[1:4]]], True), ((0, 1, 2),) * 2
+    shrunk = {kind: seen[kind, "shrunk", True] for kind in ("early_read", "localize")}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conditions, "_refine_split", checked)
+        early_read(p, NameOracle(p, profile, lambda b: (_SUBSETS.index(b[1]) % 2, 0)))
+        nu = NameOracle(p, profile, lambda b: (0, _SUBSETS.index(b[1]) % 3))
+        _localize(_localization_space(p, nu, (3, 3), (30, 2)), (3, 3), (30, 2), 0, ())
+    assert {kind: seen[kind, "shrunk", True] - n for kind, n in shrunk.items()} == \
+        {"early_read": 1, "localize": 1}, seen
 
 
 @settings(max_examples=80, deadline=None)
@@ -167,18 +207,64 @@ def test_eval_on_a_sub_condition_agrees_with_fn_and_table(case, data):
         assert check_reading(q, tnu, mode) is expected
 
 
+def _level_major(p) -> list[tuple]:
+    """p's branches, in its caller's shape, in level-major order: level 0
+    of every coordinate slowest, then level 1, and so on, coordinates in
+    support order within a level and each cell's members in canonical
+    order."""
+    cells = [p] if isinstance(p, TruncCondition) else [p.parts[xi] for xi in p.support]
+    W, N = len(cells), p.horizon
+    out = []
+    for picks in itertools.product(*[cells[j].cells[k].sorted_members()
+                                     for k in range(N) for j in range(W)]):
+        per = tuple(tuple(picks[k * W + j] for k in range(N)) for j in range(W))
+        out.append(per[0] if isinstance(p, TruncCondition) else per)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(named_conditions(), st.data())
+def test_a_read_gives_each_branch_its_oracle_values(case, data):
+    """_read's value columns hold, branch by branch in level-major order,
+    the name's values: against the condition's own base (whose ranks are
+    0, 1, ...) and against a base with one more member in one cell (each
+    rank a sum of digits), with a function oracle whose cache some evals
+    filled and with a table."""
+    p, coords, name = case
+    single = isinstance(p, TruncCondition)
+    fn = (lambda b: name((b,))) if single else name
+    j, k = data.draw(st.integers(0, len(coords) - 1)), data.draw(st.integers(0, p.horizon - 1))
+    wider = [list(map(list, levels)) for levels in coords]
+    wider[j][k].append(data.draw(st.sampled_from(
+        [t for t in _SUBSETS if t not in coords[j][k]])))
+    profile = ((0, 1, 2),) * p.horizon
+    for base, bcoords in [(p, coords), (_built(wider, single), wider)]:
+        table = {branch_key(base, b[0] if single else b): name(b)
+                 for b in branches_direct(bcoords)}
+        nu = NameOracle(base, profile, fn)
+        for b in data.draw(st.lists(st.sampled_from(branches(p)), max_size=4)):
+            nu.eval(b)
+        for oracle in (nu, NameOracle.from_table(base, profile, table)):
+            rows = list(zip(*conditions._read(p, oracle).values))
+            assert rows == [tuple(fn(b)) for b in _level_major(p)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(named_conditions(), st.data())
 def test_a_table_lacking_a_key_raises_that_key_at_read_time(case, data):
+    """A read of the table's own base raises the first missing key in
+    level-major order."""
     p, coords, name = case
     single = isinstance(p, TruncCondition)
     table = {branch_key(p, b[0] if single else b): name(b) for b in branches_direct(coords)}
-    missing = data.draw(st.sampled_from(sorted(table)))
-    del table[missing]
+    missing = data.draw(st.sets(st.sampled_from(sorted(table)), min_size=1))
+    for key in missing:
+        del table[key]
     nu = NameOracle.from_table(p, ((0, 1, 2),) * p.horizon, table)
     with pytest.raises(KeyError) as info:
         check_reading(p, nu, "early")
-    assert info.value.args == (missing,)
+    keys = [branch_key(p, b) for b in _level_major(p)]
+    assert info.value.args == (next(key for key in keys if key in missing),)
 
 
 def _strides(space) -> dict:
