@@ -473,37 +473,32 @@ def catch_real(p: TruncCondition, x, n0: int = 0):
 class NameOracle:
     """Deterministic total map from full branches of ``base`` to value
     tuples, one value per level, drawn from ``profile``.  A product's
-    branches are, per coordinate of its support, a tuple of members.  Values
-    are kept by the branch's rank in the base's space, a sum of digits."""
+    branches are, per coordinate of its support, a tuple of members.  The
+    oracle is the name's value columns, one tuple per level over the base's
+    branches in ``branches`` order, filled and checked once when built."""
 
     base: TruncCondition | ProductCondition
     profile: tuple[tuple, ...]
-    fn: object            # None for a table: a branch it lacks raises KeyError
+    fn: object            # None for a table, whose columns from_table fills
 
     def __post_init__(self):
-        self._cache = {}
         space = self._space = BranchSpace.of(self.base)
         if len(self.profile) != space.N:
             raise ValueError("the profile needs one entry per level")
-        self._strides = space.strides()
-        self._digits = [{t: i * s for i, t in enumerate(pool)}
-                        for pool, s in zip(space.pools, self._strides)]
+        # a branch's index in the columns sums one digit per position: its
+        # member's index in the pool times the sizes of the later pools
+        sizes = list(map(len, space.pools))
+        self._digits = [{t: i * prod(sizes[x + 1:]) for i, t in enumerate(pool)}
+                        for x, pool in enumerate(space.pools)]
+        if self.fn is not None:
+            rows = [self._checked(tuple(self.fn(space.shape(b, space.N))))
+                    for b in space.poss(space.N - 1)]
+            self.columns = tuple(zip(*rows))
 
     def eval(self, branch: tuple) -> tuple:
         flat = self._space.flat(branch)
-        return self._values(sum(d[t] for d, t in zip(self._digits, flat, strict=True)))
-
-    def _values(self, rank: int) -> tuple:
-        """The values on the branch of a rank; ``fn`` sees the caller's shape."""
-        out = self._cache.get(rank)
-        if out is None:
-            space = self._space
-            flat = tuple(p[rank // s % len(p)] for p, s in zip(space.pools, self._strides))
-            if self.fn is None:  # a branch the table lacks
-                raise KeyError(space.key(flat))
-            out = self._checked(tuple(self.fn(space.shape(flat, space.N))))
-            self._cache[rank] = out
-        return out
+        i = sum(d[t] for d, t in zip(self._digits, flat, strict=True))
+        return tuple(col[i] for col in self.columns)
 
     def _checked(self, out: tuple) -> tuple:
         if len(out) != self._space.N:
@@ -515,31 +510,35 @@ class NameOracle:
 
     @classmethod
     def from_table(cls, base, profile, table: dict) -> "NameOracle":
-        """Table keyed by ``BranchSpace.key``, looked up among the base's keys
-        enumerated with their ranks; each distinct value is checked once."""
+        """Table keyed by ``BranchSpace.key``, looked up at each of the base's
+        keys in ``branches`` order; each distinct value is checked once."""
         nu = cls(base, tuple(tuple(a) for a in profile), None)
-        space = nu._space.capped(nu._space.N - 1)
-        index = dict(zip(map("".join, itertools.product(*space.labels())),
-                         space.ranks(range(len(space.pools)))))
+        space = nu._space
+        keys = list(map("".join, itertools.product(*space.capped(space.N - 1).labels())))
         try:
-            ranks = list(map(index.__getitem__, table))
-            values = list(map(tuple, table.values()))
-            for out in set(values):
+            rows = [tuple(table[key]) for key in keys]
+            if len(table) != len(rows):
+                raise KeyError("a key that is not the base's")
+            for out in set(rows):
                 nu._checked(out)
         except (KeyError, TypeError, ValueError):
-            # name the first bad entry, its key first; unhashable values may pass
+            # name the first bad entry in table order, its key first (an
+            # unhashable value may pass), and only then a missing key
+            known = set(keys)
             for key, out in table.items():
-                if key not in index:
+                if key not in known:
                     raise ValueError(f"table key {key!r} is not a branch key of the base")
                 nu._checked(tuple(out))
-        nu._cache.update(zip(ranks, values))
+            rows = [tuple(table[key]) for key in keys]
+        nu.columns = tuple(zip(*rows))
         return nu
 
 
 def _read(p, nu: NameOracle) -> BranchSpace:
-    """p's branch space with its rows read from the oracle, once p (a
-    condition or a product) is checked to extend the oracle's base: the
-    same coordinates and parameters, and cells that shrink pointwise."""
+    """p's branch space with the name's value columns, once p (a condition
+    or a product) is checked to extend the oracle's base: the same
+    coordinates and parameters, and cells that shrink pointwise, so within
+    the branch cap that the base met when the oracle was built."""
     space, base = BranchSpace.of(p), nu._space
     if space.coords != base.coords:
         raise PreconditionError("oracle base support differs")
@@ -547,15 +546,14 @@ def _read(p, nu: NameOracle) -> BranchSpace:
         raise PreconditionError("oracle base parameters differ")
     if not all(c.members <= b.members for c, b in zip(space.cells, base.cells)):
         raise PreconditionError("condition is not an extension of the oracle base")
-    # p's branches in level-major order, by their ranks in the base's space:
-    # 0, 1, ... when p has the base's pools
-    pools = space.capped(space.N - 1).pools
-    ranks = range(space.count(space.N - 1)) if pools == base.pools else \
-        _sums([list(map(nu._digits[x].__getitem__, pools[x])) for x in space.order])
-    rows = list(map(nu._cache.get, ranks))
-    if None in rows:  # a function's first reads, or a branch the table lacks
-        rows = [v or nu._values(r) for v, r in zip(rows, ranks)]
-    space.values = list(map(list, zip(*rows)))
+    # one coordinate's level-major order is branches order: with the base's
+    # pools the space shares the oracle's columns, which are tuples
+    if space.W == 1 and space.pools == base.pools:
+        space.values = nu.columns
+    else:  # gather at p's branches, level-major, by their indices in the base
+        at = _sums([list(map(nu._digits[x].__getitem__, space.pools[x]))
+                    for x in space.order])
+        space.values = [list(map(col.__getitem__, at)) for col in nu.columns]
     return space
 
 

@@ -193,7 +193,7 @@ def build_single(n0_minus: int, d0: int, depth: int = 2, *,
     return fam, BoundingSequences(tuple(n_minus), tuple(n_plus))
 
 
-def build_tree(d0: int = 3, depth: int = 2, *, cap: int = FAMILY_HEIGHT_CAP):
+def build_tree(d0: int, depth: int, *, cap: int = FAMILY_HEIGHT_CAP):
     """The binary-tree family: per stage k, nodes of length k+1 take their
     d in lexicographic order -- the first from the previous stage's extremes,
     each successor as (k+1) times its predecessor's a."""
@@ -278,8 +278,7 @@ def verify_suitable(family, bounding: BoundingSequences, *,
             tower_mul(nm, np_), bounding.n_minus[k + 1])
         _check("bounding_i", k, bi, con, entries)
         # bounding (ii): n_k^+ >= (n_k^-)^k
-        bii = True if k == 0 else tower_le(tower_pow(nm, k), np_)
-        _check("bounding_ii", k, bii, con, entries)
+        _check("bounding_ii", k, tower_le(tower_pow(nm, k), np_), con, entries)
     return entries
 
 
@@ -335,9 +334,10 @@ def _tree_level(fam: TreeFamily, k, nm, np_, con, entries):
                       con, con, entries, node=t)
     # S7: for lex-adjacent and all earlier pairs, (k+1) a_t <= d_{t'}; the
     # builder makes each d (k+1) times its lex predecessor's a
-    for i, t in enumerate(labels):
+    for i, t in enumerate(labels[:-1]):
+        ka = tower_mul(k + 1, fam.nodes[t].a)
         for tp in labels[i + 1:]:
-            r = tower_le(tower_mul(k + 1, fam.nodes[t].a), fam.nodes[tp].d)
+            r = tower_le(ka, fam.nodes[tp].d)
             _check("S7", k, r, con and tp == labels[i + 1], entries, pair=[t, tp])
 
 
@@ -353,13 +353,13 @@ def toy_arenas(rng, horizon: int) -> list[int]:
 def _toy_windows(c, live) -> tuple[list, list, list]:
     """The toy windows over arenas c with live[k] possibilities below level
     k: a(k) = c(k) + 1, the exact <=1-cell count, e(k) = c(k) - 1, and
-    d(k) = max(2, prod a(<k), 2 live[k] a(k))."""
+    d(k) = max(prod a(<k), 2 live[k] a(k)), above 2 as live[k] >= 1."""
     a = [ck + 1 for ck in c]
-    d = [max(2, prod(a[:k]), 2 * m * a[k]) for k, m in enumerate(live)]
+    d = [max(prod(a[:k]), 2 * m * a[k]) for k, m in enumerate(live)]
     return a, [ck - 1 for ck in c], d
 
 
-def toy_family(seed: int, horizon: int = 3) -> dict:
+def toy_family(seed: int, horizon: int) -> dict:
     """Small exact parameter sequences for desk-scale runs.
 
     The emitted (c, h, d, a, e) satisfy the windowed possibility-count

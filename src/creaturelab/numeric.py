@@ -243,9 +243,6 @@ class LogTower:
     def is_exact_int(self) -> bool:
         return self.height == 0 and self.is_point and self.low.denominator == 1
 
-    def __repr__(self):
-        return f"LogTower(h={self.height}, [{self.low}, {self.high}])"
-
 
 def _less(a, b) -> bool:
     """a < b for ints and Fractions.  Two integers compare by numerator:

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import io
 import json
 import sys
@@ -95,6 +96,44 @@ def test_suite_report_schema(tmp_path):
     assert code == 0
     report = json.loads(body)
     assert report == {"suite": "norm", "instances": 10, "failures": []}
+
+
+def _wrong(*args):
+    raise ArithmeticError("wrong on purpose")
+
+
+def _flipped(norm):
+    return lambda M: 0 if norm(M) >= 1 else 1
+
+
+# per suite: the library call made wrong (module, name, replacement given
+# the original) and the witness keys each failure then carries
+@pytest.mark.parametrize("mode, module, name, wrong, witness", [
+    ("norm", "creatures", "norm", _flipped, {"creature"}),
+    ("bigness", "creatures", "bigness_refine", lambda f: lambda M, col, d: (-1, M),
+     {"creature", "d"}),
+    ("reading", "conditions", "check_reading", lambda f: lambda *a: False, {"condition"}),
+    ("reading", "conditions", "early_read", lambda f: _wrong, {"error"}),
+    ("localize", "conditions", "localize", lambda f: _wrong, {"error"}),
+    ("tukey", "relational", "check_tukey", lambda f: lambda *a: "fail", {"R"}),
+    ("tukey", "relational", "leq_card", lambda f: lambda *a: False, {"b", "d", "bp", "dp"}),
+    ("product-catch", "products", "product_catch", lambda f: lambda *a: None,
+     {"condition"}),
+    ("restricted", "products", "restricted_localize", lambda f: _wrong, {"error"}),
+    ("measure", "connections", "escape_measure", lambda f: lambda *a: -1, {"slalom"}),
+], ids=["norm", "bigness", "reading-false", "reading-raises", "localize", "tukey-map",
+        "tukey-cardinals", "product-catch", "restricted", "measure"])
+def test_suite_with_a_wrong_library_call_exits_1_with_its_witness(
+        tmp_path, monkeypatch, mode, module, name, wrong, witness):
+    mod = importlib.import_module(f"creaturelab.{module}")
+    monkeypatch.setattr(mod, name, wrong(getattr(mod, name)))
+    code, body = run(tmp_path, "suite", {}, "--mode", mode, "--seed", "5", "--cap", "3")
+    assert code == 1
+    failures = json.loads(body)["failures"]
+    assert [f["instance"] for f in failures] == [0, 1, 2]
+    assert all(set(f) == {"instance", *witness} for f in failures)
+    if witness == {"error"}:
+        assert all(f["error"] == "wrong on purpose" for f in failures)
 
 
 def test_family_verify_exits_0_on_full_pass(tmp_path):
@@ -542,12 +581,17 @@ def _product_with(field, **entries):
     # an owner of the right type that names no family
     ("poss", _product_with("coords", x={"owner": "Z"}),
      "owner targets an unknown family: coordinate 'x' is owned by 'Z'"),
+    # a string t that is not a rational number
+    ("lognorm", dict(_INPUTS["lognorm"], t="1/0"),
+     "the field t must be a rational number, got '1/0'"),
+    ("lognorm", dict(_INPUTS["lognorm"], t="abc"),
+     "the field t must be a rational number, got 'abc'"),
 ], ids=["order-at_n-string", "order-no-at_n", "order-at_n-true", "fuse-chain-of-lists",
         "and-eta-int", "poss-condition-list", "tukey-Rp-int", "poss-c-int",
         "poss-d-string-item", "poss-cells-int", "product-family-h-bool",
         "fuse-link-condition-list", "fuse-link-frozen-string", "product-family-int",
         "product-part-int", "product-coord-owner-list", "oracle-profile-int",
-        "product-coord-owner-unknown"])
+        "product-coord-owner-unknown", "lognorm-t-zero-denominator", "lognorm-t-no-number"])
 def test_field_of_another_shape_exits_2_naming_it(tmp_path, capsys, sub, payload, message):
     code, body = run(tmp_path, sub, payload)
     err = capsys.readouterr().err

@@ -27,7 +27,7 @@ from creaturelab.conditions import (
 from creaturelab.creatures import Creature, full_creature, norm
 from creaturelab.numeric import subset_count
 from creaturelab.products import branch_key
-from creaturelab.toys import localize_instance, reading_instance
+from creaturelab.toys import localize_instance, product_instance, reading_instance
 
 
 def _cond(cells_spec, d=None):
@@ -218,9 +218,8 @@ def test_name_oracle_from_table_and_profile_guard():
     nu = NameOracle.from_table(P3, [(0, 1), (0,), (0, 1, 2)], table)
     for b in branches(P3):
         assert len(nu.eval(b)) == 3
-    bad = NameOracle(P3, ((0,), (0,), (0,)), lambda b: (9, 0, 0))
-    with pytest.raises(ValueError):
-        bad.eval(branches(P3)[0])
+    with pytest.raises(ValueError, match="oracle value 9 outside profile at level 0"):
+        NameOracle(P3, ((0,), (0,), (0,)), lambda b: (9, 0, 0))
     with pytest.raises(ValueError):  # a branch short of a level
         nu.eval(branches(P3)[0][:2])
 
@@ -265,6 +264,29 @@ def test_from_table_names_the_first_bad_entry_in_table_order():
             NameOracle.from_table(P3, _P3_PROFILE, table)
 
 
+def test_from_table_names_an_unknown_key_before_the_key_it_replaces():
+    """A typo'd key is one unknown key and one missing key: the unknown
+    one is named, as a ValueError, though the missing one comes first in
+    branches order."""
+    table = _p3_table()
+    del table["0,0,1"]
+    table["0,0,l"] = (0, 0, 0)
+    with pytest.raises(ValueError, match="table key '0,0,l' is not a branch key"):
+        NameOracle.from_table(P3, _P3_PROFILE, table)
+
+
+def test_a_function_oracle_calls_its_function_once_per_base_branch():
+    for p in (P3, product_instance(Random(3))):
+        calls = []
+        nu = NameOracle(p, ((0,),) * p.horizon,
+                        lambda b: calls.append(b) or (0,) * p.horizon)
+        assert calls == branches(p)
+        for op in (lambda: check_reading(p, nu, "timely"), lambda: early_read(p, nu),
+                   lambda: [nu.eval(b) for b in branches(p)]):
+            op()
+            assert len(calls) == len(branches(p))
+
+
 def test_from_table_takes_values_equal_to_unhashable_profile_entries():
     profile = [(0, 1), ([0], [1]), (0, 1, 2)]
     table = {key: (0, [0], 0) for key in _p3_table()}
@@ -286,9 +308,8 @@ def test_reading_enumerates_every_level_within_the_branch_cap():
     cells = [full_creature(6, 3)] * 3 + [Creature.of(6, 3, _SPLIT)]
     p = TruncCondition(ParamTriple((6,) * 4, (3,) * 4, (2,) * 4), tuple(cells))
     assert poss_count(p, 2) < BRANCH_CAP < poss_count(p, 3)
-    nu = NameOracle(p, ((0,),) * 4, lambda b: (0,) * 4)
     with pytest.raises(ValueError, match="branch enumeration cap exceeded"):
-        check_reading(p, nu, "early")
+        NameOracle(p, ((0,),) * 4, lambda b: (0,) * 4)
 
 
 def test_the_branch_cap_admits_exactly_its_count():
@@ -300,10 +321,8 @@ def test_the_branch_cap_admits_exactly_its_count():
 def test_a_branch_missing_from_the_table_raises_its_key():
     table = _p3_table()
     del table["1,0,2"]
-    nu = NameOracle.from_table(P3, _P3_PROFILE, table)
-    assert nu.eval(branches(P3)[0]) == (0, 0, 0)
     with pytest.raises(KeyError, match="'1,0,2'"):
-        check_reading(P3, nu, "timely")
+        NameOracle.from_table(P3, _P3_PROFILE, table)
 
 
 Q3 = _cond([(3, 1, [[0]]),

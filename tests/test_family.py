@@ -12,9 +12,12 @@ from creaturelab.family import (
     certificate_summary,
     toy_family,
     verify_suitable,
+    _capped,
     _staircase,
+    _sub_offset,
+    _value_json,
 )
-from creaturelab.numeric import tower, tower_mul, tower_pow
+from creaturelab.numeric import tower, tower_exp2, tower_mul, tower_pow
 
 from oracles import single_family_level0
 
@@ -119,6 +122,15 @@ def test_corrupted_tree_fails_certification():
     assert certificate_summary(cert)["fail"] > 0
 
 
+def test_tree_s7_fails_where_a_d_drops_below_its_predecessor_s_a():
+    """At stage 0, S7 asks 1 * a_0 <= d_1: a d_1 of 1 fails it."""
+    tf = build_tree(3, 2)
+    tf.constructed = False
+    tf.nodes["1"].d = 1
+    assert [e["status"] for e in verify_suitable(tf, tf.bounding)
+            if e["clause"] == "S7" and e["k"] == 0] == ["fail"]
+
+
 def test_single_certificate_is_honest():
     fam, bnd = build_single(3, 4)
     cert = verify_suitable(fam, bnd)
@@ -148,6 +160,39 @@ def test_single_bounding_ii_fails_when_n_plus_drops_below_the_power():
     bnd = replace(bnd, n_plus=(bnd.n_plus[0], 1, *bnd.n_plus[2:]))
     assert [e["status"] for e in verify_suitable(fam, bnd)
             if e["clause"] == "bounding_ii"] == ["pass", "fail"]
+
+
+def test_single_bounding_ii_at_stage_0_compares_with_one():
+    """At k = 0 the power (n_0^-)^0 is 1, so bounding (ii) fails once
+    n_0^+ is 0."""
+    fam, bnd = build_single(3, 4)
+    fam.constructed = False
+    bnd = replace(bnd, n_plus=(0, *bnd.n_plus[1:]))
+    assert [e["status"] for e in verify_suitable(fam, bnd)
+            if e["clause"] == "bounding_ii"] == ["fail", "pass"]
+
+
+def test_single_s2_at_its_boundary():
+    """S2, h + 1 >= d^{(k+1)d}, holds for h one below the staircase
+    5^5 = 3125 at k = 0 and fails two below it."""
+    fam, bnd = build_single(3, 5, 1)
+    fam.constructed = False
+    assert fam.h == (3125,)
+    for h, status in ((3124, "pass"), (3123, "fail")):
+        fam.h = (h,)
+        assert [e["status"] for e in verify_suitable(fam, bnd)
+                if e["clause"] == "S2"] == [status]
+
+
+def test_single_lower_bounds_multiply_the_previous_one(monkeypatch):
+    """n_{k+1}^- = n_k^- n_k^+ + 1: each stage multiplies its own n_k^-,
+    which the tower enclosures from stage 1 on cannot tell from n_0^-."""
+    products = []
+    mul = family.tower_mul
+    monkeypatch.setattr(family, "tower_mul", lambda x, y: products.append((x, y)) or mul(x, y))
+    fam, bnd = build_single(3, 9, 3)
+    for k in range(3):
+        assert any(x is bnd.n_minus[k] and y is fam.a[k] for x, y in products), k
 
 
 def test_single_s6_at_its_boundary():
@@ -183,6 +228,21 @@ def test_verify_past_its_cap_names_the_stage_and_the_height():
             verify_suitable(fam, bnd, cap=cap)
 
 
+def test_an_exact_value_is_zero_exponentials_tall():
+    _capped(0, 0, [3, 2 ** 100])
+    with pytest.raises(TowerOverflowError, match="height cap -1 exceeded: stage 0 "
+                       "reaches height 0"):
+        _capped(-1, 0, [3])
+    with pytest.raises(TowerOverflowError, match="height cap 0 exceeded: stage 2 "
+                       "reaches height 1"):
+        _capped(0, 2, [3, tower(2 ** 65)])
+
+
+def test_an_exact_value_of_up_to_4096_bits_is_printed_in_full():
+    assert _value_json(2 ** 4095) == {"exact": str(2 ** 4095)}
+    assert _value_json(2 ** 4096) == {"exact_bits": 4097}
+
+
 def test_toy_family_manifest():
     out = toy_family(0, horizon=3)
     assert len(out["a"]) == 3
@@ -201,11 +261,12 @@ def test_toy_family_manifest():
 # range [1, 6] is tried on its first value outside: 6 is inside the range
 # and fails only the search, and toy_family(0, 1) succeeds
 @pytest.mark.parametrize("call, message", [
-    (lambda: build_tree(2), "need d0 >= 3"),
+    (lambda: build_tree(2, 2), "need d0 >= 3"),
     (lambda: build_tree(3, 0), "depth must be positive"),
     (lambda: build_single(2, 4), "need 2 < n0_minus < d0"),
     (lambda: build_single(4, 4), "need 2 < n0_minus < d0"),
     (lambda: toy_family(0, 0), r"toy horizon 0 is outside \[1, 6\]"),
+    (lambda: toy_family(0, 7), r"toy horizon 7 is outside \[1, 6\]"),
     (lambda: toy_family(0, 5), "no in-range assignment at this horizon"),
     (lambda: toy_family(0, 6), "no in-range assignment at this horizon"),
     (lambda: toy_family(7, 5), "no in-range assignment at this horizon"),
@@ -218,3 +279,11 @@ def test_each_input_check_names_its_input(call, message):
 def test_toy_family_takes_the_lowest_horizon():
     out = toy_family(0, 1)
     assert len(out["a"]) == 1 and out["h"] == [1]
+
+
+def test_sub_offset_is_none_where_the_difference_is_refused():
+    assert _sub_offset(5, 2) == 3
+    assert _sub_offset(2, 5) is None
+    # a tower minus a larger tower
+    x = tower_exp2(tower(2 ** 70))
+    assert _sub_offset(x, tower_exp2(x)) is None

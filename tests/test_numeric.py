@@ -29,6 +29,7 @@ from creaturelab.numeric import (
     tower_pow,
     tower_sub,
     tower_to_json,
+    _align,
     _bit_below,
     _exact_pow,
     _exact_subset_count,
@@ -118,6 +119,13 @@ def test_cross_height_comparison_and_arithmetic():
     assert tower_le(tall, s) is True
     d = tower_sub(tall, small)
     assert tower_cmp(d, small) is Cmp.GREATER
+
+
+def test_align_promotes_the_lower_operand_on_either_side():
+    three, high = tower(3), LogTower(1, Fraction(10), Fraction(10))
+    assert _align(three, high) == (numeric._promote(three), high)
+    assert _align(high, three) == (high, numeric._promote(three))
+    assert _align(three, tower(5)) == (three, tower(5))
 
 
 def test_sub_refuses_unresolvable_gap():

@@ -230,9 +230,25 @@ def test_a_product_outside_its_oracle_base_is_rejected():
             op()
     smaller = ProductCondition(p.space, {xi: p.parts[xi]})
     with pytest.raises(PreconditionError, match="support differs"):
-        check_reading(p, NameOracle(smaller, nu.profile, nu.fn), "early")
+        check_reading(p, NameOracle(smaller, nu.profile,
+                                    lambda b: tuple(a[0] for a in nu.profile)), "early")
     with pytest.raises(PreconditionError, match="support differs"):
         check_reading(p.parts[xi], nu, "early")
+
+
+def test_reading_leaves_the_oracle_columns_as_they_were():
+    """A read against the oracle's own base shares its columns; early_read,
+    localize and product_catch refine their space without editing them."""
+    for seed in range(5):
+        p, nu = reading_instance(Random(seed))
+        lp, lnu, a, e = localize_instance(Random(seed))
+        cp, cnu, B, xi = product_catch_instance(Random(seed))
+        for oracle, op in [(nu, lambda: early_read(p, nu)),
+                           (lnu, lambda: localize(lp, lnu, a, e)),
+                           (cnu, lambda: product_catch(cp, cnu, B, xi))]:
+            before = [list(col) for col in oracle.columns]
+            op()
+            assert [list(col) for col in oracle.columns] == before, seed
 
 
 def test_branch_key_is_canonical_and_distinct():

@@ -226,10 +226,10 @@ def _level_major(p) -> list[tuple]:
 @given(named_conditions(), st.data())
 def test_a_read_gives_each_branch_its_oracle_values(case, data):
     """_read's value columns hold, branch by branch in level-major order,
-    the name's values: against the condition's own base (whose ranks are
-    0, 1, ...) and against a base with one more member in one cell (each
-    rank a sum of digits), with a function oracle whose cache some evals
-    filled and with a table."""
+    the name's values: against the condition's own base (whose columns a
+    one-coordinate read shares) and against a base with one more member in
+    one cell (gathered at each branch's index, a sum of digits), with a
+    function oracle, some evals made before the read, and with a table."""
     p, coords, name = case
     single = isinstance(p, TruncCondition)
     fn = (lambda b: name((b,))) if single else name
@@ -245,25 +245,24 @@ def test_a_read_gives_each_branch_its_oracle_values(case, data):
         for b in data.draw(st.lists(st.sampled_from(branches(p)), max_size=4)):
             nu.eval(b)
         for oracle in (nu, NameOracle.from_table(base, profile, table)):
-            rows = list(zip(*conditions._read(p, oracle).values))
-            assert rows == [tuple(fn(b)) for b in _level_major(p)]
+            values = conditions._read(p, oracle).values
+            assert list(zip(*values)) == [tuple(fn(b)) for b in _level_major(p)]
+            assert (values is oracle.columns) == (len(coords) == 1 and base is p)
 
 
 @settings(max_examples=40, deadline=None)
 @given(named_conditions(), st.data())
-def test_a_table_lacking_a_key_raises_that_key_at_read_time(case, data):
-    """A read of the table's own base raises the first missing key in
-    level-major order."""
+def test_a_table_lacking_a_key_raises_that_key_when_built(case, data):
+    """Building the oracle raises the first missing key in branches order."""
     p, coords, name = case
     single = isinstance(p, TruncCondition)
     table = {branch_key(p, b[0] if single else b): name(b) for b in branches_direct(coords)}
     missing = data.draw(st.sets(st.sampled_from(sorted(table)), min_size=1))
     for key in missing:
         del table[key]
-    nu = NameOracle.from_table(p, ((0, 1, 2),) * p.horizon, table)
     with pytest.raises(KeyError) as info:
-        check_reading(p, nu, "early")
-    keys = [branch_key(p, b) for b in _level_major(p)]
+        NameOracle.from_table(p, ((0, 1, 2),) * p.horizon, table)
+    keys = [branch_key(p, b) for b in branches(p)]
     assert info.value.args == (next(key for key in keys if key in missing),)
 
 
